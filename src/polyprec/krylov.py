@@ -1,9 +1,11 @@
-"""Gradient method with per-iteration optimal polynomial steps.
+"""The krylov step: per-iteration optimal polynomial steps.
 
 Each iteration projects the scaled Newton-like direction onto the Krylov
 subspace spanned by the gradient and its first tau curvature powers. The
 projection coefficients come from a small Gram system assembled with exactly
 2*tau + 1 matvecs; the step itself reuses the cached powers.
+:func:`run_krylov_gm` hands this step to the shared iteration loop of
+:mod:`polyprec.solvers`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import CompositeObjective
-from .solvers import RunResult, SolverConfig, _Telemetry, _check_finite, _gap_reached
+from .solvers import RunResult, SolverConfig, Step, drive
 
 __all__ = [
     "GramSystem",
@@ -142,29 +144,12 @@ def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> Ru
         raise ValueError("krylov preconditioning handles the smooth case only")
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    x = config.start_point(obj.n)
-    tele = _Telemetry(obj)
-    iterates = [x.copy()] if config.keep_iterates else None
-    f_value = obj.full_value(x)
-    tele.record(0, f_value, np.inf, 0, 0.0, 0.0, eff_degree=None)
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _gap_reached(config, f_value):
-            termination = "gap_target"
-            break
+
+    def step(x):
         sys = build_gram(obj, x, tau)
         info = solve_gram(sys)
-        x = krylov_step(obj, x, info, sys)
         # Stationarity residual in the step metric; 2x the model decrease.
         grad_map = np.sqrt(max(obj.L * 2.0 * info.model_decrease, 0.0))
-        f_value = obj.full_value(x)
-        _check_finite(f_value, "run_krylov_gm")
-        if iterates is not None:
-            iterates.append(x.copy())
-        tele.record(
-            k + 1, f_value, grad_map, 0, 0.0, 0.0, eff_degree=info.effective_degree
-        )
-        if config.tol > 0 and grad_map <= config.tol:
-            termination = "grad_map_tol"
-            break
-    return RunResult("krylov", tele.records, x, termination, iterates_x=iterates)
+        return Step(krylov_step(obj, x, info, sys), grad_map, eff_degree=info.effective_degree)
+
+    return drive("krylov", obj, config, step)

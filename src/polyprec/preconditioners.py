@@ -34,7 +34,6 @@ __all__ = [
     "IndefinitePreconditionerError",
     "sympoly_coefficients",
     "build_sympoly",
-    "apply",
     "compute_alpha_beta",
     "gamma_of_polynomial",
     "gamma_of_preconditioner",
@@ -215,14 +214,6 @@ class MatrixPreconditioner(Preconditioner):
 
     def apply(self, op, v):
         return self.matrix @ np.asarray(v, dtype=float)
-
-
-def apply(prec: Preconditioner, op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
-    """Apply a preconditioner to a vector through the operator's matvec."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match operator dimension {op.dim}")
-    return prec.apply(op, v)
 
 
 def sympoly_coefficients(traces, tau: int) -> PolynomialCoefficients:

@@ -27,7 +27,6 @@ __all__ = [
     "logistic",
     "make_regression",
     "make_quadratic",
-    "gradient_step",
     "gradient_step_with_norm",
     "validate_bounds",
 ]
@@ -273,20 +272,6 @@ def gradient_step_with_norm(
         raise ValueError("custom composite part requires a prox oracle")
     y, step_norm_sq = psi.prox(M, prec, op, x, g)
     return np.asarray(y, dtype=float), float(step_norm_sq)
-
-
-def gradient_step(
-    M: float,
-    prec: Preconditioner,
-    op: SymmetricOperator,
-    x: np.ndarray,
-    g: np.ndarray,
-    psi: CompositePart | None = None,
-) -> np.ndarray:
-    """Minimizer of the preconditioned quadratic model around x along direction g."""
-    psi = psi if psi is not None else CompositePart.zero()
-    y, _ = gradient_step_with_norm(M, prec, op, np.asarray(x, float), np.asarray(g, float), psi)
-    return y
 
 
 @dataclass

@@ -1,15 +1,19 @@
-"""Fixed-step and adaptive first-order methods with preconditioning.
+"""One iteration loop and doubling search driving gm/fgm and the krylov step.
 
-All methods share the telemetry contract: per-iteration records of objective
-value, gradient-map norm, cumulative matvec and oracle counts, line-search
-trials, and the accumulation weights of the accelerated scheme. Runs are
-deterministic; nothing here draws randomness.
+Each method supplies only its step to :func:`drive`, which owns the start
+point, the stopping rules and the telemetry: per-iteration records of
+objective value, gradient-map norm, cumulative matvec and oracle counts,
+line-search trials, and the accumulation weights of the accelerated scheme.
+The adaptive methods share one doubling search on the step constant, judged
+by :func:`quadratic_growth_predicate`. Runs are deterministic; nothing here
+draws randomness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +25,9 @@ __all__ = [
     "FGMState",
     "IterationRecord",
     "RunResult",
+    "Step",
     "InitialGuess",
+    "drive",
     "solve_coefficient_equation",
     "quadratic_growth_predicate",
     "initial_guess_M",
@@ -34,6 +40,7 @@ __all__ = [
 
 GROWTH_FACTOR = 2.0
 SHRINK_FACTOR = 2.0
+MAX_DOUBLINGS = 60
 
 
 @dataclass
@@ -53,7 +60,6 @@ class SolverConfig:
     tol: float = 0.0
     gap_target: float | None = None
     f_star: float | None = None
-    max_doublings: int = 60
     keep_iterates: bool = False
     x0: np.ndarray | None = None
 
@@ -73,7 +79,6 @@ class FGMState:
     x: np.ndarray
     v: np.ndarray
     A: float
-    k: int = 0
 
 
 @dataclass
@@ -114,50 +119,85 @@ class RunResult:
         return sum(r.ls_trials for r in self.records)
 
 
-class _Telemetry:
-    """Cumulative counters relative to the start of one run."""
+class Step(NamedTuple):
+    """One accepted iteration as a method reports it to :func:`drive`."""
 
-    def __init__(self, obj: CompositeObjective):
-        self.obj = obj
-        self.op = obj.curvature
-        self._mv0 = self.op.matvecs
-        self._f0 = obj.f_evals
-        self._g0 = obj.grad_evals
-        self._t0 = time.perf_counter()
-        self.records: list[IterationRecord] = []
+    state: np.ndarray | FGMState
+    grad_map: float
+    ls_trials: int = 0
+    M_k: float = 0.0
+    eff_degree: int | None = None
 
-    def record(self, k, f_value, grad_map, ls_trials, M_k, A_k, eff_degree=None):
-        self.records.append(
+
+def drive(
+    method: str,
+    obj: CompositeObjective,
+    config: SolverConfig,
+    step,
+    M_0: float = 0.0,
+    accelerated: bool = False,
+) -> RunResult:
+    """The iteration loop of every method; ``step`` maps a state to a :class:`Step`.
+
+    The state is the iterate, or for ``accelerated`` methods an
+    :class:`FGMState` whose prox center starts at the start point too. The
+    start is recorded as iteration 0 with constant ``M_0``; then the loop
+    steps until the gap target, the gradient-map tolerance or the iteration
+    cap stops it. Counters in the records are relative to the start of the
+    run, and a non-finite objective raises.
+    """
+    op = obj.curvature
+    mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
+    records: list[IterationRecord] = []
+
+    def record(k, f_value, grad_map, ls_trials, M_k, A_k, eff_degree=None):
+        records.append(
             IterationRecord(
                 k=k,
                 f_value=f_value,
                 grad_map=grad_map,
-                matvecs=self.op.matvecs - self._mv0,
-                f_evals=self.obj.f_evals - self._f0,
-                grad_evals=self.obj.grad_evals - self._g0,
+                matvecs=op.matvecs - mv0,
+                f_evals=obj.f_evals - f0,
+                grad_evals=obj.grad_evals - g0,
                 ls_trials=ls_trials,
                 M_k=M_k,
                 A_k=A_k,
-                time_ms=(time.perf_counter() - self._t0) * 1e3,
+                time_ms=(time.perf_counter() - t0) * 1e3,
                 eff_degree=eff_degree,
             )
         )
 
-
-def _check_finite(value: float, method: str):
-    if not np.isfinite(value):
-        raise RuntimeError(
-            f"{method}: objective became non-finite (step constant too small "
-            "for a fixed-step run, or the problem is unbounded)"
-        )
-
-
-def _gap_reached(config: SolverConfig, f_value: float) -> bool:
-    return (
-        config.gap_target is not None
-        and config.f_star is not None
-        and f_value - config.f_star <= config.gap_target
-    )
+    x = config.start_point(obj.n)
+    state = FGMState(x=x, v=x.copy(), A=0.0) if accelerated else x
+    xs = [x.copy()] if config.keep_iterates else None
+    vs = [x.copy()] if config.keep_iterates and accelerated else None
+    f_value = obj.full_value(x)
+    record(0, f_value, np.inf, 0, M_0, 0.0)
+    gap_rule = config.gap_target is not None and config.f_star is not None
+    termination = "max_iters"
+    for k in range(config.max_iters):
+        if gap_rule and f_value - config.f_star <= config.gap_target:
+            termination = "gap_target"
+            break
+        out = step(state)
+        state = out.state
+        x = state.x if accelerated else state
+        f_value = obj.full_value(x)
+        if not np.isfinite(f_value):
+            raise RuntimeError(
+                f"{method}: objective became non-finite (step constant too small "
+                "for a fixed-step run, or the problem is unbounded)"
+            )
+        if xs is not None:
+            xs.append(x.copy())
+        if vs is not None:
+            vs.append(state.v.copy())
+        A_k = state.A if accelerated else 0.0
+        record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k, out.eff_degree)
+        if config.tol > 0 and out.grad_map <= config.tol:
+            termination = "grad_map_tol"
+            break
+    return RunResult(method, records, x, termination, iterates_x=xs, iterates_v=vs)
 
 
 def solve_coefficient_equation(M: float, rho: float, A: float) -> float:
@@ -185,12 +225,14 @@ def quadratic_growth_predicate(
     obj: CompositeObjective,
     g: np.ndarray | None = None,
     step_norm_sq: float | None = None,
+    f_x: float | None = None,
 ) -> bool:
     """Whether the quadratic model at x with constant M dominates f at y.
 
     When y is the closed-form preconditioned step from x with this same M,
     the quadratic term equals ``<g, x - y> / 2`` and no metric inversion is
     needed; oracle-produced steps must pass their own ``step_norm_sq``.
+    A caller that already holds the value at x passes it as ``f_x``.
     """
     if g is None:
         g = obj.gradient(x)
@@ -198,7 +240,44 @@ def quadratic_growth_predicate(
         quad = 0.5 * float(g @ (x - y))
     else:
         quad = 0.5 * M * step_norm_sq
-    return obj.value(y) <= obj.value(x) + float(g @ (y - x)) + quad
+    if f_x is None:
+        f_x = obj.value(x)
+    return obj.value(y) <= f_x + float(g @ (y - x)) + quad
+
+
+def _doubling_search(obj: CompositeObjective, prec: Preconditioner, guess: float):
+    """The doubling search of the adaptive methods, as ``search(trial) -> Step``.
+
+    Each search starts from half the constant the previous one accepted (the
+    first from ``guess``) and doubles it until the quadratic-growth predicate
+    accepts. ``trial(M)`` returns ``(state, x, y, g, step_sq, f_x)``: the
+    candidate state and the predicate's inputs, with ``f_x`` None unless the
+    value at the anchor x is already known.
+    """
+
+    def search(trial) -> Step:
+        nonlocal guess
+        M = guess
+        for trials in range(1, MAX_DOUBLINGS + 2):
+            state, x, y, g, step_sq, f_x = trial(M)
+            if quadratic_growth_predicate(
+                M, prec, x, y, obj, g=g, step_norm_sq=step_sq, f_x=f_x
+            ):
+                guess = M / SHRINK_FACTOR
+                return Step(state, M * np.sqrt(max(step_sq, 0.0)), trials, M)
+            M *= GROWTH_FACTOR
+        raise RuntimeError(
+            "adaptive search exceeded the doubling cap; the objective or "
+            "preconditioner violates the curvature assumption"
+        )
+
+    return search
+
+
+def _positive(value: float | None, message: str) -> float:
+    if value is None or value <= 0:
+        raise ValueError(message)
+    return value
 
 
 @dataclass(frozen=True)
@@ -244,33 +323,14 @@ def run_gm(
     obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
 ) -> RunResult:
     """Fixed-step preconditioned gradient method."""
-    if config.step_constant is None or config.step_constant <= 0:
-        raise ValueError("fixed-step run requires a positive step_constant")
-    M = config.step_constant
+    M = _positive(config.step_constant, "fixed-step run requires a positive step_constant")
     op = obj.curvature
-    x = config.start_point(obj.n)
-    tele = _Telemetry(obj)
-    iterates = [x.copy()] if config.keep_iterates else None
-    f_value = obj.full_value(x)
-    tele.record(0, f_value, np.inf, 0, M, 0.0)
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _gap_reached(config, f_value):
-            termination = "gap_target"
-            break
-        g = obj.gradient(x)
-        y, step_norm_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
-        grad_map = M * np.sqrt(max(step_norm_sq, 0.0))
-        x = y
-        f_value = obj.full_value(x)
-        _check_finite(f_value, "run_gm")
-        if iterates is not None:
-            iterates.append(x.copy())
-        tele.record(k + 1, f_value, grad_map, 0, M, 0.0)
-        if config.tol > 0 and grad_map <= config.tol:
-            termination = "grad_map_tol"
-            break
-    return RunResult("gm", tele.records, x, termination, iterates_x=iterates)
+
+    def step(x):
+        y, step_sq = gradient_step_with_norm(M, prec, op, x, obj.gradient(x), obj.psi)
+        return Step(y, M * np.sqrt(max(step_sq, 0.0)), M_k=M)
+
+    return drive("gm", obj, config, step, M)
 
 
 def fgm_step(
@@ -301,42 +361,20 @@ def fgm_step(
     v_new, prox_sq = gradient_step_with_norm(H, prec, op, v_hat, g_y, obj.psi)
     x_new = (1.0 - theta) * state.x + theta * v_new
     step_sq = theta * theta * prox_sq  # x_new - y = theta * (v_new - v_hat)
-    new_state = FGMState(x=x_new, v=v_new, A=A_new, k=state.k + 1)
-    return new_state, y, g_y, step_sq
+    return FGMState(x=x_new, v=v_new, A=A_new), y, g_y, step_sq
 
 
 def run_fgm(
     obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
 ) -> RunResult:
     """Fixed-step preconditioned fast gradient method."""
-    if config.step_constant is None or config.step_constant <= 0:
-        raise ValueError("fixed-step run requires a positive step_constant")
-    M = config.step_constant
-    rho = config.rho
-    x0 = config.start_point(obj.n)
-    state = FGMState(x=x0, v=x0.copy(), A=0.0)
-    tele = _Telemetry(obj)
-    xs = [x0.copy()] if config.keep_iterates else None
-    vs = [x0.copy()] if config.keep_iterates else None
-    f_value = obj.full_value(state.x)
-    tele.record(0, f_value, np.inf, 0, M, 0.0)
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _gap_reached(config, f_value):
-            termination = "gap_target"
-            break
-        state, _, _, step_sq = fgm_step(obj, prec, M, rho, state)
-        grad_map = M * np.sqrt(max(step_sq, 0.0))
-        f_value = obj.full_value(state.x)
-        _check_finite(f_value, "run_fgm")
-        if xs is not None:
-            xs.append(state.x.copy())
-            vs.append(state.v.copy())
-        tele.record(k + 1, f_value, grad_map, 0, M, state.A)
-        if config.tol > 0 and grad_map <= config.tol:
-            termination = "grad_map_tol"
-            break
-    return RunResult("fgm", tele.records, state.x, termination, iterates_x=xs, iterates_v=vs)
+    M = _positive(config.step_constant, "fixed-step run requires a positive step_constant")
+
+    def step(state):
+        state, _, _, step_sq = fgm_step(obj, prec, M, config.rho, state)
+        return Step(state, M * np.sqrt(max(step_sq, 0.0)), M_k=M)
+
+    return drive("fgm", obj, config, step, M, accelerated=True)
 
 
 def run_adaptive_gm(
@@ -349,57 +387,25 @@ def run_adaptive_gm(
     With no composite part the preconditioned gradient is computed once per
     iteration, so rejected trials cost one objective evaluation each.
     """
-    if config.initial_guess is None or config.initial_guess <= 0:
-        raise ValueError("adaptive run requires a positive initial_guess")
+    guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
     op = obj.curvature
-    x = config.start_point(obj.n)
-    M_tilde = config.initial_guess
-    tele = _Telemetry(obj)
-    iterates = [x.copy()] if config.keep_iterates else None
-    f_value = obj.full_value(x)
-    tele.record(0, f_value, np.inf, 0, M_tilde, 0.0)
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _gap_reached(config, f_value):
-            termination = "gap_target"
-            break
+    search = _doubling_search(obj, prec, guess)
+
+    def step(x):
         f_x = obj.value(x)
         g = obj.gradient(x)
         pg = prec.apply(op, g) if obj.psi.is_zero else None
-        g_pg = float(g @ pg) if pg is not None else 0.0
-        M = M_tilde
-        trials = 0
-        while True:
-            trials += 1
-            if pg is not None:
-                y = x - pg / M
-                step_norm_sq = g_pg / (M * M)
-                accepted = obj.value(y) <= f_x - g_pg / (2.0 * M)
+
+        def trial(M):
+            if pg is None:
+                y, step_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
             else:
-                y, step_norm_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
-                accepted = obj.value(y) <= (
-                    f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
-                )
-            if accepted:
-                break
-            if trials > config.max_doublings:
-                raise RuntimeError(
-                    "adaptive search exceeded the doubling cap; the objective or "
-                    "preconditioner violates the curvature assumption"
-                )
-            M *= GROWTH_FACTOR
-        x = y
-        M_tilde = M / SHRINK_FACTOR
-        grad_map = M * np.sqrt(max(step_norm_sq, 0.0))
-        f_value = obj.full_value(x)
-        _check_finite(f_value, "run_adaptive_gm")
-        if iterates is not None:
-            iterates.append(x.copy())
-        tele.record(k + 1, f_value, grad_map, trials, M, 0.0)
-        if config.tol > 0 and grad_map <= config.tol:
-            termination = "grad_map_tol"
-            break
-    return RunResult("adaptive-gm", tele.records, x, termination, iterates_x=iterates)
+                y, step_sq = x - pg / M, float(g @ pg) / (M * M)
+            return y, x, y, g, step_sq, f_x
+
+        return search(trial)
+
+    return drive("adaptive-gm", obj, config, step, guess)
 
 
 def run_adaptive_fgm(
@@ -411,52 +417,14 @@ def run_adaptive_fgm(
     the working constant), tests the predicate at the interpolation point,
     and only an accepted trial advances the state.
     """
-    if config.initial_guess is None or config.initial_guess <= 0:
-        raise ValueError("adaptive run requires a positive initial_guess")
-    rho = config.rho
-    x0 = config.start_point(obj.n)
-    state = FGMState(x=x0, v=x0.copy(), A=0.0)
-    M_tilde = config.initial_guess
-    tele = _Telemetry(obj)
-    xs = [x0.copy()] if config.keep_iterates else None
-    vs = [x0.copy()] if config.keep_iterates else None
-    f_value = obj.full_value(state.x)
-    tele.record(0, f_value, np.inf, 0, M_tilde, 0.0)
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _gap_reached(config, f_value):
-            termination = "gap_target"
-            break
-        M = M_tilde
-        trials = 0
-        while True:
-            trials += 1
-            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, rho, state)
-            model = (
-                obj.value(y)
-                + float(g_y @ (candidate.x - y))
-                + 0.5 * M * step_sq
-            )
-            if obj.value(candidate.x) <= model:
-                break
-            if trials > config.max_doublings:
-                raise RuntimeError(
-                    "adaptive search exceeded the doubling cap; the objective or "
-                    "preconditioner violates the curvature assumption"
-                )
-            M *= GROWTH_FACTOR
-        state = candidate
-        M_tilde = M / SHRINK_FACTOR
-        grad_map = M * np.sqrt(max(step_sq, 0.0))
-        f_value = obj.full_value(state.x)
-        _check_finite(f_value, "run_adaptive_fgm")
-        if xs is not None:
-            xs.append(state.x.copy())
-            vs.append(state.v.copy())
-        tele.record(k + 1, f_value, grad_map, trials, M, state.A)
-        if config.tol > 0 and grad_map <= config.tol:
-            termination = "grad_map_tol"
-            break
-    return RunResult(
-        "adaptive-fgm", tele.records, state.x, termination, iterates_x=xs, iterates_v=vs
-    )
+    guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
+    search = _doubling_search(obj, prec, guess)
+
+    def step(state):
+        def trial(M):
+            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, config.rho, state)
+            return candidate, y, candidate.x, g_y, step_sq, None
+
+        return search(trial)
+
+    return drive("adaptive-fgm", obj, config, step, guess, accelerated=True)

@@ -27,7 +27,6 @@ from polyprec import (
     sympoly_coefficients,
     xi_tau,
 )
-from polyprec.preconditioners import apply as apply_prec
 from conftest import random_spd
 
 
@@ -117,25 +116,20 @@ class TestApply:
     def test_identity_passthrough(self, rng):
         op = random_spd(rng, 3)
         v = rng.standard_normal(3)
-        got = apply_prec(IdentityPreconditioner(), op, v)
+        got = IdentityPreconditioner().apply(op, v)
         assert np.allclose(got, v)
         assert op.matvecs == 0
 
     def test_sympoly_on_basis_vector(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         prec = build_sympoly(op, 1, "exact")
-        got = apply_prec(prec, op, np.array([1.0, 0.0, 0.0]))
+        got = prec.apply(op, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(got * prec.coefficients.scale, [3.0, 0.0, 0.0])
 
     def test_zero_vector(self, rng):
         op = random_spd(rng, 4)
         prec = build_sympoly(op, 2, "exact")
-        assert np.allclose(apply_prec(prec, op, np.zeros(4)), 0.0)
-
-    def test_dim_mismatch(self, rng):
-        op = random_spd(rng, 4)
-        with pytest.raises(ValueError, match="dimension"):
-            apply_prec(IdentityPreconditioner(), op, np.ones(3))
+        assert np.allclose(prec.apply(op, np.zeros(4)), 0.0)
 
 
 class TestAlphaBeta:

@@ -11,13 +11,13 @@ from polyprec import (
     LogisticLoss,
     MatrixPreconditioner,
     RegressionData,
-    gradient_step,
     huber,
     logistic,
     make_quadratic,
     make_regression,
     validate_bounds,
 )
+from polyprec.problems import gradient_step_with_norm
 from conftest import random_spd
 
 
@@ -149,28 +149,37 @@ class TestMakeQuadratic:
 class TestGradientStep:
     def test_plain_step(self, rng):
         op = random_spd(rng, 2)
-        y = gradient_step(
-            2.0, IdentityPreconditioner(), op, np.array([1.0, 1.0]), np.array([2.0, -2.0])
-        )
+        y = gradient_step_with_norm(
+            2.0,
+            IdentityPreconditioner(),
+            op,
+            np.array([1.0, 1.0]),
+            np.array([2.0, -2.0]),
+            CompositePart.zero(),
+        )[0]
         assert np.allclose(y, [0.0, 2.0])
 
     def test_scaled_direction(self):
         op = DenseOperator(np.diag([2.0, 1.0]))
         prec = MatrixPreconditioner(np.diag([2.0, 1.0]), descriptor="coeffs")
-        y = gradient_step(1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]))
+        y = gradient_step_with_norm(
+            1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]), CompositePart.zero()
+        )[0]
         assert np.allclose(y, [-2.0, -1.0])
 
     def test_zero_gradient_fixed_point(self, rng):
         op = random_spd(rng, 3)
         x = rng.standard_normal(3)
-        y = gradient_step(1.0, IdentityPreconditioner(), op, x, np.zeros(3))
+        y = gradient_step_with_norm(
+            1.0, IdentityPreconditioner(), op, x, np.zeros(3), CompositePart.zero()
+        )[0]
         assert np.allclose(y, x)
 
     def test_custom_psi_requires_oracle(self, rng):
         op = random_spd(rng, 3)
         psi = CompositePart(kind="custom", value=lambda y: 0.0, prox=None)
         with pytest.raises(ValueError, match="oracle"):
-            gradient_step(1.0, IdentityPreconditioner(), op, np.zeros(3), np.ones(3), psi)
+            gradient_step_with_norm(1.0, IdentityPreconditioner(), op, np.zeros(3), np.ones(3), psi)
 
     def test_custom_psi_oracle_used(self, rng):
         # Quadratic regularizer under the identity metric has a closed form.
@@ -184,7 +193,7 @@ class TestGradientStep:
         op = random_spd(rng, 3)
         x = rng.standard_normal(3)
         g = rng.standard_normal(3)
-        y = gradient_step(2.0, IdentityPreconditioner(), op, x, g, psi)
+        y = gradient_step_with_norm(2.0, IdentityPreconditioner(), op, x, g, psi)[0]
         assert np.allclose(y, (2.0 * x - g) / 2.5)
 
     def test_step_optimality_identity(self, rng):
@@ -196,7 +205,7 @@ class TestGradientStep:
         x = rng.standard_normal(5)
         g = rng.standard_normal(5)
         M = 3.0
-        y = gradient_step(M, prec, op, x, g)
+        y = gradient_step_with_norm(M, prec, op, x, g, CompositePart.zero())[0]
         lhs = prec.apply(op, g)
         rhs = M * (x - y)
         assert np.allclose(lhs, rhs, rtol=1e-10)

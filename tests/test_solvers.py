@@ -7,6 +7,8 @@ from polyprec import (
     DenseOperator,
     IdentityPreconditioner,
     SolverConfig,
+    SyntheticSpectrumSpec,
+    build_from_descriptor,
     build_sympoly,
     compute_alpha_beta,
     initial_guess_M,
@@ -17,7 +19,9 @@ from polyprec import (
     run_adaptive_gm,
     run_fgm,
     run_gm,
+    run_krylov_gm,
     solve_coefficient_equation,
+    synth_regression,
 )
 from polyprec import CompositeObjective, HuberLoss, LogisticLoss, RegressionData
 from conftest import random_spd
@@ -282,6 +286,17 @@ class TestAdaptiveGM:
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
 
+    def test_no_stall_at_rounding_floor(self):
+        # At the rounding floor the trial step y equals x while <g, Pg>/(2M)
+        # has not yet underflowed; the general model must still accept it
+        # instead of doubling M towards the cap.
+        spec = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=10, seed=0)
+        obj, _ = synth_regression(spec, HuberLoss(0.1))
+        prec = build_from_descriptor("cutting:2", obj.curvature)
+        guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, initial_guess=guess.value))
+        assert max(r.ls_trials for r in run.records) <= 10
+
 
 class TestAdaptiveFGM:
     def test_isotropic_matches_fixed_run(self, rng):
@@ -337,6 +352,61 @@ class TestAdaptiveFGM:
             assert ra.f_value == rb.f_value
             assert ra.M_k == rb.M_k
             assert ra.matvecs == rb.matvecs
+
+
+def run_method(method, obj, config):
+    if method == "krylov":
+        return run_krylov_gm(obj, config, 2)
+    runner = {
+        "gm": run_gm,
+        "fgm": run_fgm,
+        "adaptive-gm": run_adaptive_gm,
+        "adaptive-fgm": run_adaptive_fgm,
+    }[method]
+    return runner(obj, IdentityPreconditioner(), config)
+
+
+@pytest.mark.parametrize("method", ["gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov"])
+class TestLoopContract:
+    """What the shared iteration loop guarantees for every method."""
+
+    def run(self, method, **overrides):
+        obj = gapped_quadratic(np.random.default_rng(7), n=6, cond=10)
+        beta_L = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta * obj.L
+        options = dict(
+            step_constant=beta_L, initial_guess=beta_L / 4, x0=np.ones(6), f_star=obj.f_star
+        )
+        options.update(overrides)
+        return obj, run_method(method, obj, SolverConfig(**options))
+
+    def test_start_record(self, method):
+        _, run = self.run(method, max_iters=3)
+        first = run.records[0]
+        assert first.k == 0
+        assert first.grad_map == np.inf
+        assert first.ls_trials == 0
+
+    def test_keep_iterates(self, method):
+        _, run = self.run(method, max_iters=5, keep_iterates=True)
+        assert len(run.iterates_x) == len(run.records)
+        if method in ("fgm", "adaptive-fgm"):
+            assert len(run.iterates_v) == len(run.records)
+        else:
+            assert run.iterates_v is None
+
+    def test_gap_target_stops(self, method):
+        obj, run = self.run(method, max_iters=10_000, gap_target=1e-6)
+        assert run.termination == "gap_target"
+        gaps = run.f_values() - obj.f_star
+        assert gaps[-1] <= 1e-6
+        assert np.all(gaps[:-1] > 1e-6)
+
+    def test_grad_map_tol_stops(self, method):
+        _, run = self.run(method, max_iters=10_000, tol=1e-6)
+        assert run.termination == "grad_map_tol"
+        grad_maps = [r.grad_map for r in run.records]
+        assert grad_maps[-1] <= 1e-6
+        assert all(g > 1e-6 for g in grad_maps[:-1])
 
 
 class TestCompositeRuns:
