@@ -7,12 +7,9 @@ from .operators import (
     PolynomialCoefficients,
     SymmetricOperator,
     apply_polynomial,
-    b_norm_sq,
     elementary_symmetric,
     exact_traces,
-    jacobi_eigh,
     spectral_decomposition,
-    stochastic_trace,
     stochastic_traces,
 )
 from .preconditioners import (

@@ -7,6 +7,7 @@ whose curvature operator has an exactly planted spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,8 @@ def parse_libsvm(path) -> DatasetMatrix:
                 raw_label = float(parts[0])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+            if not math.isfinite(raw_label):
+                raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
             row = []
             last_index = 0
             for token in parts[1:]:
@@ -86,6 +89,8 @@ def parse_libsvm(path) -> DatasetMatrix:
                     value = float(value_text)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad feature {token!r}") from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite feature {token!r}")
                 if index <= last_index:
                     raise ValueError(
                         f"{path}:{lineno}: feature indices must be strictly increasing"

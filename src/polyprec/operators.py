@@ -15,14 +15,11 @@ __all__ = [
     "SpectralDecomposition",
     "PolynomialCoefficients",
     "ElementarySymmetricSums",
-    "jacobi_eigh",
     "spectral_decomposition",
     "apply_polynomial",
     "exact_traces",
-    "stochastic_trace",
     "stochastic_traces",
     "elementary_symmetric",
-    "b_norm_sq",
 ]
 
 
@@ -75,7 +72,6 @@ class DenseOperator(SymmetricOperator):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         super().__init__(matrix.shape[0])
         self.matrix = 0.5 * (matrix + matrix.T)
-        self._spectral: SpectralDecomposition | None = None
 
     def _apply(self, v):
         return self.matrix @ v
@@ -143,81 +139,12 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1])
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted descending.
-    Convergence is declared when the off-diagonal Frobenius mass drops below
-    ``tol`` relative to the total Frobenius norm. Intended for moderate sizes
-    (up to a few hundred); raises if the sweep cap is hit, which in practice
-    signals a non-symmetric input.
-    """
-    a = np.asarray(matrix, dtype=float).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(np.max(np.abs(a)), 1.0):
-        raise ValueError("matrix must be symmetric")
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-
-    total = np.linalg.norm(a)
-    if total == 0.0:
-        return np.zeros(n), q
-
-    for _ in range(max_sweeps):
-        # Off-diagonal mass measured directly; the norm-difference form
-        # cancels catastrophically once nearly converged.
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= tol * total:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-300:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                qp, qr = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    else:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-        )
-
-    vals = a.diagonal().copy()
-    order = np.argsort(vals)[::-1]
-    return vals[order], q[:, order]
-
-
 def spectral_decomposition(op: SymmetricOperator) -> SpectralDecomposition:
-    """Full eigendecomposition of a dense-capable operator, cached per operator."""
-    cached = getattr(op, "_spectral", None)
-    if cached is not None:
-        return cached
+    """Full eigendecomposition of a dense-capable operator, eigenvalues descending."""
     if not op.is_dense:
         raise ValueError("spectral decomposition requires a dense-capable operator")
-    vals, vecs = jacobi_eigh(op.to_dense())
-    dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-    try:
-        op._spectral = dec
-    except AttributeError:
-        pass
-    return dec
+    vals, vecs = np.linalg.eigh(op.to_dense())
+    return SpectralDecomposition(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -306,11 +233,6 @@ def stochastic_traces(
     return np.mean(estimates, axis=0)
 
 
-def stochastic_trace(op: SymmetricOperator, k: int, samples: int, seed: int) -> float:
-    """Monte-Carlo estimate of the trace of the k-th operator power."""
-    return float(stochastic_traces(op, k, samples, seed)[-1])
-
-
 @dataclass(frozen=True)
 class ElementarySymmetricSums:
     """Elementary symmetric polynomial values of pre-scaled inputs.
@@ -351,12 +273,3 @@ def elementary_symmetric(values, k_max: int) -> ElementarySymmetricSums:
         for k in range(top, 0, -1):
             sigma[k] += v * sigma[k - 1]
     return ElementarySymmetricSums(sigma=sigma, scale=scale)
-
-
-def b_norm_sq(op: SymmetricOperator, v: np.ndarray) -> float:
-    """Squared norm of a vector in the metric of the operator (one matvec)."""
-    v = np.asarray(v, dtype=float)
-    value = float(op.matvec(v) @ v)
-    if value < -1e-12 * float(v @ v):
-        raise ValueError(f"operator is not positive semidefinite: <Bv, v> = {value:.3e}")
-    return value

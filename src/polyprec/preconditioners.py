@@ -19,7 +19,6 @@ from .operators import (
     apply_polynomial,
     elementary_symmetric,
     exact_traces,
-    jacobi_eigh,
     spectral_decomposition,
     stochastic_traces,
 )
@@ -193,10 +192,6 @@ class ChebyshevPreconditioner(Preconditioner):
         d = chebyshev_T(self.tau + 1, self._u0())
         return (1.0 - t / d) / s
 
-    def coefficients(self) -> PolynomialCoefficients:
-        """Monomial coefficients; only available at low degree (see module cap)."""
-        return chebyshev_polynomial(self.lam_max, self.lam_min, self.tau)
-
 
 class MatrixPreconditioner(Preconditioner):
     """Explicit dense preconditioning matrix (e.g. the exact inverse)."""
@@ -288,7 +283,7 @@ def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBo
         if not isinstance(prec, MatrixPreconditioner):
             raise
         root = dec.eigenvectors @ np.diag(np.sqrt(lam)) @ dec.eigenvectors.T
-        vals, _ = jacobi_eigh(root @ prec.matrix @ root)
+        vals = np.linalg.eigvalsh(root @ prec.matrix @ root)
     alpha = float(np.min(vals))
     beta = float(np.max(vals))
     if alpha <= 0:

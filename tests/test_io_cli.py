@@ -96,6 +96,16 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match="2"):
             parse_libsvm(path)
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [("+1 1:0.5 2:nan", "feature"), ("-1 2:inf", "feature"), ("nan 1:0.5", "label")],
+    )
+    def test_non_finite_reports_number(self, tmp_path, line, field):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"+1 1:0.5\n{line}\n")
+        with pytest.raises(ValueError, match=f":2: non-finite {field}"):
+            parse_libsvm(path)
+
     def test_nonmonotone_indices_rejected(self, tmp_path):
         path = tmp_path / "order.txt"
         path.write_text("+1 3:1.0 2:1.0\n")
