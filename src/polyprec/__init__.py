@@ -84,7 +84,6 @@ from .datasets import (
     standardize_columns,
     synth_classification_dataset,
     synth_regression,
-    synthetic_design,
     write_libsvm,
 )
 from .experiments import (

@@ -9,17 +9,20 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .datasets import (
-    SyntheticSpectrumSpec,
-    parse_libsvm,
-    standardize_columns,
-    synthetic_design,
-)
 from .diagnostics import run_verification_suite, xi_table
-from .experiments import ExperimentConfig, merge_plotdata, run_bench, run_experiment
-from .operators import GramOperator, spectral_decomposition
+from .experiments import (
+    METHODS,
+    ExperimentConfig,
+    build_problem,
+    merge_plotdata,
+    parse_synthetic,
+    run_bench,
+    run_experiment,
+)
+from .operators import spectral_decomposition
 
 __all__ = ["main"]
 
@@ -35,6 +38,7 @@ def _add_problem_flags(parser):
     parser.add_argument("--dataset", help="sparse classification file")
     parser.add_argument(
         "--synthetic",
+        type=parse_synthetic,
         metavar="L1,L2,TAIL,N",
         help="planted curvature spectrum lam1,lam2,tail,n",
     )
@@ -43,34 +47,15 @@ def _add_problem_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--no-standardize",
-        action="store_true",
+        dest="standardize",
+        action="store_false",
         help="skip unit-column scaling of dataset features",
     )
 
 
-def _parse_synthetic(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("--synthetic needs lam1,lam2,tail,n")
-    return float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    config = ExperimentConfig(
-        name=args.name,
-        method=args.method,
-        precond=args.precond,
-        tau=args.tau,
-        dataset=args.dataset,
-        synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
-        rows=args.rows,
-        loss=args.loss,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        out_dir=args.out,
-        standardize=not args.no_standardize,
-    )
+    names = {f.name for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
     config.validate()
     return config
 
@@ -93,21 +78,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if (args.dataset is None) == (args.synthetic is None):
-        print("spectrum: need exactly one of --dataset/--synthetic", file=sys.stderr)
-        return 1
-    if args.dataset is not None:
-        dataset = parse_libsvm(args.dataset)
-        if not args.no_standardize:
-            dataset = standardize_columns(dataset)
-        design = dataset.to_dense()
-    else:
-        lam1, lam2, tail, n = _parse_synthetic(args.synthetic)
-        spec = SyntheticSpectrumSpec(
-            lam1=lam1, lam2=lam2, tail=tail, n=n, seed=args.seed, rows=args.rows
-        )
-        design = synthetic_design(spec)
-    op = GramOperator(design)
+    op = build_problem(_config_from_args(args)).curvature
     dec = spectral_decomposition(op)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -163,7 +134,7 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--method",
         default="adaptive-gm",
-        choices=["gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov"],
+        choices=METHODS,
     )
     solve.add_argument(
         "--precond",
@@ -174,7 +145,7 @@ def build_parser() -> _Parser:
     _add_problem_flags(solve)
     solve.add_argument("--max-iters", type=int, default=1000)
     solve.add_argument("--tol", type=float, help="optimality-gap target")
-    solve.add_argument("--out", default=".", help="output directory")
+    solve.add_argument("--out", dest="out_dir", default=".", help="output directory")
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a batch of config files")

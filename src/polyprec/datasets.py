@@ -1,14 +1,15 @@
 """Dataset ingestion and synthetic problem generation.
 
 Reads the plain-text sparse classification format (one ``label idx:val ...``
-line per row, 1-based indices), and builds regression/classification problems
-whose curvature operator has an exactly planted spectrum.
+line per row, 1-based indices) into coordinate arrays, and builds
+regression/classification problems whose curvature operator has an exactly
+planted spectrum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,32 +30,33 @@ __all__ = [
     "logistic_from_dataset",
     "synth_regression",
     "synth_classification_dataset",
-    "synthetic_design",
 ]
 
 
 @dataclass
 class DatasetMatrix:
-    """Sparse row-major dataset with sign labels.
+    """Sparse dataset in coordinate form with sign labels.
 
-    Rows hold ``(column, value)`` pairs with 0-based, strictly increasing
-    columns. ``meta`` records any preprocessing applied.
+    Entry ``k`` is ``val[k]`` at row ``row[k]`` and column ``col[k]``
+    (0-based), in row order with strictly increasing columns inside a row.
+    ``n_rows`` counts labels, so a row without entries is still a row.
+    ``meta`` records any preprocessing applied.
     """
 
-    rows: list
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
     labels: np.ndarray
     n_features: int
     meta: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.labels.size
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_features))
-        for i, row in enumerate(self.rows):
-            for j, value in row:
-                dense[i, j] = value
+        dense[self.row, self.col] = self.val
         return dense
 
 
@@ -65,7 +67,7 @@ def _map_label(raw: float) -> float:
 
 def parse_libsvm(path) -> DatasetMatrix:
     """Parse a sparse classification file; malformed lines report their number."""
-    rows = []
+    row, col, val = [], [], []
     labels = []
     n_features = 0
     with open(path, "r") as handle:
@@ -80,7 +82,6 @@ def parse_libsvm(path) -> DatasetMatrix:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
             if not math.isfinite(raw_label):
                 raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
-            row = []
             last_index = 0
             for token in parts[1:]:
                 try:
@@ -96,13 +97,20 @@ def parse_libsvm(path) -> DatasetMatrix:
                         f"{path}:{lineno}: feature indices must be strictly increasing"
                     )
                 last_index = index
-                row.append((index - 1, value))
+                row.append(len(labels))
+                col.append(index - 1)
+                val.append(value)
                 n_features = max(n_features, index)
-            rows.append(row)
             labels.append(_map_label(raw_label))
-    if not rows:
+    if not labels:
         raise ValueError(f"{path}: empty dataset")
-    return DatasetMatrix(rows=rows, labels=np.asarray(labels), n_features=n_features)
+    return DatasetMatrix(
+        row=np.asarray(row, dtype=np.intp),
+        col=np.asarray(col, dtype=np.intp),
+        val=np.asarray(val, dtype=float),
+        labels=np.asarray(labels),
+        n_features=n_features,
+    )
 
 
 def write_libsvm(path, dense_rows: np.ndarray, labels: np.ndarray):
@@ -119,19 +127,14 @@ def write_libsvm(path, dense_rows: np.ndarray, labels: np.ndarray):
 
 def standardize_columns(dataset: DatasetMatrix) -> DatasetMatrix:
     """Scale every feature column to unit 2-norm; scales land in the metadata."""
-    norms_sq = np.zeros(dataset.n_features)
-    for row in dataset.rows:
-        for j, value in row:
-            norms_sq[j] += value * value
-    norms = np.sqrt(norms_sq)
+    norms = np.sqrt(
+        np.bincount(dataset.col, weights=dataset.val**2, minlength=dataset.n_features)
+    )
     norms[norms == 0.0] = 1.0
-    rows = [[(j, value / norms[j]) for j, value in row] for row in dataset.rows]
     meta = dict(dataset.meta)
     meta["standardized"] = True
     meta["column_norms"] = norms
-    return DatasetMatrix(
-        rows=rows, labels=dataset.labels, n_features=dataset.n_features, meta=meta
-    )
+    return replace(dataset, val=dataset.val / norms[dataset.col], meta=meta)
 
 
 def logistic_from_dataset(
@@ -147,49 +150,33 @@ def logistic_from_dataset(
         dataset = standardize_columns(dataset)
     dense = dataset.to_dense()
     folded = -dataset.labels[:, None] * dense
-    data = RegressionData(rows=folded, targets=np.zeros(len(dataset.rows)), loss=LogisticLoss())
+    data = RegressionData(rows=folded, targets=np.zeros(dataset.n_rows), loss=LogisticLoss())
     return make_regression(data)
 
 
 @dataclass
 class SyntheticSpectrumSpec:
-    """Requested curvature spectrum for a generated problem.
+    """Requested curvature spectrum ``(lam1, lam2, tail value, n)``.
 
-    Either an explicit eigenvalue list or the pattern
-    ``(lam1, lam2, tail value, n)``. ``rows`` requests an overdetermined
-    design with that many rows (defaults to n); the planted spectrum is exact
-    either way.
+    ``rows`` requests an overdetermined design with that many rows (defaults
+    to n); the planted spectrum is exact either way.
     """
 
-    eigenvalues: np.ndarray | None = None
-    lam1: float | None = None
-    lam2: float | None = None
-    tail: float | None = None
-    n: int | None = None
+    lam1: float
+    lam2: float
+    tail: float
+    n: int
     seed: int = 0
-    rotation: str = "random-orthogonal"
     rows: int | None = None
 
     def resolve(self) -> np.ndarray:
-        if self.eigenvalues is not None:
-            lam = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1]
-        else:
-            if None in (self.lam1, self.lam2, self.tail, self.n):
-                raise ValueError("pattern spec needs lam1, lam2, tail, and n")
-            if self.n < 2:
-                raise ValueError("pattern spec needs n >= 2")
-            lam = np.concatenate(
-                [[self.lam1, self.lam2], np.full(self.n - 2, self.tail)]
-            )
-            lam = np.sort(lam)[::-1]
+        if self.n < 2:
+            raise ValueError("pattern spec needs n >= 2")
+        lam = np.concatenate([[self.lam1, self.lam2], np.full(self.n - 2, self.tail)])
+        lam = np.sort(lam)[::-1]
         if lam[-1] <= 0:
             raise ValueError("spectrum must be positive")
         return lam
-
-
-def synthetic_design(spec: SyntheticSpectrumSpec) -> np.ndarray:
-    """The generated data matrix of a spectrum spec (seeded, reproducible)."""
-    return _design_matrix(spec, np.random.default_rng(spec.seed))
 
 
 def _orthogonal(rng, n: int) -> np.ndarray:
@@ -200,13 +187,7 @@ def _orthogonal(rng, n: int) -> np.ndarray:
 def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> np.ndarray:
     lam = spec.resolve()
     n = lam.size
-    if spec.rotation == "identity":
-        right = np.eye(n)
-    elif spec.rotation == "random-orthogonal":
-        right = _orthogonal(rng, n)
-    else:
-        raise ValueError(f"unknown rotation {spec.rotation!r}")
-    core = np.diag(np.sqrt(lam)) @ right.T
+    core = np.diag(np.sqrt(lam)) @ _orthogonal(rng, n).T
     m = spec.rows if spec.rows is not None else n
     if m == n:
         return core
@@ -270,12 +251,11 @@ def synth_classification_dataset(
     margins = design @ planted
     labels = np.where(margins > 0, 1.0, -1.0)
     labels[rng.random(m) < flip] *= -1.0
-    rows = [
-        [(j, float(value)) for j, value in enumerate(row) if value != 0.0]
-        for row in design
-    ]
+    row, col = np.nonzero(design)
     return DatasetMatrix(
-        rows=rows,
+        row=row,
+        col=col,
+        val=design[row, col],
         labels=labels,
         n_features=design.shape[1],
         meta={"synthetic": True, "seed": spec.seed, "flip": flip},

@@ -50,6 +50,9 @@ CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k"
 
 METHODS = ("gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov")
 
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
 
 @dataclass
 class ExperimentConfig:
@@ -71,12 +74,15 @@ class ExperimentConfig:
     reference_iters: int | None = None
 
     def validate(self):
+        _parse_loss(self.loss)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.method == "krylov" and self.precond not in ("identity",):
             raise ValueError("the krylov method chooses its own polynomial; drop --precond")
         if (self.dataset is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset or synthetic must be given")
+        if self.dataset is not None and self.loss != "logistic":
+            raise ValueError("dataset runs use the logistic loss")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -91,9 +97,17 @@ def _parse_loss(text: str):
     raise ValueError(f"unknown loss {text!r} (expected 'logistic' or 'huber:WIDTH')")
 
 
+def parse_synthetic(text: str) -> tuple:
+    """The ``lam1,lam2,tail,n`` spectrum pattern of a synthetic problem."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"synthetic needs lam1,lam2,tail,n, got {text!r}")
+    return float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+
+
 def parse_config_file(path) -> ExperimentConfig:
-    """Flat key=value lines with '#' comments."""
-    values: dict = {}
+    """Flat key=value lines with '#' comments; a bad value reports its line."""
+    config = ExperimentConfig(name=Path(path).stem)
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -101,35 +115,36 @@ def parse_config_file(path) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    config = ExperimentConfig(name=Path(path).stem)
-    for key, raw in values.items():
-        if key in ("name", "method", "precond", "dataset", "loss", "out_dir"):
-            setattr(config, key, raw)
-        elif key in ("tau", "max_iters", "seed", "rows", "reference_iters"):
-            setattr(config, key, int(raw))
-        elif key == "tol":
-            config.tol = float(raw)
-        elif key == "standardize":
-            config.standardize = raw.lower() in ("1", "true", "yes", "on")
-        elif key == "synthetic":
-            parts = [float(v) for v in raw.split(",")]
-            if len(parts) != 4:
-                raise ValueError(f"{path}: synthetic needs lam1,lam2,tail,n")
-            config.synthetic = (parts[0], parts[1], parts[2], int(parts[3]))
-        else:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-    config.validate()
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            try:
+                if key in ("name", "method", "precond", "dataset", "loss", "out_dir"):
+                    setattr(config, key, raw)
+                elif key in ("tau", "max_iters", "seed", "rows", "reference_iters"):
+                    setattr(config, key, int(raw))
+                elif key == "tol":
+                    config.tol = float(raw)
+                elif key == "standardize":
+                    if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+                        raise ValueError(f"expected one of {_TRUE_WORDS + _FALSE_WORDS}")
+                    config.standardize = raw.lower() in _TRUE_WORDS
+                elif key == "synthetic":
+                    config.synthetic = parse_synthetic(raw)
+                else:
+                    raise ValueError("unknown config key")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key!r}: {exc}") from exc
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return config
 
 
 def build_problem(config: ExperimentConfig) -> CompositeObjective:
-    """Fresh objective (own operator and counters) from a config."""
+    """Fresh objective (own operator and counters) from a validated config."""
     if config.dataset is not None:
         dataset = parse_libsvm(config.dataset)
-        if not config.loss.startswith("logistic"):
-            raise ValueError("dataset runs use the logistic loss")
         return logistic_from_dataset(dataset, standardize=config.standardize)
     lam1, lam2, tail, n = config.synthetic
     spec = SyntheticSpectrumSpec(
@@ -246,10 +261,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def run_bench(config_paths, out_dir=None) -> list[dict]:
-    """Run a batch of config files; each produces its own CSV and summary."""
+    """Run a batch of config files; each produces its own CSV and summary.
+
+    Every config is parsed and validated before the first run starts, so a bad
+    file fails the batch without writing any output.
+    """
+    configs = [parse_config_file(path) for path in config_paths]
     summaries = []
-    for path in config_paths:
-        config = parse_config_file(path)
+    for config in configs:
         if out_dir is not None:
             config.out_dir = str(out_dir)
         summaries.append(run_experiment(config))

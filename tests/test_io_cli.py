@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,8 +82,16 @@ class TestParseLibsvm:
         assert ds.n_rows == 20
         assert ds.n_features == 4
         assert list(ds.labels) == EXPECTED_LABELS
-        for row, expected in zip(ds.rows, EXPECTED_ROWS):
-            assert row == expected
+        expected = [(i, j, v) for i, row in enumerate(EXPECTED_ROWS) for j, v in row]
+        assert list(zip(ds.row.tolist(), ds.col.tolist(), ds.val.tolist())) == expected
+
+    def test_label_only_lines_are_rows(self, tmp_path):
+        path = tmp_path / "bare.txt"
+        path.write_text("+1\n-1 2:1.5\n0\n")
+        ds = parse_libsvm(path)
+        assert ds.n_rows == 3
+        assert list(ds.labels) == [1, -1, -1]
+        assert np.array_equal(ds.to_dense(), [[0.0, 0.0], [0.0, 1.5], [0.0, 0.0]])
 
     def test_label_mapping(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -139,6 +148,20 @@ class TestStandardize:
         assert np.allclose(np.linalg.norm(dense, axis=0), 1.0)
         assert ds.meta["standardized"]
 
+    def test_matches_entrywise_loop(self, tmp_path, rng):
+        rows = rng.standard_normal((9, 4))
+        rows[rows < -0.5] = 0.0
+        rows[:, 2] = 0.0
+        path = tmp_path / "loop.txt"
+        write_libsvm(path, rows, np.ones(9))
+        ds = parse_libsvm(path)
+        norms_sq = np.zeros(4)
+        for j, value in zip(ds.col, ds.val):
+            norms_sq[j] += value * value
+        norms = np.sqrt(norms_sq)
+        norms[norms == 0.0] = 1.0
+        assert np.array_equal(standardize_columns(ds).to_dense(), ds.to_dense() / norms)
+
     def test_logistic_objective_shapes(self, tmp_path, rng):
         rows = rng.standard_normal((10, 4))
         labels = np.where(rng.random(10) > 0.5, 1.0, -1.0)
@@ -156,13 +179,6 @@ class TestSynthetic:
             obj, truth = synth_regression(spec, HuberLoss(0.1))
             got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
             assert np.allclose(got, truth["eigenvalues"], rtol=1e-9, atol=1e-9)
-
-    def test_identity_rotation_is_diagonal(self):
-        spec = SyntheticSpectrumSpec(
-            eigenvalues=[10.0, 1.0, 1.0], seed=0, rotation="identity"
-        )
-        obj, _ = synth_regression(spec, HuberLoss(0.1))
-        assert np.allclose(obj.curvature.to_dense(), np.diag([10.0, 1.0, 1.0]))
 
     def test_same_seed_same_problem(self):
         spec = SyntheticSpectrumSpec(lam1=9.0, lam2=2.0, tail=1.0, n=6, seed=4)
@@ -267,6 +283,28 @@ class TestExperiments:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_iters = ten", "invalid literal"),
+            ("synthetic = 12,2,1,6.7", "invalid literal"),
+            ("synthetic = 12,2,1", "lam1,lam2,tail,n"),
+            ("standardize = ture", "expected one of"),
+            ("tol = small", "could not convert"),
+        ],
+    )
+    def test_parse_config_bad_value_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"method = gm\nsynthetic = 12,2,1,6\n# comment\n{line}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:4: .*{message}"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("word, expected", [("yes", True), ("OFF", False), ("0", False)])
+    def test_parse_config_standardize_words(self, tmp_path, word, expected):
+        path = tmp_path / "words.cfg"
+        path.write_text(f"dataset = x.txt\nstandardize = {word}\n")
+        assert parse_config_file(path).standardize is expected
+
     def test_bench_deterministic_csvs(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text(
@@ -336,9 +374,11 @@ class TestCLI:
     def test_usage_error_is_exit_one(self):
         assert cli_main(["solve", "--method", "nope"]) == 1
         assert cli_main(["definitely-not-a-command"]) == 1
+        assert cli_main(["spectrum", "--synthetic", "12,2,1,6.7"]) == 1
 
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1
+        assert cli_main(["spectrum"]) == 1
 
     def test_spectrum_outputs(self, tmp_path):
         code = cli_main(
@@ -354,6 +394,30 @@ class TestCLI:
         xi = (tmp_path / "xi_table.csv").read_text().splitlines()
         assert xi[0] == "tau,xi,cond"
         assert len(xi) == 6
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_spectrum_dataset(self, tmp_path, rng, standardize):
+        rows = rng.standard_normal((12, 5)) * [1.0, 2.0, 5.0, 0.5, 3.0]
+        rows[rows < -1.0] = 0.0
+        data = tmp_path / "d.txt"
+        write_libsvm(data, rows, np.where(rng.random(12) > 0.5, 1.0, -1.0))
+        argv = ["spectrum", "--dataset", str(data), "--out", str(tmp_path)]
+        if not standardize:
+            argv.append("--no-standardize")
+        assert cli_main(argv) == 0
+        if standardize:
+            rows = rows / np.linalg.norm(rows, axis=0)
+        expected = np.linalg.eigvalsh(rows.T @ rows)[::-1]
+        got = read_run_csv(tmp_path / "eigenvalues.csv")
+        assert np.array_equal(got["index"], np.arange(1, 6))
+        assert np.all(np.diff(got["eigenvalue"]) <= 0.0)
+        assert np.allclose(got["eigenvalue"], expected, rtol=1e-12, atol=1e-12)
+
+    def test_spectrum_dataset_rejects_huber(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("+1 1:1.0\n-1 2:1.0\n")
+        argv = ["spectrum", "--dataset", str(data), "--loss", "huber:0.1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
 
     def test_verify_exit_zero_and_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -394,3 +458,14 @@ class TestCLI:
         assert cli_main(["bench", str(cfg), "--out", str(out)]) == 0
         assert cli_main(["plotdata", str(out), "--out", str(tmp_path / "m.csv")]) == 0
         assert (tmp_path / "m.csv").exists()
+
+    def test_bench_validates_every_config_first(self, tmp_path):
+        good = tmp_path / "good.cfg"
+        good.write_text(
+            "method = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 5\n"
+        )
+        bogus = tmp_path / "bogus.cfg"
+        bogus.write_text("method = gm\nmax_iters = ten\n")
+        out = tmp_path / "runs"
+        assert cli_main(["bench", str(good), str(bogus), "--out", str(out)]) == 1
+        assert not (out / "good.csv").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polyprec import (
     DenseOperator,
     GramOperator,
+    HuberLoss,
     MatvecOperator,
     PolynomialCoefficients,
     SyntheticSpectrumSpec,
@@ -16,7 +17,7 @@ from polyprec import (
     exact_traces,
     spectral_decomposition,
     stochastic_traces,
-    synthetic_design,
+    synth_regression,
 )
 from conftest import random_spd
 
@@ -221,7 +222,7 @@ class TestSpectralDecomposition:
             for _ in range(10)
         ]
         gapped = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, rows=300, seed=204)
-        cases.append((GramOperator(synthetic_design(gapped)), gapped.resolve()))
+        cases.append((synth_regression(gapped, HuberLoss(0.1))[0].curvature, gapped.resolve()))
         for op, planted in cases:
             dec = spectral_decomposition(op)
             q = dec.eigenvectors
