@@ -9,6 +9,7 @@ from .operators import (
     apply_polynomial,
     elementary_symmetric,
     exact_traces,
+    lanczos,
     spectral_decomposition,
     stochastic_traces,
 )
@@ -26,7 +27,6 @@ from .preconditioners import (
     chebyshev_polynomial,
     chebyshev_preconditioner,
     compute_alpha_beta,
-    cond_from_gamma,
     cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,

@@ -1,6 +1,7 @@
 """Command-line harness: single runs, batches, spectra, and the verifier suite.
 
-Exit codes: 0 on success, 1 on usage errors, 2 when verification hard-fails.
+Exit codes: 0 on success, 1 on usage errors, 2 when verification hard-fails,
+3 when a run fails numerically (non-finite objective, doubling cap).
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"polyprec: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"polyprec: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

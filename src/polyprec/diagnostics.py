@@ -411,6 +411,7 @@ def _random_spd(rng, n, lam_low=0.2, lam_high=8.0, spectrum=None):
 
 def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     """The desk-scale identity and envelope suite behind the verify command."""
+    from .krylov import run_krylov_gm
     from .problems import make_quadratic
     from .solvers import SolverConfig, run_fgm, run_gm
 
@@ -537,4 +538,10 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
             run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
         ):
             reports.append(check.to_report({"tau": tau, "method": "fgm"}))
+    # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
+    for tau in (0, 1, 2):
+        obj = make_quadratic(B, b)
+        run = run_krylov_gm(obj, SolverConfig(max_iters=200, x0=x0), tau)
+        check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
+        reports.append(check.to_report({"tau": tau, "method": "krylov"}))
     return reports

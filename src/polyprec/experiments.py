@@ -154,14 +154,14 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
     return objective
 
 
-def reference_optimum(config: ExperimentConfig) -> float:
-    """High-accuracy optimum estimate for gap measurements.
+def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> float:
+    """High-accuracy optimum estimate of the run's objective for gap measurements.
 
     Runs the adaptive fast method with the degree-2 trace preconditioner for
     ten times the experiment budget at a tight residual tolerance and keeps
-    the best value seen (the accelerated method is not monotone).
+    the best value seen (the accelerated method is not monotone). The run
+    spends the objective's counters, but records count from their own start.
     """
-    obj = build_problem(config)
     budget = config.reference_iters or 10 * config.max_iters
     degree = min(2, obj.n - 1)
     prec = build_from_descriptor(f"sympoly:{degree}", obj.curvature)
@@ -233,8 +233,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    f_star = reference_optimum(config)
     obj = build_problem(config)
+    f_star = reference_optimum(config, obj)
     run = _execute(config, obj, f_star)
 
     csv_path = out_dir / f"{config.name}.csv"

@@ -16,6 +16,7 @@ __all__ = [
     "PolynomialCoefficients",
     "ElementarySymmetricSums",
     "spectral_decomposition",
+    "lanczos",
     "apply_polynomial",
     "exact_traces",
     "stochastic_traces",
@@ -145,6 +146,46 @@ def spectral_decomposition(op: SymmetricOperator) -> SpectralDecomposition:
         raise ValueError("spectral decomposition requires a dense-capable operator")
     vals, vecs = np.linalg.eigh(op.to_dense())
     return SpectralDecomposition(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
+
+
+# A new Lanczos direction whose reorthogonalized norm falls to this fraction of
+# the product it came from means the Krylov space has stopped growing.
+LANCZOS_BREAKDOWN = 1e-6
+
+
+def lanczos(op: SymmetricOperator, v: np.ndarray, steps: int):
+    """Orthonormal basis Q of the Krylov space of ``v`` and the projection T = Q^T B Q.
+
+    Runs at most ``steps`` Lanczos steps at one matvec each, so Q spans
+    ``{v, Bv, ..., B^(m-1) v}`` with m <= steps columns. Each new direction is
+    reorthogonalized twice against the whole basis, which keeps Q orthonormal
+    and T tridiagonal to rounding. The run stops early at a breakdown (the
+    space stopped growing); a zero ``v`` gives an empty basis.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.zeros((op.dim, 0)), np.zeros((0, 0))
+    columns = [v / norm]
+    diagonal: list[float] = []
+    offdiagonal: list[float] = []
+    while True:
+        w = op.matvec(columns[-1])
+        diagonal.append(float(columns[-1] @ w))
+        if len(columns) == steps:
+            break
+        Q = np.column_stack(columns)
+        r = w - Q @ (Q.T @ w)
+        r -= Q @ (Q.T @ r)
+        beta = float(np.linalg.norm(r))
+        if beta <= LANCZOS_BREAKDOWN * float(np.linalg.norm(w)):
+            break
+        offdiagonal.append(beta)
+        columns.append(r / beta)
+    T = np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+    return np.column_stack(columns), T
 
 
 @dataclass(frozen=True)

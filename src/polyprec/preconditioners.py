@@ -36,7 +36,6 @@ __all__ = [
     "compute_alpha_beta",
     "gamma_of_polynomial",
     "gamma_of_preconditioner",
-    "cond_from_gamma",
     "cutting_polynomial",
     "cutting_preconditioner",
     "chebyshev_T",
@@ -303,13 +302,6 @@ def gamma_of_preconditioner(prec: Preconditioner, points) -> float:
     """Worst deviation of ``s * p(s)`` from one over given points, any polynomial kind."""
     points = np.asarray(points, dtype=float)
     return float(np.max(np.abs(points * np.asarray(prec.eval_at(points)) - 1.0)))
-
-
-def cond_from_gamma(gamma: float) -> float:
-    """Condition number implied by an inverse-approximation quality gamma."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return (1.0 + gamma) / (1.0 - gamma)
 
 
 def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialCoefficients:

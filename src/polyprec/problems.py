@@ -143,7 +143,8 @@ class CompositeObjective:
     """Smooth convex function plus optional composite part, under one curvature operator.
 
     ``f_evals``/``grad_evals`` count oracle calls made by algorithms;
-    telemetry readouts go through :meth:`raw_value`, which is free.
+    telemetry readouts go through :meth:`raw_value`, which touches no counter
+    (not even the operator's matvecs, which a quadratic's value spends).
     """
 
     def __init__(
@@ -183,8 +184,11 @@ class CompositeObjective:
         return np.asarray(self._gradient(x), dtype=float)
 
     def raw_value(self, x: np.ndarray) -> float:
-        """Objective value without touching the evaluation counters."""
-        return float(self._value(x))
+        """Objective value without touching the evaluation or matvec counters."""
+        matvecs = self.curvature.matvecs
+        value = float(self._value(x))
+        self.curvature.matvecs = matvecs
+        return value
 
     def full_value(self, x: np.ndarray) -> float:
         """Smooth plus composite value, uncounted (telemetry)."""

@@ -285,8 +285,6 @@ class InitialGuess:
     """Result of the trial-step recipe for seeding the adaptive search."""
 
     value: float
-    flagged: bool = False
-    note: str = ""
 
 
 def initial_guess_M(
@@ -297,9 +295,9 @@ def initial_guess_M(
 ) -> InitialGuess:
     """Curvature estimate along one trial step; never exceeds the true constant.
 
-    Degenerate cases are flagged: a stationary start returns the trial
-    constant unchanged, and zero curvature along the step falls back to a
-    small fraction of it.
+    In the degenerate cases a stationary start returns the trial constant
+    unchanged, and zero curvature along the step falls back to a small
+    fraction of it.
     """
     if M0_prime <= 0:
         raise ValueError("trial step constant must be positive")
@@ -309,13 +307,11 @@ def initial_guess_M(
         M0_prime, prec, obj.curvature, x0, g0, obj.psi
     )
     if step_norm_sq <= 1e-300:
-        return InitialGuess(M0_prime, flagged=True, note="stationary start")
+        return InitialGuess(M0_prime)  # stationary start
     bregman = obj.value(x1) - obj.value(x0) - float(g0 @ (x1 - x0))
     estimate = bregman / (0.5 * step_norm_sq)
     if not np.isfinite(estimate) or estimate <= 0:
-        return InitialGuess(
-            M0_prime * 2.0**-6, flagged=True, note="no curvature along trial step"
-        )
+        return InitialGuess(M0_prime * 2.0**-6)  # no curvature along the step
     return InitialGuess(estimate)
 
 

@@ -224,6 +224,32 @@ class TestExperiments:
             "iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k", "time_ms",
         ]
 
+    def test_run_builds_its_problem_once(self, tmp_path, monkeypatch):
+        import polyprec.experiments as experiments
+
+        calls = []
+        build = experiments.build_problem
+
+        def counted(config):
+            calls.append(config.name)
+            return build(config)
+
+        monkeypatch.setattr(experiments, "build_problem", counted)
+        config = ExperimentConfig(
+            name="once",
+            method="krylov",
+            tau=2,
+            synthetic=(20.0, 2.0, 1.0, 8),
+            loss="huber:0.1",
+            max_iters=10,
+            out_dir=str(tmp_path),
+        )
+        summary = run_experiment(config)
+        assert calls == ["once"]
+        # The reference shares the objective, but the run counts from its own start.
+        assert summary["total_matvecs"] == read_run_csv(tmp_path / "once.csv")["matvecs"][-1]
+        assert summary["total_matvecs"] <= 10 * 3
+
     def test_csv_round_trip_lossless(self, tmp_path):
         config = ExperimentConfig(
             name="rt",
@@ -376,6 +402,15 @@ class TestCLI:
         assert cli_main(["definitely-not-a-command"]) == 1
         assert cli_main(["spectrum", "--synthetic", "12,2,1,6.7"]) == 1
 
+    def test_numerical_failure_is_exit_three(self, monkeypatch, capsys):
+        def diverged(config):
+            raise RuntimeError("gm: objective became non-finite")
+
+        monkeypatch.setattr("polyprec.cli.run_experiment", diverged)
+        code = cli_main(["solve", "--synthetic", "15,3,1,8", "--loss", "huber:0.1"])
+        assert code == 3
+        assert "polyprec: error: gm: objective became non-finite" in capsys.readouterr().err
+
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1
         assert cli_main(["spectrum"]) == 1
@@ -425,6 +460,9 @@ class TestCLI:
         assert code == 0
         payload = json.loads(out.read_text())
         assert all("check" in entry and "pass" in entry for entry in payload)
+        krylov = [entry for entry in payload if entry["check"] == "krylov-rate"]
+        assert [entry["params"]["tau"] for entry in krylov] == [0, 1, 2]
+        assert all(entry["advisory"] and entry["pass"] for entry in krylov)
 
     def test_verify_hard_fail_is_exit_two(self, monkeypatch):
         from polyprec.diagnostics import CheckReport

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from polyprec import (
     HuberLoss,
     RegressionData,
     SolverConfig,
+    SyntheticSpectrumSpec,
     build_gram,
     build_sympoly,
     chebyshev_preconditioner,
@@ -17,6 +20,7 @@ from polyprec import (
     run_krylov_gm,
     solve_gram,
     spectral_decomposition,
+    synth_regression,
 )
 from conftest import random_spd
 
@@ -33,8 +37,9 @@ class TestBuildGram:
         obj = make_quadratic(B, np.zeros(2))
         sys = build_gram(obj, np.array([1.0, 1.0]), 0)
         assert np.allclose(sys.grad, [2.0, 1.0])
-        assert np.allclose(sys.matrix, [[9.0]])
-        assert np.allclose(sys.rhs, [5.0])
+        # One basis vector g/|g|: the matrix is its Rayleigh quotient, rhs |g|.
+        assert np.allclose(sys.matrix, [[9.0 / 5.0]])
+        assert np.allclose(sys.rhs, [np.sqrt(5.0)])
 
     def test_stationary_point_all_zero(self, rng):
         B = random_spd(rng, 4)
@@ -53,7 +58,7 @@ class TestBuildGram:
         tau = 3
         before = obj.curvature.matvecs
         build_gram(obj, rng.standard_normal(8), tau)
-        assert obj.curvature.matvecs - before == 2 * tau + 1
+        assert obj.curvature.matvecs - before == tau + 1
 
 
 class TestSolveGram:
@@ -62,7 +67,7 @@ class TestSolveGram:
         obj = make_quadratic(B, np.zeros(2))
         sys = build_gram(obj, np.array([1.0, 1.0]), 0)
         info = solve_gram(sys)
-        assert np.allclose(info.coefficients, [5.0 / 9.0])
+        assert np.allclose(info.coefficients, [5.0 * np.sqrt(5.0) / 9.0])
         assert info.effective_degree == 0
 
     def test_eigenvector_gradient_truncates(self):
@@ -91,7 +96,7 @@ class TestSolveGram:
         sys = GramSystem(
             matrix=2.0 * np.eye(3),
             rhs=np.array([2.0, 4.0, 6.0]),
-            powers=[np.zeros(3)] * 3,
+            basis=np.eye(3),
             grad=np.zeros(3),
         )
         info = solve_gram(sys)
@@ -173,8 +178,18 @@ class TestRunKrylovGM:
         tau = 3
         iters = 10
         run = run_krylov_gm(obj, SolverConfig(max_iters=iters, x0=np.ones(8)), tau)
-        assert run.total_matvecs() == iters * (2 * tau + 1)
+        assert run.total_matvecs() == iters * (tau + 1)
         assert run.records[-1].grad_evals == iters
+
+    def test_matvecs_follow_effective_degree(self):
+        # On the gapped problem the gradient soon lies in the 98-fold tail
+        # eigenspace, so most iterations need fewer than tau + 1 matvecs.
+        spec = SyntheticSpectrumSpec(1000.0, 300.0, 1.0, 100, seed=204)
+        obj, _ = synth_regression(spec, HuberLoss(0.1))
+        run = run_krylov_gm(obj, SolverConfig(max_iters=200), 3)
+        degrees = [r.eff_degree for r in run.records[1:]]
+        assert run.total_matvecs() == sum(d + 1 for d in degrees)
+        assert Counter(degrees) == {0: 154, 1: 4, 2: 42}
 
     def test_effective_degree_recorded(self, rng):
         obj = huber_bench(rng)

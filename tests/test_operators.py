@@ -15,6 +15,7 @@ from polyprec import (
     apply_polynomial,
     elementary_symmetric,
     exact_traces,
+    lanczos,
     spectral_decomposition,
     stochastic_traces,
     synth_regression,
@@ -102,6 +103,54 @@ class TestApplyPolynomial:
                 power = power @ op.to_dense()
             got = apply_polynomial(PolynomialCoefficients(coeffs), op, v)
             assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
+class TestLanczos:
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        steps=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cond=st.floats(min_value=1.0, max_value=1e4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_basis_and_projection(self, n, steps, seed, cond):
+        local = np.random.default_rng(seed)
+        op = random_spd(local, n, lam_low=1.0, lam_high=cond)
+        v = local.standard_normal(n)
+        Q, T = lanczos(op, v, steps)
+        m = Q.shape[1]
+        assert 1 <= m <= min(steps, n)
+        assert op.matvecs == m
+        assert T.shape == (m, m)
+        assert np.allclose(Q.T @ Q, np.eye(m), atol=1e-10)
+        assert np.allclose(Q[:, 0], v / np.linalg.norm(v))
+        assert np.allclose(T, Q.T @ op.to_dense() @ Q, atol=1e-10 * cond)
+        assert np.array_equal(T, np.triu(np.tril(T, 1), -1))
+        assert np.array_equal(T, T.T)
+
+    def test_eigenvector_start_gives_one_column(self, rng):
+        op = random_spd(rng, 6)
+        dec = spectral_decomposition(op)
+        Q, T = lanczos(op, 3.0 * dec.eigenvectors[:, 2], 4)
+        assert Q.shape == (6, 1)
+        assert op.matvecs == 1
+        assert T[0, 0] == pytest.approx(dec.eigenvalues[2])
+
+    def test_zero_start_gives_empty_basis(self, rng):
+        op = random_spd(rng, 4)
+        Q, T = lanczos(op, np.zeros(4), 3)
+        assert Q.shape == (4, 0) and T.shape == (0, 0)
+        assert op.matvecs == 0
+
+    def test_full_space_stops_at_dimension(self, rng):
+        op = random_spd(rng, 5)
+        Q, T = lanczos(op, rng.standard_normal(5), 9)
+        assert Q.shape == (5, 5)
+        assert np.allclose(np.linalg.eigvalsh(T), np.linalg.eigvalsh(op.to_dense()))
+
+    def test_rejects_no_steps(self, rng):
+        with pytest.raises(ValueError, match="steps"):
+            lanczos(random_spd(rng, 3), np.ones(3), 0)
 
 
 class TestTraces:

@@ -18,7 +18,6 @@ from polyprec import (
     chebyshev_polynomial,
     chebyshev_preconditioner,
     compute_alpha_beta,
-    cond_from_gamma,
     cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,
@@ -190,23 +189,6 @@ class TestGamma:
         p = cutting_polynomial([10.0, 2.0], 1.0, 1)
         assert np.allclose(p.coeffs, [23.0 / 30.0, -1.0 / 15.0])
         assert gamma_of_polynomial(p, [10.0, 2.0, 1.0]) == pytest.approx(0.3)
-
-    @given(st.floats(min_value=0.0, max_value=0.999))
-    @settings(max_examples=50)
-    def test_cond_gamma_roundtrip(self, gamma):
-        cond = cond_from_gamma(gamma)
-        assert cond >= 1.0
-        back = (cond - 1.0) / (cond + 1.0)
-        assert back == pytest.approx(gamma, abs=1e-12)
-
-    def test_cond_from_gamma_examples(self):
-        assert cond_from_gamma(0.0) == pytest.approx(1.0)
-        assert cond_from_gamma(0.5) == pytest.approx(3.0)
-        assert cond_from_gamma(1.0 / 3.0) == pytest.approx(2.0)
-
-    def test_cond_from_gamma_rejects_one(self):
-        with pytest.raises(ValueError):
-            cond_from_gamma(1.0)
 
 
 class TestCutting:

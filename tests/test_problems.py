@@ -132,6 +132,14 @@ class TestMakeQuadratic:
         assert obj.value(x) == pytest.approx(1.5)
         assert np.allclose(obj.gradient(x), [2.0, 1.0])
 
+    def test_readouts_touch_no_counter(self, rng):
+        B = random_spd(rng, 4)
+        obj = make_quadratic(B, rng.standard_normal(4))
+        x = rng.standard_normal(4)
+        assert obj.full_value(x) == obj.raw_value(x) == pytest.approx(obj.value(x))
+        # Only the counted oracle call spends its product.
+        assert (B.matvecs, obj.f_evals) == (1, 1)
+
     def test_stationary_point(self, rng):
         B = random_spd(rng, 5)
         b = rng.standard_normal(5)
