@@ -88,6 +88,7 @@ from .datasets import (
 )
 from .experiments import (
     ExperimentConfig,
+    Reference,
     merge_plotdata,
     parse_config_file,
     reference_optimum,

@@ -1,17 +1,20 @@
 """Experiment configs, benchmark runs, and plot-ready CSV emission.
 
 A run writes one CSV of per-iteration telemetry (`iter,fval,gap,matvecs,
-grad_evals,ls_trials,M_k,time_ms`) plus a JSON summary. Gaps are measured
-against a high-accuracy reference optimum computed per problem, so identical
-seeds give identical CSVs apart from the wall-clock column.
+grad_evals,ls_trials,M_k,time_ms`) plus a JSON summary, each through a
+temporary file renamed into place. Gaps are measured against a reference
+optimum computed once per problem, so identical seeds give identical CSVs
+apart from the wall-clock column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "CSV_HEADER",
     "parse_config_file",
     "build_problem",
+    "Reference",
     "reference_optimum",
     "run_experiment",
     "run_bench",
@@ -154,24 +158,52 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
     return objective
 
 
-def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> float:
+class Reference(NamedTuple):
+    """A reference optimum and what certifies it: the run's length, end and residual."""
+
+    f_star: float
+    iterations: int
+    termination: str
+    grad_map: float
+
+
+REFERENCE_PRECOND = "inverse"
+
+
+def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Reference:
     """High-accuracy optimum estimate of the run's objective for gap measurements.
 
-    Runs the adaptive fast method with the degree-2 trace preconditioner for
-    ten times the experiment budget at a tight residual tolerance and keeps
-    the best value seen (the accelerated method is not monotone). The run
-    spends the objective's counters, but records count from their own start.
+    Runs the adaptive fast method in the exact inverse metric (so only the
+    loss curvature conditions it) for at most ten times the experiment
+    budget, until its gradient map falls below 1e-12 or reaches the rounding
+    floor, and keeps the best value seen (the accelerated method is not
+    monotone). The run spends the objective's counters, but records count
+    from their own start.
     """
     budget = config.reference_iters or 10 * config.max_iters
-    degree = min(2, obj.n - 1)
-    prec = build_from_descriptor(f"sympoly:{degree}", obj.curvature)
+    prec = build_from_descriptor(REFERENCE_PRECOND, obj.curvature)
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     run = run_adaptive_fgm(
         obj,
         prec,
         SolverConfig(max_iters=budget, initial_guess=guess.value, tol=1e-12),
     )
-    return float(min(r.f_value for r in run.records))
+    f_star = float(min(r.f_value for r in run.records))
+    return Reference(f_star, run.iterations, run.termination, float(run.records[-1].grad_map))
+
+
+def _reference_key(config: ExperimentConfig) -> tuple:
+    """What fixes a config's reference: its problem fields and reference budget."""
+    budget = config.reference_iters or 10 * config.max_iters
+    return (
+        config.dataset,
+        config.synthetic,
+        config.rows,
+        config.loss,
+        config.seed,
+        config.standardize,
+        budget,
+    )
 
 
 def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -> RunResult:
@@ -197,8 +229,22 @@ def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -
     return run_adaptive_fgm(obj, prec, solver_config)
 
 
+def _write_atomic(path, fill):
+    """Write ``path`` through ``fill(handle)`` into a hidden temporary file beside
+    it, then rename that into place; a failed write removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as handle:
+            fill(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_run_csv(path, run: RunResult, f_star: float):
-    with open(path, "w", newline="") as handle:
+    def fill(handle):
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for r in run.records:
@@ -215,6 +261,8 @@ def write_run_csv(path, run: RunResult, f_star: float):
                 ]
             )
 
+    _write_atomic(path, fill)
+
 
 def read_run_csv(path) -> dict:
     """Read a run CSV back into arrays keyed by column name."""
@@ -228,13 +276,22 @@ def read_run_csv(path) -> dict:
     return {name: np.asarray(values) for name, values in columns.items()}
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute one configured run; writes NAME.csv and NAME.json, returns the summary."""
+def run_experiment(config: ExperimentConfig, references: dict | None = None) -> dict:
+    """Execute one configured run; writes NAME.csv and NAME.json, returns the summary.
+
+    ``references``, when given, maps a problem (see :func:`_reference_key`) to
+    its :class:`Reference`; a run reuses the entry for its problem or adds it.
+    """
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = build_problem(config)
-    f_star = reference_optimum(config, obj)
+    references = {} if references is None else references
+    key = _reference_key(config)
+    if key not in references:
+        references[key] = reference_optimum(config, obj)
+    reference = references[key]
+    f_star = reference.f_star
     run = _execute(config, obj, f_star)
 
     csv_path = out_dir / f"{config.name}.csv"
@@ -254,9 +311,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "termination": run.termination,
         "f_star_reference": f_star,
         "final_fval": run.records[-1].f_value,
+        "reference": {
+            "method": "adaptive-fgm",
+            "precond": REFERENCE_PRECOND,
+            "iterations": reference.iterations,
+            "termination": reference.termination,
+            "grad_map": reference.grad_map,
+        },
     }
-    with open(out_dir / f"{config.name}.json", "w") as handle:
-        json.dump(summary, handle, indent=2)
+    _write_atomic(
+        out_dir / f"{config.name}.json",
+        lambda handle: json.dump(summary, handle, indent=2),
+    )
     return summary
 
 
@@ -264,14 +330,16 @@ def run_bench(config_paths, out_dir=None) -> list[dict]:
     """Run a batch of config files; each produces its own CSV and summary.
 
     Every config is parsed and validated before the first run starts, so a bad
-    file fails the batch without writing any output.
+    file fails the batch without writing any output. Configs that share a
+    problem and reference budget share one reference optimum.
     """
     configs = [parse_config_file(path) for path in config_paths]
+    references: dict = {}
     summaries = []
     for config in configs:
         if out_dir is not None:
             config.out_dir = str(out_dir)
-        summaries.append(run_experiment(config))
+        summaries.append(run_experiment(config, references))
     return summaries
 
 

@@ -390,11 +390,17 @@ def chebyshev_preconditioner(lam1: float, lamn: float, tau: int) -> ChebyshevPre
 
 
 def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
-    """Exact dense inverse of the operator (benchmark reference only)."""
+    """Moore-Penrose inverse of a dense-capable operator, the paper's exact endpoint.
+
+    Only eigenvalues above ``lam_max * n * eps`` are inverted; the rest are
+    rounding noise of a singular operator (say, a Gram matrix with a feature
+    that never occurs) and map to zero, so the result stays finite.
+    """
     dec = spectral_decomposition(op)
-    q = dec.eigenvectors
-    inv = q @ np.diag(1.0 / dec.eigenvalues) @ q.T
-    return MatrixPreconditioner(inv, descriptor="inverse")
+    lam = dec.eigenvalues
+    keep = lam > lam[0] * lam.size * np.finfo(float).eps
+    q = dec.eigenvectors[:, keep]
+    return MatrixPreconditioner((q / lam[keep]) @ q.T, descriptor="inverse")
 
 
 def xi_tau(spectrum, tau: int) -> float:

@@ -42,6 +42,10 @@ GROWTH_FACTOR = 2.0
 SHRINK_FACTOR = 2.0
 MAX_DOUBLINGS = 60
 
+# A step whose model decrease grad_map**2 / (2 M) is within four rounding
+# units of |f| cannot lower f in floating point.
+ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
+
 
 @dataclass
 class SolverConfig:
@@ -50,7 +54,11 @@ class SolverConfig:
     ``step_constant`` is the fixed M of the non-adaptive methods;
     ``initial_guess`` seeds the adaptive search. Stopping: optimality gap
     against a known ``f_star``, gradient-map norm below ``tol``, or the
-    iteration cap; the first satisfied rule wins.
+    iteration cap; the first satisfied rule wins. A run with ``tol > 0``
+    also stops as ``"rounding_floor"`` once
+    ``grad_map**2 <= ROUNDING_FLOOR * M_k * |f|``: no further step can lower
+    f in floating point. Steps that report no constant (``M_k = 0``) never
+    meet that rule.
     """
 
     max_iters: int = 1000
@@ -142,9 +150,9 @@ def drive(
     The state is the iterate, or for ``accelerated`` methods an
     :class:`FGMState` whose prox center starts at the start point too. The
     start is recorded as iteration 0 with constant ``M_0``; then the loop
-    steps until the gap target, the gradient-map tolerance or the iteration
-    cap stops it. Counters in the records are relative to the start of the
-    run, and a non-finite objective raises.
+    steps until the gap target, the gradient-map tolerance, the rounding
+    floor or the iteration cap stops it. Counters in the records are relative
+    to the start of the run, and a non-finite objective raises.
     """
     op = obj.curvature
     mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
@@ -196,6 +204,9 @@ def drive(
         record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k, out.eff_degree)
         if config.tol > 0 and out.grad_map <= config.tol:
             termination = "grad_map_tol"
+            break
+        if config.tol > 0 and out.grad_map**2 <= ROUNDING_FLOOR * out.M_k * abs(f_value):
+            termination = "rounding_floor"
             break
     return RunResult(method, records, x, termination, iterates_x=xs, iterates_v=vs)
 

@@ -10,11 +10,14 @@ from polyprec import (
     ExperimentConfig,
     HuberLoss,
     LogisticLoss,
+    RunResult,
     SyntheticSpectrumSpec,
+    inverse_preconditioner,
     logistic_from_dataset,
     merge_plotdata,
     parse_config_file,
     parse_libsvm,
+    reference_optimum,
     run_experiment,
     standardize_columns,
     synth_classification_dataset,
@@ -22,7 +25,8 @@ from polyprec import (
     write_libsvm,
 )
 from polyprec.cli import main as cli_main
-from polyprec.experiments import read_run_csv, run_bench
+from polyprec.experiments import build_problem, read_run_csv, run_bench, write_run_csv
+from polyprec.solvers import ROUNDING_FLOOR, IterationRecord
 
 
 FIXTURE_LINES = [
@@ -372,6 +376,116 @@ class TestExperiments:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("run,method,precond,iter")
         assert len(lines) == 1 + 2 * 21
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        class Unwritable:
+            def __float__(self):
+                raise RuntimeError("disk full")
+
+        good = IterationRecord(0, 1.0, np.inf, 0, 0, 0, 0, 1.0, 0.0, 0.0)
+        bad = IterationRecord(1, Unwritable(), 0.5, 1, 1, 1, 1, 1.0, 0.0, 0.1)
+        run = RunResult("gm", [good, bad], np.zeros(2), "max_iters")
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_run_csv(tmp_path / "broken.csv", run, 0.0)
+        assert list(tmp_path.iterdir()) == []
+        # A failed rewrite keeps the previous file whole.
+        write_run_csv(tmp_path / "kept.csv", RunResult("gm", [good], np.zeros(2), "x"), 0.0)
+        before = (tmp_path / "kept.csv").read_text()
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_run_csv(tmp_path / "kept.csv", run, 0.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+        assert (tmp_path / "kept.csv").read_text() == before
+
+
+GAPPED = dict(synthetic=(1000.0, 300.0, 1.0, 100), loss="huber:0.1", seed=204)
+
+
+class TestReference:
+    """The reference optimum: exact inverse metric, stopped at the rounding floor."""
+
+    def test_summary_certifies_the_reference(self, tmp_path):
+        code = cli_main(
+            [
+                "solve", "--name", "cert", "--synthetic", "15,3,1,8",
+                "--loss", "huber:0.1", "--max-iters", "40", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "cert.json").read_text())
+        reference = summary["reference"]
+        assert set(reference) == {"method", "precond", "iterations", "termination", "grad_map"}
+        assert reference["method"] == "adaptive-fgm"
+        assert reference["precond"] == "inverse"
+        assert reference["termination"] in ("grad_map_tol", "rounding_floor")
+        assert 1 <= reference["iterations"] < 400
+        assert np.isfinite(reference["grad_map"])
+        assert summary["f_star_reference"] <= summary["final_fval"]
+
+    def test_singular_gram_from_unused_feature(self, tmp_path):
+        rng = np.random.default_rng(8)
+        lines = []
+        for _ in range(60):
+            features = sorted(rng.choice([1, 2, 4, 5], size=2, replace=False))
+            label = "+1" if rng.random() < 0.5 else "-1"
+            lines.append(label + "".join(f" {j}:{rng.uniform(0.5, 2):.3f}" for j in features))
+        path = tmp_path / "gap3.txt"
+        path.write_text("\n".join(lines) + "\n")
+        op = logistic_from_dataset(parse_libsvm(path)).curvature
+        B = op.to_dense()
+        P = inverse_preconditioner(op).matrix
+        # Finite, and nothing from inverting the zero eigenvalue's rounding noise.
+        assert np.all(np.isfinite(P))
+        assert np.abs(P).max() < 1e3
+        assert np.allclose(B @ P @ B, B, atol=1e-12 * np.abs(B).max())
+        code = cli_main(
+            ["solve", "--name", "gap3", "--dataset", str(path), "--max-iters", "50",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "gap3.json").read_text())
+        f_star = summary["f_star_reference"]
+        assert np.isfinite(f_star)
+        # A reference stopped at the rounding floor is optimal up to rounding.
+        assert f_star - summary["final_fval"] <= ROUNDING_FLOOR * abs(f_star)
+
+    def test_tall_huber_matches_newton(self):
+        config = ExperimentConfig(rows=300, max_iters=200, **GAPPED)
+        f_star = reference_optimum(config, build_problem(config)).f_star
+        # Value of a damped Newton solve with gradient norm 4e-13.
+        assert f_star == pytest.approx(151.8331653956, rel=1e-10)
+
+    def test_gapped_interpolating_problem_reaches_zero(self):
+        config = ExperimentConfig(max_iters=200, reference_iters=1000, **GAPPED)
+        reference = reference_optimum(config, build_problem(config))
+        assert reference.f_star <= 1e-20
+        assert reference.termination == "grad_map_tol"
+
+    @pytest.mark.parametrize("second_seed, expected_calls", [(3, 1), (4, 2)])
+    def test_bench_shares_one_reference_per_problem(
+        self, tmp_path, monkeypatch, second_seed, expected_calls
+    ):
+        import polyprec.experiments as experiments
+
+        calls = []
+        reference = experiments.reference_optimum
+
+        def counted(config, obj):
+            calls.append(config.name)
+            return reference(config, obj)
+
+        monkeypatch.setattr(experiments, "reference_optimum", counted)
+        paths = []
+        for name, method, seed in (("a", "gm", 3), ("b", "adaptive-fgm", second_seed)):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                f"name = {name}\nmethod = {method}\nsynthetic = 12,2,1,6\n"
+                f"loss = huber:0.1\nmax_iters = 15\nseed = {seed}\n"
+            )
+            paths.append(path)
+        summaries = run_bench(paths, out_dir=tmp_path / "runs")
+        assert len(calls) == expected_calls
+        if expected_calls == 1:
+            assert summaries[0]["reference"] == summaries[1]["reference"]
 
 
 class TestCLI:

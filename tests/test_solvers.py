@@ -24,6 +24,7 @@ from polyprec import (
     synth_regression,
 )
 from polyprec import CompositeObjective, HuberLoss, LogisticLoss, RegressionData
+from polyprec.solvers import ROUNDING_FLOOR
 from conftest import random_spd
 
 
@@ -407,6 +408,28 @@ class TestLoopContract:
         grad_maps = [r.grad_map for r in run.records]
         assert grad_maps[-1] <= 1e-6
         assert all(g > 1e-6 for g in grad_maps[:-1])
+
+
+class TestRoundingFloor:
+    """A run with a tolerance stops once no step can lower f in floating point."""
+
+    def run(self, tol):
+        spec = SyntheticSpectrumSpec(lam1=40, lam2=4, tail=1, n=10, rows=50, seed=0)
+        obj, _ = synth_regression(spec, LogisticLoss())
+        prec = build_from_descriptor("inverse", obj.curvature)
+        guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+        config = SolverConfig(max_iters=500, initial_guess=guess.value, tol=tol)
+        return run_adaptive_fgm(obj, prec, config)
+
+    def test_unreachable_tolerance_stops_at_floor(self):
+        run = self.run(tol=1e-300)
+        assert run.termination == "rounding_floor"
+        assert run.iterations < 500
+        last = run.records[-1]
+        assert last.grad_map**2 <= ROUNDING_FLOOR * last.M_k * abs(last.f_value)
+
+    def test_no_tolerance_runs_to_the_cap(self):
+        assert self.run(tol=0.0).termination == "max_iters"
 
 
 class TestCostAccounting:
