@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -169,6 +170,8 @@ class Reference(NamedTuple):
 
 REFERENCE_PRECOND = "inverse"
 
+logger = logging.getLogger("polyprec")
+
 
 def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Reference:
     """High-accuracy optimum estimate of the run's objective for gap measurements.
@@ -178,7 +181,9 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     budget, until its gradient map falls below 1e-12 or reaches the rounding
     floor, and keeps the best value seen (the accelerated method is not
     monotone). The run spends the objective's counters, but records count
-    from their own start.
+    from their own start. A run that ends at its iteration cap has no
+    certificate; it is still used, and a warning on the ``polyprec`` logger
+    names the config.
     """
     budget = config.reference_iters or 10 * config.max_iters
     prec = build_from_descriptor(REFERENCE_PRECOND, obj.curvature)
@@ -189,6 +194,15 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
         SolverConfig(max_iters=budget, initial_guess=guess.value, tol=1e-12),
     )
     f_star = float(min(r.f_value for r in run.records))
+    if run.termination == "max_iters":
+        logger.warning(
+            "reference optimum of config %r is not certified: termination %s after "
+            "%d iterations (gradient map %.3e)",
+            config.name,
+            run.termination,
+            run.iterations,
+            run.records[-1].grad_map,
+        )
     return Reference(f_star, run.iterations, run.termination, float(run.records[-1].grad_map))
 
 
@@ -311,12 +325,15 @@ def run_experiment(config: ExperimentConfig, references: dict | None = None) -> 
         "termination": run.termination,
         "f_star_reference": f_star,
         "final_fval": run.records[-1].f_value,
+        "f_evals": run.records[-1].f_evals,
+        "grad_evals": run.records[-1].grad_evals,
         "reference": {
             "method": "adaptive-fgm",
             "precond": REFERENCE_PRECOND,
             "iterations": reference.iterations,
             "termination": reference.termination,
             "grad_map": reference.grad_map,
+            "negative_gaps": sum(r.f_value < f_star for r in run.records),
         },
     }
     _write_atomic(

@@ -99,8 +99,11 @@ class MatvecOperator(SymmetricOperator):
 class GramOperator(SymmetricOperator):
     """The Gram matrix of a data matrix, applied as two products with the data.
 
-    One application counts as a single matvec: the Gram matrix is the
-    curvature operator and its products are the unit of cost.
+    A tall design (more rows than columns) is applied through its n x n Gram
+    matrix instead, formed once by :meth:`to_dense`; that matrix has fewer
+    entries than the design, so memory cannot grow. Either way one
+    application counts as a single matvec: the Gram matrix is the curvature
+    operator and its products are the unit of cost.
     """
 
     def __init__(self, design: np.ndarray):
@@ -112,6 +115,8 @@ class GramOperator(SymmetricOperator):
         self._dense: np.ndarray | None = None
 
     def _apply(self, v):
+        if self.design.shape[0] > self.dim:
+            return self.to_dense() @ v
         return self.design.T @ (self.design @ v)
 
     @property

@@ -144,7 +144,10 @@ class CompositeObjective:
 
     ``f_evals``/``grad_evals`` count oracle calls made by algorithms;
     telemetry readouts go through :meth:`raw_value`, which touches no counter
-    (not even the operator's matvecs, which a quadratic's value spends).
+    (not even the operator's matvecs, which a quadratic's value spends). The
+    counts are calls to :meth:`value` and :meth:`gradient`, not data passes:
+    a value callable may reuse work across calls at the same point, as the
+    regression objectives of :func:`make_regression` do.
     """
 
     def __init__(
@@ -202,17 +205,37 @@ def make_regression(data: RegressionData) -> CompositeObjective:
     matrix-free; its dense form is available for desk-scale spectra. L is the
     loss's curvature bound and mu is zero (both built-in losses have flat
     tails).
+
+    Value and gradient share a one-point cache of the last loss evaluation,
+    so a point's value and gradient cost one forward product between them,
+    and a point evaluated again (a telemetry readout after the accepted
+    line-search trial) costs none. The cache counts nothing: ``f_evals`` and
+    ``grad_evals`` still count every oracle call.
     """
     rows = data.rows
     targets = data.targets
     loss = data.loss
     curvature = GramOperator(rows)
 
+    # (point, loss value sum, loss derivative) of the last evaluation, replaced
+    # whole so a reader never sees a mixed triple; the point is a copy so a
+    # caller mutating its array cannot poison the cache.
+    cached = None
+
+    def evaluate(x):
+        nonlocal cached
+        entry = cached
+        if entry is None or not np.array_equal(entry[0], x):
+            values, deriv = loss(rows @ x - targets)
+            entry = (np.array(x, dtype=float), float(np.sum(values)), deriv)
+            cached = entry
+        return entry
+
     def value(x):
-        return float(np.sum(loss(rows @ x - targets)[0]))
+        return evaluate(x)[1]
 
     def gradient(x):
-        return rows.T @ loss(rows @ x - targets)[1]
+        return rows.T @ evaluate(x)[2]
 
     return CompositeObjective(
         n=rows.shape[1],

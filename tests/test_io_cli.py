@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import re
 
 import numpy as np
@@ -413,13 +414,75 @@ class TestReference:
         assert code == 0
         summary = json.loads((tmp_path / "cert.json").read_text())
         reference = summary["reference"]
-        assert set(reference) == {"method", "precond", "iterations", "termination", "grad_map"}
+        assert set(reference) == {
+            "method", "precond", "iterations", "termination", "grad_map", "negative_gaps"
+        }
         assert reference["method"] == "adaptive-fgm"
         assert reference["precond"] == "inverse"
         assert reference["termination"] in ("grad_map_tol", "rounding_floor")
         assert 1 <= reference["iterations"] < 400
         assert np.isfinite(reference["grad_map"])
         assert summary["f_star_reference"] <= summary["final_fval"]
+
+    @pytest.mark.parametrize(
+        "overrides, termination",
+        [
+            (dict(synthetic=(40, 4, 1, 10), rows=50, reference_iters=1), "max_iters"),
+            (dict(synthetic=(40, 4, 1, 10), rows=50), "rounding_floor"),
+            (dict(synthetic=(15, 3, 1, 8), loss="huber:0.1"), "grad_map_tol"),
+        ],
+    )
+    def test_uncertified_reference_warns(self, caplog, overrides, termination):
+        config = ExperimentConfig(name="probe", max_iters=40, **overrides)
+        with caplog.at_level(logging.WARNING, logger="polyprec"):
+            reference = reference_optimum(config, build_problem(config))
+        assert reference.termination == termination
+        messages = [r.getMessage() for r in caplog.records if r.name == "polyprec"]
+        if termination == "max_iters":
+            assert len(messages) == 1
+            assert "'probe'" in messages[0] and "max_iters" in messages[0]
+        else:
+            assert messages == []
+
+    def test_bench_completes_with_uncertified_reference(self, tmp_path, caplog):
+        path = tmp_path / "short.cfg"
+        path.write_text("synthetic = 40,4,1,10\nrows = 50\nmax_iters = 20\nreference_iters = 1\n")
+        with caplog.at_level(logging.WARNING, logger="polyprec"):
+            code = cli_main(["bench", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "short.csv").exists() and (tmp_path / "short.json").exists()
+        assert any("'short'" in r.getMessage() for r in caplog.records if r.name == "polyprec")
+
+    @pytest.mark.parametrize("reference_iters", [None, 1])
+    def test_summary_reports_oracle_counts_and_negative_gaps(
+        self, tmp_path, monkeypatch, reference_iters
+    ):
+        import polyprec.experiments as experiments
+
+        runs = []
+        execute = experiments._execute
+
+        def captured(config, obj, f_star):
+            runs.append(execute(config, obj, f_star))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "_execute", captured)
+        config = ExperimentConfig(
+            name="counts", synthetic=(40, 4, 1, 10), rows=50, max_iters=20,
+            reference_iters=reference_iters, out_dir=str(tmp_path),
+        )
+        run_experiment(config)
+        summary = json.loads((tmp_path / "counts.json").read_text())
+        columns = read_run_csv(tmp_path / "counts.csv")
+        records = runs[0].records
+        assert summary["f_evals"] == records[-1].f_evals
+        assert summary["grad_evals"] == records[-1].grad_evals == columns["grad_evals"][-1]
+        negative = summary["reference"]["negative_gaps"]
+        f_star = summary["f_star_reference"]
+        assert negative == sum(r.f_value < f_star for r in records)
+        assert negative == int(np.sum(columns["gap"] < 0))
+        # A one-iteration reference sits above most of the run.
+        assert (negative > 0) == (reference_iters == 1)
 
     def test_singular_gram_from_unused_feature(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -64,6 +64,32 @@ class TestMatvec:
             DenseOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestGramOperator:
+    def test_tall_design_applies_cached_gram(self, rng):
+        design = rng.standard_normal((60, 8))
+        op = GramOperator(design)
+        v = rng.standard_normal(8)
+        expected = design.T @ (design @ v)
+        first = op.matvec(v)
+        assert np.linalg.norm(first - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert op.matvecs == 1
+        # Later products come from the n x n Gram, not from the design.
+        op.design = np.full_like(design, np.nan)
+        second = op.matvec(v)
+        assert np.all(np.isfinite(second))
+        assert np.array_equal(second, first)
+        assert op.matvecs == 2
+
+    def test_square_design_applies_design(self, rng):
+        design = rng.standard_normal((8, 8))
+        op = GramOperator(design)
+        v = rng.standard_normal(8)
+        assert np.array_equal(op.matvec(v), design.T @ (design @ v))
+        op.design = np.full_like(design, np.nan)
+        assert np.all(np.isnan(op.matvec(v)))
+        assert op.matvecs == 2
+
+
 class TestApplyPolynomial:
     def test_constant_is_identity(self, rng):
         op = random_spd(rng, 4)

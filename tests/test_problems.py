@@ -6,17 +6,23 @@ from hypothesis import strategies as st
 from polyprec import (
     CompositePart,
     DenseOperator,
+    ExperimentConfig,
     HuberLoss,
     IdentityPreconditioner,
     LogisticLoss,
     MatrixPreconditioner,
     RegressionData,
+    SolverConfig,
+    build_from_descriptor,
     huber,
+    initial_guess_M,
     logistic,
     make_quadratic,
     make_regression,
+    run_adaptive_gm,
     validate_bounds,
 )
+from polyprec.experiments import build_problem
 from polyprec.problems import gradient_step_with_norm
 from conftest import random_spd
 
@@ -82,6 +88,30 @@ class TestLogistic:
         assert 0.0 <= deriv <= 1.0
 
 
+def _build_with_data(monkeypatch, config):
+    """The config's objective and the RegressionData it was made from."""
+    import polyprec.datasets as datasets
+
+    captured = []
+
+    def capture(data):
+        captured.append(data)
+        return make_regression(data)
+
+    monkeypatch.setattr(datasets, "make_regression", capture)
+    obj = build_problem(config)
+    return obj, captured[0]
+
+
+class CountedLogistic(LogisticLoss):
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return super().__call__(t)
+
+
 class TestMakeRegression:
     def test_single_row_huber(self):
         data = RegressionData(
@@ -122,6 +152,46 @@ class TestMakeRegression:
             RegressionData(
                 rows=np.empty((0, 3)), targets=np.empty(0), loss=LogisticLoss()
             )
+
+    @pytest.mark.parametrize(
+        "synthetic, rows, loss",
+        [((40, 4, 1, 10), 50, "logistic"), ((1000, 300, 1, 100), 300, "huber:0.1")],
+    )
+    def test_cached_oracle_matches_fresh_objective(self, monkeypatch, synthetic, rows, loss):
+        obj, data = _build_with_data(
+            monkeypatch, ExperimentConfig(synthetic=synthetic, rows=rows, loss=loss)
+        )
+        rng = np.random.default_rng(21)
+        points = [rng.standard_normal(obj.n) for _ in range(5)]
+        order = [0, 0, 3, 1, 3, 4, 2, 2, 0, 4, 1, 1]
+        for i, kind in zip(order, rng.integers(2, size=len(order))):
+            fresh = make_regression(data)
+            if kind == 0:
+                assert obj.value(points[i]) == fresh.value(points[i])
+            else:
+                assert np.array_equal(obj.gradient(points[i]), fresh.gradient(points[i]))
+        # Mutating the caller's array in place must not leave a stale entry.
+        x = points[0].copy()
+        obj.value(x)
+        x += 0.5
+        assert obj.value(x) == make_regression(data).value(x)
+        obj.gradient(x)
+        x -= 1.0
+        assert np.array_equal(obj.gradient(x), make_regression(data).gradient(x))
+
+    def test_one_loss_evaluation_per_point(self, monkeypatch):
+        config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
+        _, data = _build_with_data(monkeypatch, config)
+        loss = CountedLogistic()
+        obj = make_regression(RegressionData(data.rows, data.targets, loss))
+        prec = build_from_descriptor("sympoly:2", obj.curvature)
+        guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+        loss.calls = 0
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, initial_guess=guess.value))
+        assert run.iterations == 20
+        # The start point once, then one evaluation per line-search trial: the
+        # accepted trial's value and gradient serve the telemetry and next step.
+        assert loss.calls <= 1 + run.total_ls_trials()
 
 
 class TestMakeQuadratic:
