@@ -75,12 +75,6 @@ class QualityBounds:
     def cond(self) -> float:
         return self.beta / self.alpha
 
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "QualityBounds":
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        return cls(alpha=1.0 - gamma, beta=1.0 + gamma)
-
 
 class Preconditioner:
     """Base class; concrete kinds are identity, polynomial, chebyshev, matrix."""
@@ -105,20 +99,6 @@ class Preconditioner:
         return f"{type(self).__name__}({self.descriptor!r})"
 
 
-class IdentityPreconditioner(Preconditioner):
-    descriptor = "identity"
-
-    @property
-    def degree(self):
-        return 0
-
-    def apply(self, op, v):
-        return np.array(v, dtype=float)
-
-    def eval_at(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
-
-
 class PolynomialPreconditioner(Preconditioner):
     """Preconditioner given by explicit polynomial coefficients."""
 
@@ -135,6 +115,13 @@ class PolynomialPreconditioner(Preconditioner):
 
     def eval_at(self, s):
         return self.coefficients(s)
+
+
+class IdentityPreconditioner(PolynomialPreconditioner):
+    """The degree-0 polynomial 1: applies as a copy of the vector at zero matvecs."""
+
+    def __init__(self):
+        super().__init__(PolynomialCoefficients(np.ones(1)), "identity")
 
 
 class ChebyshevPreconditioner(Preconditioner):
@@ -425,12 +412,7 @@ def xi_tau(spectrum, tau: int) -> float:
     )
 
 
-def build_from_descriptor(
-    text: str,
-    op: SymmetricOperator,
-    samples: int = 256,
-    seed: int = 0,
-) -> Preconditioner:
+def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
     """Build a preconditioner from its serialized text form.
 
     Understood forms: ``identity``, ``sympoly:T``, ``sympoly:T:stochastic[:S:SEED]``,
@@ -455,11 +437,8 @@ def build_from_descriptor(
         if len(parts) > 2:
             if parts[2] != "stochastic":
                 raise ValueError(f"unknown sympoly mode in descriptor {text!r}")
-            if len(parts) > 3:
-                samples = int(parts[3])
-            if len(parts) > 4:
-                seed = int(parts[4])
-            return build_sympoly(op, tau, "stochastic", samples=samples, seed=seed)
+            # Optional sample count and seed; build_sympoly holds their defaults.
+            return build_sympoly(op, tau, "stochastic", *map(int, parts[3:5]))
         return build_sympoly(op, tau, "exact")
     dec = spectral_decomposition(op)
     if kind == "chebyshev":

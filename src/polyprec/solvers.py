@@ -230,7 +230,6 @@ def solve_coefficient_equation(M: float, rho: float, A: float) -> float:
 
 def quadratic_growth_predicate(
     M: float,
-    prec: Preconditioner,
     x: np.ndarray,
     y: np.ndarray,
     obj: CompositeObjective,
@@ -256,7 +255,7 @@ def quadratic_growth_predicate(
     return obj.value(y) <= f_x + float(g @ (y - x)) + quad
 
 
-def _doubling_search(obj: CompositeObjective, prec: Preconditioner, guess: float):
+def _doubling_search(obj: CompositeObjective, guess: float):
     """The doubling search of the adaptive methods, as ``search(trial) -> Step``.
 
     Each search starts from half the constant the previous one accepted (the
@@ -271,9 +270,7 @@ def _doubling_search(obj: CompositeObjective, prec: Preconditioner, guess: float
         M = guess
         for trials in range(1, MAX_DOUBLINGS + 2):
             state, x, y, g, step_sq, f_x = trial(M)
-            if quadratic_growth_predicate(
-                M, prec, x, y, obj, g=g, step_norm_sq=step_sq, f_x=f_x
-            ):
+            if quadratic_growth_predicate(M, x, y, obj, g=g, step_norm_sq=step_sq, f_x=f_x):
                 guess = M / SHRINK_FACTOR
                 return Step(state, M * np.sqrt(max(step_sq, 0.0)), trials, M)
             M *= GROWTH_FACTOR
@@ -396,7 +393,7 @@ def run_adaptive_gm(
     """
     guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
     op = obj.curvature
-    search = _doubling_search(obj, prec, guess)
+    search = _doubling_search(obj, guess)
 
     def step(x):
         f_x = obj.value(x)
@@ -425,7 +422,7 @@ def run_adaptive_fgm(
     and only an accepted trial advances the state.
     """
     guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
-    search = _doubling_search(obj, prec, guess)
+    search = _doubling_search(obj, guess)
 
     def step(state):
         def trial(M):

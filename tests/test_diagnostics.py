@@ -256,3 +256,31 @@ class TestSuite:
         a = [r.to_dict() for r in run_verification_suite(seed=5)]
         b = [r.to_dict() for r in run_verification_suite(seed=5)]
         assert a == b
+
+    def test_report_list_pinned(self):
+        # A batch dropped, added or reordered changes the verify JSON.
+        batches = [
+            ("lemma-spec-batch", {"trials": 10, "tol": 1e-8}),
+            ("adjugate-batch", {"trials": 5, "tol": 1e-8}),
+            ("sandwich-batch", {"trials": 10, "tol": 1e-9}),
+            ("volume-sampling-batch", {"trials": 5, "tol": 1e-10}),
+            ("xi-monotone-batch", {"trials": 10}),
+            ("gap-collapse", {"gaps": [10, 100, 1000], "n": 16}),
+            ("cutting-bound-batch", {"trials": 10, "tol": 1e-10}),
+            ("chebyshev-bound-batch", {"trials": 10, "tol": 1e-10}),
+        ]
+        theorems = {
+            "gm": ("gm-convex", "gm-linear"),
+            "fgm": ("fgm-convex", "fgm-linear", "fgm-weight-growth", "fgm-weight-geometric"),
+        }
+        envelopes = [
+            (theorem, {"tau": tau, "method": method})
+            for tau in (0, 1, 2)
+            for method in ("gm", "fgm")
+            for theorem in theorems[method]
+        ]
+        expected = [(check, params, False) for check, params in batches + envelopes]
+        expected += [("krylov-rate", {"tau": tau, "method": "krylov"}, True) for tau in (0, 1, 2)]
+        got = [(r.check, r.params, r.advisory) for r in run_verification_suite(seed=0)]
+        assert len(got) == 29
+        assert got == expected

@@ -116,7 +116,10 @@ class TestApply:
         op = random_spd(rng, 3)
         v = rng.standard_normal(3)
         got = IdentityPreconditioner().apply(op, v)
-        assert np.allclose(got, v)
+        assert np.array_equal(got, v)
+        # The degree-0 sympoly member is the same constant polynomial 1.
+        degree_zero = build_sympoly(op, 0, "exact").apply(op, v)
+        assert np.array_equal(degree_zero, got)
         assert op.matvecs == 0
 
     def test_sympoly_on_basis_vector(self):

@@ -233,23 +233,19 @@ class TestPredicate:
         g = obj.gradient(x)
         M = bounds.beta * obj.L
         y = x - g / M
-        assert quadratic_growth_predicate(M, IdentityPreconditioner(), x, y, obj, g=g)
+        assert quadratic_growth_predicate(M, x, y, obj, g=g)
 
     def test_trivial_equal_points(self, rng):
         obj = gapped_quadratic(rng, n=4, cond=10)
         x = rng.standard_normal(4)
-        assert quadratic_growth_predicate(
-            0.5, IdentityPreconditioner(), x, x.copy(), obj, step_norm_sq=0.0
-        )
+        assert quadratic_growth_predicate(0.5, x, x.copy(), obj, step_norm_sq=0.0)
 
     def test_one_dimensional_counterexample(self):
         B = DenseOperator(np.array([[1.0]]))
         obj = make_quadratic(B, np.zeros(1))
         x = np.array([1.0])
         y = np.array([0.0])
-        assert not quadratic_growth_predicate(
-            0.5, IdentityPreconditioner(), x, y, obj, step_norm_sq=1.0
-        )
+        assert not quadratic_growth_predicate(0.5, x, y, obj, step_norm_sq=1.0)
 
 
 class TestAdaptiveGM:
