@@ -9,6 +9,7 @@ planted spectrum.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,56 +61,132 @@ class DatasetMatrix:
         return dense
 
 
-def _map_label(raw: float) -> float:
-    # 0/1 labeled sets map 0 to the negative class; anything positive is +1.
-    return 1.0 if raw > 0 else -1.0
+# One well-formed feature, ``INDEX:VALUE`` with a decimal integer index; the
+# search finds the first blank-delimited token that is not one.
+_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)"
+_BAD_FEATURE = re.compile(
+    rf"(?<!\S)(?![+-]?[0-9]+:{_NUMBER}(?!\S))\S+", re.ASCII | re.IGNORECASE
+)
 
 
-def parse_libsvm(path) -> DatasetMatrix:
-    """Parse a sparse classification file; malformed lines report their number."""
-    row, col, val = [], [], []
-    labels = []
-    n_features = 0
+def _records(path):
+    """``(line number, label text, feature text)`` of each data line of a sparse file."""
     with open(path, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                raw_label = float(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
-            if not math.isfinite(raw_label):
-                raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
-            last_index = 0
-            for token in parts[1:]:
-                try:
-                    index_text, value_text = token.split(":", 1)
-                    index = int(index_text)
-                    value = float(value_text)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad feature {token!r}") from exc
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite feature {token!r}")
-                if index <= last_index:
-                    raise ValueError(
-                        f"{path}:{lineno}: feature indices must be strictly increasing"
-                    )
-                last_index = index
-                row.append(len(labels))
-                col.append(index - 1)
-                val.append(value)
-                n_features = max(n_features, index)
-            labels.append(_map_label(raw_label))
+            if line and not line.startswith("#"):
+                parts = line.split(None, 1)
+                yield lineno, parts[0], parts[1] if len(parts) > 1 else ""
+
+
+def _feature_pairs(text: str):
+    """``(index, value)`` columns of the ``INDEX:VALUE`` tokens in ``text``.
+
+    Returns None unless every blank-delimited token is one colon between a
+    signed run of digits and one number; one numpy conversion reads them all.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    # Blanks are the ASCII whitespace numpy's text conversion skips: space, \t to \r.
+    blank = np.concatenate(([True], (raw == ord(" ")) | ((raw >= 9) & (raw <= 13)), [True]))
+    edges = np.flatnonzero(blank[1:] != blank[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    colons = np.flatnonzero(raw == ord(":"))
+    if colons.size != starts.size or not np.all((starts < colons) & (colons < ends - 1)):
+        return None
+    # +1 at a token's start, -1 at its colon: the running sum marks the indices.
+    marks = np.zeros(raw.size + 1, dtype=np.int8)
+    marks[starts] = 1
+    marks[colons] = -1
+    in_index = np.cumsum(marks[:-1], dtype=np.int8).view(bool)
+    stray = in_index & ((raw < ord("0")) | (raw > ord("9")))
+    stray[starts] &= (raw[starts] != ord("+")) & (raw[starts] != ord("-"))
+    if stray.any():
+        return None
+    if not starts.size:  # numpy reads a blank-only text as [-1.0]
+        return np.empty(0), np.empty(0)
+    try:
+        numbers = np.fromstring(text.replace(":", " "), sep=" ")
+    except ValueError:
+        return None
+    if numbers.size != 2 * starts.size:  # older numpy stops at bad text with a warning
+        return None
+    return numbers[0::2], numbers[1::2]
+
+
+# Indices from here up are not all held exactly by the float64 they are read into.
+_INDEX_LIMIT = 2.0**53
+
+
+def _increasing(index: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Whether each index exceeds its row predecessor (0 before a row's first)."""
+    previous = np.concatenate(([0.0], index[:-1]))
+    previous[firsts] = 0.0
+    return index > previous
+
+
+def _raise_first_error(path):
+    """Raise the error of the first bad line, naming ``path:line`` and the bad field."""
+    for lineno, label_text, text in _records(path):
+        where = f"{path}:{lineno}"
+        try:
+            label = float(label_text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad label {label_text!r}") from exc
+        if not math.isfinite(label):
+            raise ValueError(f"{where}: non-finite label {label_text!r}")
+        bad = _BAD_FEATURE.search(text)
+        good = text[: bad.start()] if bad else text
+        index, value = _feature_pairs(good)
+        finite = np.isfinite(value)
+        wrong = np.flatnonzero((index >= _INDEX_LIMIT) | ~finite | ~_increasing(index, [0]))
+        if wrong.size:
+            k = wrong[0]
+            if index[k] >= _INDEX_LIMIT:
+                raise ValueError(f"{where}: bad feature {good.split()[k]!r}")
+            if not finite[k]:
+                raise ValueError(f"{where}: non-finite feature {good.split()[k]!r}")
+            raise ValueError(f"{where}: feature indices must be strictly increasing")
+        if bad:
+            raise ValueError(f"{where}: bad feature {bad.group()!r}")
+    raise ValueError(f"{path}: malformed sparse file")
+
+
+def parse_libsvm(path) -> DatasetMatrix:
+    """Parse a sparse classification file; malformed lines report their number.
+
+    One pass over the lines splits off the labels; one numpy conversion reads
+    every feature, and vectorized checks validate them. Only a file that fails
+    a check is scanned again, line by line, to name its first bad line.
+    """
+    labels, features, counts = [], [], []
+    for _, label_text, text in _records(path):
+        try:
+            labels.append(float(label_text))
+        except ValueError:
+            labels.append(math.nan)  # reported by the scan below
+        features.append(text)
+        counts.append(text.count(":"))
     if not labels:
         raise ValueError(f"{path}: empty dataset")
+    labels = np.asarray(labels)
+    counts = np.asarray(counts, dtype=np.intp)
+    pairs = _feature_pairs("\n".join(features))
+    del features  # the line texts are not needed past the joined copy
+    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    if (
+        pairs is None
+        or not np.isfinite(labels).all()
+        or not np.isfinite(pairs[1]).all()
+        or not (_increasing(pairs[0], firsts) & (pairs[0] < _INDEX_LIMIT)).all()
+    ):
+        _raise_first_error(path)
+    index, value = pairs
     return DatasetMatrix(
-        row=np.asarray(row, dtype=np.intp),
-        col=np.asarray(col, dtype=np.intp),
-        val=np.asarray(val, dtype=float),
-        labels=np.asarray(labels),
-        n_features=n_features,
+        row=np.repeat(np.arange(labels.size, dtype=np.intp), counts),
+        col=index.astype(np.intp) - 1,
+        val=value.copy(),
+        labels=np.where(labels > 0, 1.0, -1.0),  # 0/1 sets map 0 to the negative class
+        n_features=int(index.max()) if index.size else 0,
     )
 
 

@@ -26,7 +26,7 @@ from .datasets import (
     synth_regression,
 )
 from .krylov import run_krylov_gm
-from .preconditioners import build_from_descriptor, compute_alpha_beta
+from .preconditioners import build_from_descriptor, compute_alpha_beta, parse_descriptor
 from .problems import CompositeObjective, HuberLoss, LogisticLoss
 from .solvers import (
     RunResult,
@@ -48,7 +48,6 @@ __all__ = [
     "run_experiment",
     "run_bench",
     "merge_plotdata",
-    "read_run_csv",
 ]
 
 CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k", "time_ms"]
@@ -80,6 +79,7 @@ class ExperimentConfig:
 
     def validate(self):
         _parse_loss(self.loss)
+        parse_descriptor(self.precond)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.method == "krylov" and self.precond not in ("identity",):
@@ -93,13 +93,13 @@ class ExperimentConfig:
 
 
 def _parse_loss(text: str):
+    """``logistic``, or ``huber`` with an optional ``:WIDTH`` (default 0.1)."""
     if text == "logistic":
         return LogisticLoss()
-    if text.startswith("huber"):
-        parts = text.split(":")
-        width = float(parts[1]) if len(parts) > 1 else 0.1
-        return HuberLoss(width)
-    raise ValueError(f"unknown loss {text!r} (expected 'logistic' or 'huber:WIDTH')")
+    name, *fields = text.split(":")
+    if name != "huber" or len(fields) > 1:
+        raise ValueError(f"unknown loss {text!r} (expected 'logistic' or 'huber:WIDTH')")
+    return HuberLoss(float(fields[0]) if fields else 0.1)
 
 
 def parse_synthetic(text: str) -> tuple:
@@ -125,6 +125,11 @@ def parse_config_file(path) -> ExperimentConfig:
             try:
                 if key in ("name", "method", "precond", "dataset", "loss", "out_dir"):
                     setattr(config, key, raw)
+                    # Checked here too, so that a bad value names its line.
+                    if key == "loss":
+                        _parse_loss(raw)
+                    elif key == "precond":
+                        parse_descriptor(raw)
                 elif key in ("tau", "max_iters", "seed", "rows", "reference_iters"):
                     setattr(config, key, int(raw))
                 elif key == "tol":
@@ -276,18 +281,6 @@ def write_run_csv(path, run: RunResult, f_star: float):
             )
 
     _write_atomic(path, fill)
-
-
-def read_run_csv(path) -> dict:
-    """Read a run CSV back into arrays keyed by column name."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        columns = {name: [] for name in header}
-        for row in reader:
-            for name, value in zip(header, row):
-                columns[name].append(float(value))
-    return {name: np.asarray(values) for name, values in columns.items()}
 
 
 def run_experiment(config: ExperimentConfig, references: dict | None = None) -> dict:

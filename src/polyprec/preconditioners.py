@@ -43,6 +43,7 @@ __all__ = [
     "chebyshev_preconditioner",
     "inverse_preconditioner",
     "xi_tau",
+    "parse_descriptor",
     "build_from_descriptor",
 ]
 
@@ -412,34 +413,58 @@ def xi_tau(spectrum, tau: int) -> float:
     )
 
 
-def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
-    """Build a preconditioner from its serialized text form.
+# Integer fields of each descriptor form: (required, optional).
+_DESCRIPTOR_FIELDS = {
+    "identity": (0, 0),
+    "inverse": (0, 0),
+    "chebyshev": (1, 0),
+    "cutting": (1, 0),
+    "sympoly": (1, 0),
+    "sympoly:stochastic": (1, 2),
+}
 
-    Understood forms: ``identity``, ``sympoly:T``, ``sympoly:T:stochastic[:S:SEED]``,
-    ``chebyshev:T``, ``cutting:T``, ``inverse``. The spectral constructions
-    require a dense-capable operator.
+
+def parse_descriptor(text: str) -> tuple[str, list[int]]:
+    """Check a preconditioner descriptor and split it into its form and integers.
+
+    Understood forms: ``identity``, ``inverse``, ``sympoly:T``,
+    ``sympoly:T:stochastic[:S[:SEED]]`` (form ``sympoly:stochastic``),
+    ``chebyshev:T`` and ``cutting:T``. Anything else, a trailing field
+    included, raises a ValueError naming the text.
     """
-    parts = text.strip().split(":")
-    kind = parts[0]
+    kind, *fields = text.strip().split(":")
+    if kind == "sympoly" and fields[1:2] == ["stochastic"]:
+        kind = "sympoly:stochastic"
+        del fields[1]
+    if kind not in _DESCRIPTOR_FIELDS:
+        raise ValueError(f"unknown preconditioner descriptor {text!r}")
+    required, optional = _DESCRIPTOR_FIELDS[kind]
+    if len(fields) < required:
+        raise ValueError(f"descriptor {text!r} is missing a degree")
+    if len(fields) > required + optional:
+        raise ValueError(f"unexpected fields in descriptor {text!r}")
+    try:
+        return kind, [int(field) for field in fields]
+    except ValueError as exc:
+        raise ValueError(f"bad integer in descriptor {text!r}") from exc
+
+
+def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
+    """Build a preconditioner from its serialized text form (see :func:`parse_descriptor`).
+
+    The spectral constructions require a dense-capable operator.
+    """
+    kind, numbers = parse_descriptor(text)
     if kind == "identity":
         return IdentityPreconditioner()
     if kind == "inverse":
         return inverse_preconditioner(op)
-    if kind not in ("sympoly", "chebyshev", "cutting"):
-        raise ValueError(f"unknown preconditioner descriptor {text!r}")
-    if len(parts) < 2:
-        raise ValueError(f"descriptor {text!r} is missing a degree")
-    try:
-        tau = int(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"bad degree in descriptor {text!r}") from exc
+    tau = numbers[0]
     if kind == "sympoly":
-        if len(parts) > 2:
-            if parts[2] != "stochastic":
-                raise ValueError(f"unknown sympoly mode in descriptor {text!r}")
-            # Optional sample count and seed; build_sympoly holds their defaults.
-            return build_sympoly(op, tau, "stochastic", *map(int, parts[3:5]))
         return build_sympoly(op, tau, "exact")
+    if kind == "sympoly:stochastic":
+        # Optional sample count and seed; build_sympoly holds their defaults.
+        return build_sympoly(op, tau, "stochastic", *numbers[1:])
     dec = spectral_decomposition(op)
     if kind == "chebyshev":
         return chebyshev_preconditioner(dec.lam_max, dec.lam_min, tau)

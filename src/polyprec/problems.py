@@ -51,11 +51,13 @@ def huber(t, mu_h: float):
 def logistic(t):
     """Softplus value and sigmoid derivative, overflow-safe at both ends.
 
-    The derivative is computed as exp(t - softplus(t)) so the exponent is
-    never positive.
+    The value is max(t, 0) + log1p(exp(-|t|)), the formula of
+    ``logaddexp(0, t)`` in numpy's vectorized exp and log1p loops. The
+    derivative is computed as exp(t - softplus(t)) so the exponent is never
+    positive.
     """
     t = np.asarray(t, dtype=float)
-    value = np.logaddexp(0.0, t)
+    value = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     deriv = np.exp(t - value)
     if value.ndim == 0:
         return float(value), float(deriv)

@@ -26,8 +26,20 @@ from polyprec import (
     write_libsvm,
 )
 from polyprec.cli import main as cli_main
-from polyprec.experiments import build_problem, read_run_csv, run_bench, write_run_csv
+from polyprec.experiments import build_problem, run_bench, write_run_csv
 from polyprec.solvers import ROUNDING_FLOOR, IterationRecord
+
+
+def read_run_csv(path) -> dict:
+    """Read a run CSV back into arrays keyed by column name."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        columns = {name: [] for name in header}
+        for row in reader:
+            for name, value in zip(header, row):
+                columns[name].append(float(value))
+    return {name: np.asarray(values) for name, values in columns.items()}
 
 
 FIXTURE_LINES = [
@@ -322,6 +334,8 @@ class TestExperiments:
             ("synthetic = 12,2,1", "lam1,lam2,tail,n"),
             ("standardize = ture", "expected one of"),
             ("tol = small", "could not convert"),
+            ("precond = cutting:1:zz", "unexpected fields"),
+            ("loss = huberish:0.2", "unknown loss"),
         ],
     )
     def test_parse_config_bad_value_reports_line(self, tmp_path, line, message):
@@ -587,6 +601,23 @@ class TestCLI:
         code = cli_main(["solve", "--synthetic", "15,3,1,8", "--loss", "huber:0.1"])
         assert code == 3
         assert "polyprec: error: gm: objective became non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--precond", "identity:7"),
+            ("--precond", "inverse:x"),
+            ("--precond", "cutting:1:zz"),
+            ("--precond", "sympoly:1:stochastic:8:0:junk"),
+            ("--loss", "huberish:0.2"),
+            ("--loss", "huber:0.1:junk"),
+        ],
+    )
+    def test_stray_field_is_exit_one(self, tmp_path, capsys, flag, text):
+        argv = ["solve", "--synthetic", "15,3,1,8", "--loss", "huber:0.1", flag, text]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 1
+        assert repr(text) in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1

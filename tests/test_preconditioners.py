@@ -23,6 +23,7 @@ from polyprec import (
     gamma_of_polynomial,
     gamma_of_preconditioner,
     inverse_preconditioner,
+    parse_descriptor,
     sympoly_coefficients,
     xi_tau,
 )
@@ -417,3 +418,8 @@ class TestDescriptors:
         op = random_spd(rng, 3)
         with pytest.raises(ValueError, match="unknown"):
             build_from_descriptor("ssor:2", op)
+
+    def test_stochastic_sample_count_and_seed(self):
+        assert parse_descriptor("sympoly:2:stochastic") == ("sympoly:stochastic", [2])
+        assert parse_descriptor(" sympoly:2:stochastic:8:5 ") == ("sympoly:stochastic", [2, 8, 5])
+        assert parse_descriptor("cutting:3") == ("cutting", [3])

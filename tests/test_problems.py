@@ -87,6 +87,27 @@ class TestLogistic:
         assert np.isfinite(value) and value >= 0.0
         assert 0.0 <= deriv <= 1.0
 
+    def test_matches_logaddexp_within_ulps(self):
+        # Reference: softplus as np.logaddexp(0, t), the derivative from it.
+        t = np.concatenate([np.linspace(-800.0, 800.0, 40001), [0.0, -0.0, 700, -700, 745, -745]])
+        expected = np.logaddexp(0.0, t)
+        value, deriv = logistic(t)
+
+        def ulps(a, b):  # both nonnegative, so the bit patterns order like the values
+            return np.abs(a.view(np.int64) - b.view(np.int64)).max()
+
+        assert ulps(value, expected) <= 4
+        assert ulps(deriv, np.exp(t - expected)) <= 16
+
+    def test_non_finite_inputs_map_as_logaddexp(self):
+        t = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            value, deriv = logistic(t)
+            expected = np.logaddexp(0.0, t)
+            np.testing.assert_array_equal(deriv, np.exp(t - expected))
+        np.testing.assert_array_equal(value, [np.inf, 0.0, np.nan])
+        np.testing.assert_array_equal(value, expected)
+
 
 def _build_with_data(monkeypatch, config):
     """The config's objective and the RegressionData it was made from."""
