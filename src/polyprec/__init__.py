@@ -25,12 +25,10 @@ from .preconditioners import (
     build_sympoly,
     chebyshev_T,
     chebyshev_polynomial,
-    chebyshev_preconditioner,
     compute_alpha_beta,
     cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,
-    gamma_of_preconditioner,
     inverse_preconditioner,
     parse_descriptor,
     sympoly_coefficients,
@@ -46,11 +44,9 @@ from .problems import (
     logistic,
     make_quadratic,
     make_regression,
-    validate_bounds,
 )
 from .solvers import (
     FGMState,
-    InitialGuess,
     RunResult,
     SolverConfig,
     fgm_step,
@@ -65,7 +61,6 @@ from .solvers import (
 from .krylov import GramSystem, KrylovStepInfo, build_gram, krylov_step, run_krylov_gm, solve_gram
 from .diagnostics import (
     CheckReport,
-    EnvelopeCheck,
     fgm_envelopes,
     gm_envelopes,
     krylov_envelope,
@@ -83,7 +78,6 @@ from .datasets import (
     logistic_from_dataset,
     parse_libsvm,
     standardize_columns,
-    synth_classification_dataset,
     synth_regression,
     write_libsvm,
 )

@@ -17,6 +17,7 @@ from .diagnostics import run_verification_suite, xi_table
 from .experiments import (
     METHODS,
     ExperimentConfig,
+    _write_atomic,
     build_problem,
     merge_plotdata,
     parse_synthetic,
@@ -61,6 +62,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
+def _write_csv(path, header, rows):
+    def fill(handle):
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _write_atomic(path, fill)
+
+
 def _cmd_solve(args) -> int:
     summary = run_experiment(_config_from_args(args))
     print(json.dumps(summary, indent=2))
@@ -84,19 +94,19 @@ def _cmd_spectrum(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eig_path = out_dir / "eigenvalues.csv"
-    with open(eig_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "eigenvalue"])
-        for i, value in enumerate(dec.eigenvalues, start=1):
-            writer.writerow([i, repr(float(value))])
+    _write_csv(
+        eig_path,
+        ["index", "eigenvalue"],
+        [[i, repr(float(value))] for i, value in enumerate(dec.eigenvalues, start=1)],
+    )
     tau_max = min(args.tau_max, op.dim - 1)
     table = xi_table(dec.eigenvalues, tau_max)
     xi_path = out_dir / "xi_table.csv"
-    with open(xi_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tau", "xi", "cond"])
-        for tau, xi, cond in table.rows:
-            writer.writerow([tau, repr(xi), repr(cond)])
+    _write_csv(
+        xi_path,
+        ["tau", "xi", "cond"],
+        [[tau, repr(xi), repr(cond)] for tau, xi, cond in table.rows],
+    )
     print(f"wrote {eig_path} and {xi_path}")
     print(f"lam1={dec.lam_max:.6g} lam_n={dec.lam_min:.6g} cond={dec.lam_max / dec.lam_min:.6g}")
     return 0
@@ -114,8 +124,7 @@ def _cmd_verify(args) -> int:
         print(f"[{status}] {report.check} (max slack {report.max_slack:.3e})")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as handle:
-            json.dump(lines, handle, indent=2)
+        _write_atomic(args.out, lambda handle: json.dump(lines, handle, indent=2))
         print(f"wrote {args.out}")
     return 2 if hard_fail else 0
 

@@ -30,7 +30,6 @@ __all__ = [
     "standardize_columns",
     "logistic_from_dataset",
     "synth_regression",
-    "synth_classification_dataset",
 ]
 
 
@@ -311,29 +310,3 @@ def synth_regression(spec: SyntheticSpectrumSpec, loss):
     }
     return objective, truth
 
-
-def synth_classification_dataset(
-    spec: SyntheticSpectrumSpec, flip: float = 0.2
-) -> DatasetMatrix:
-    """Generate a sign-labeled dataset with the requested curvature spectrum.
-
-    Labels follow the planted margins with a fraction flipped outright, which
-    keeps overdetermined instances non-separable (an interior optimum is what
-    makes iteration counts to a fixed gap meaningful).
-    """
-    rng = np.random.default_rng(spec.seed)
-    design = _design_matrix(spec, rng)
-    m, _ = design.shape
-    planted = rng.standard_normal(design.shape[1])
-    margins = design @ planted
-    labels = np.where(margins > 0, 1.0, -1.0)
-    labels[rng.random(m) < flip] *= -1.0
-    row, col = np.nonzero(design)
-    return DatasetMatrix(
-        row=row,
-        col=col,
-        val=design[row, col],
-        labels=labels,
-        n_features=design.shape[1],
-        meta={"synthetic": True, "seed": spec.seed, "flip": flip},
-    )

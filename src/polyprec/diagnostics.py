@@ -1,16 +1,15 @@
 """Verifiers for the spectral identities and convergence-rate guarantees.
 
-Every verifier is a pure function of its inputs, deterministic given its
-seed, and returns a report that serializes to JSON. Envelope checks carry an
-``advisory`` flag: fixed-step runs with exact constants are hard checks,
-while adaptive and best-polynomial rate envelopes involve unstated absolute
-constants and only flag.
+Every verifier and envelope is a pure function of its inputs, deterministic
+given its seed, and returns a :class:`CheckReport` that serializes to JSON.
+Envelope checks carry an ``advisory`` flag: fixed-step runs with exact
+constants are hard checks, while adaptive and best-polynomial rate envelopes
+involve unstated absolute constants and only flag.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +21,17 @@ from .operators import (
     spectral_decomposition,
 )
 from .preconditioners import (
+    ChebyshevPreconditioner,
     build_sympoly,
-    chebyshev_preconditioner,
     compute_alpha_beta,
     cutting_preconditioner,
     gamma_of_polynomial,
-    gamma_of_preconditioner,
     xi_tau,
 )
 from .solvers import RunResult
 
 __all__ = [
     "CheckReport",
-    "EnvelopeCheck",
     "VolumeSamplingReport",
     "XiTable",
     "verify_lemma_spec",
@@ -74,9 +71,6 @@ class CheckReport:
             "advisory": bool(self.advisory),
             "details": list(self.details),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
@@ -244,49 +238,28 @@ def xi_table(spectrum, tau_max: int) -> XiTable:
     return XiTable(rows=rows, passed=slack <= 1e-12, max_slack=slack)
 
 
-@dataclass
-class EnvelopeCheck:
-    """Per-iteration comparison of observed gaps against a theoretical bound."""
+def _envelope(theorem, gaps, bounds, f_star, initial_gap, advisory=False) -> CheckReport:
+    """Per-iteration gaps against a theoretical bound, as a report with empty params.
 
-    theorem: str
-    bounds: np.ndarray
-    observed: np.ndarray
-    ok: np.ndarray
-    max_ratio: float
-    passed: bool
-    advisory: bool = False
-
-    def to_report(self, params: dict) -> CheckReport:
-        failures = [
-            {"k": int(k + 1), "observed": float(o), "bound": float(b)}
-            for k, (o, b, good) in enumerate(zip(self.observed, self.bounds, self.ok))
-            if not good
-        ]
-        return CheckReport(
-            check=self.theorem,
-            params=params,
-            passed=self.passed,
-            max_slack=self.max_ratio,
-            details=failures[:10],
-            advisory=self.advisory,
-        )
-
-
-def _envelope(theorem, gaps, bounds, f_star, initial_gap, advisory=False):
+    ``max_slack`` is the largest gap/bound ratio; ``details`` lists the first
+    ten iterations whose gap exceeds its bound beyond the rounding floor.
+    """
     bounds = np.asarray(bounds, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     floor = 64.0 * np.finfo(float).eps * (abs(f_star) + abs(initial_gap))
     ok = gaps <= bounds * (1.0 + _RELATIVE_SLACK) + floor
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds > 0, gaps / bounds, np.inf)
-    max_ratio = float(np.max(ratios, initial=0.0))
-    return EnvelopeCheck(
-        theorem=theorem,
-        bounds=bounds,
-        observed=gaps,
-        ok=ok,
-        max_ratio=max_ratio,
+    failures = [
+        {"k": int(k + 1), "observed": float(gaps[k]), "bound": float(bounds[k])}
+        for k in np.flatnonzero(~ok)[:10]
+    ]
+    return CheckReport(
+        check=theorem,
+        params={},
         passed=bool(np.all(ok)),
+        max_slack=float(np.max(ratios, initial=0.0)),
+        details=failures,
         advisory=advisory,
     )
 
@@ -300,7 +273,7 @@ def _gaps(run: RunResult, f_star: float):
 
 def gm_envelopes(
     run: RunResult, alpha: float, beta: float, L: float, mu: float, R2: float, f_star: float
-) -> list[EnvelopeCheck]:
+) -> list[CheckReport]:
     """Sublinear and (if strongly convex) linear envelopes of the basic method.
 
     The run must have used the exact step constant beta * L for the bounds to
@@ -320,7 +293,7 @@ def gm_envelopes(
 
 def fgm_envelopes(
     run: RunResult, alpha: float, beta: float, L: float, mu: float, R2: float, f_star: float
-) -> list[EnvelopeCheck]:
+) -> list[CheckReport]:
     """Accelerated-rate envelopes plus the accumulation-weight growth bounds."""
     gaps, initial_gap, ks = _gaps(run, f_star)
     M = beta * L
@@ -350,7 +323,7 @@ def fgm_envelopes(
 
 def krylov_envelope(
     run: RunResult, spectrum, tau: int, L: float, D0_sq: float, f_star: float
-) -> EnvelopeCheck:
+) -> CheckReport:
     """Advisory rate envelope for the best degree-tau polynomial method.
 
     The guarantee's absolute constant is not pinned down; the check uses 4
@@ -456,8 +429,8 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         lamn = float(rng.uniform(0.2, 2.0))
         tau = int(rng.integers(0, 9))
         grid = np.linspace(lamn, lam1, 1000)
-        prec = chebyshev_preconditioner(lam1, lamn, tau)
-        measured = gamma_of_preconditioner(prec, grid)
+        prec = ChebyshevPreconditioner(lam1, lamn, tau)
+        measured = gamma_of_polynomial(prec.eval_at, grid)
         return measured - proposition_bounds(grid, tau)[1]
 
     # Degree 1 on a spectrum with one outlier: the condition number falls from
@@ -497,7 +470,8 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         for check in gm_envelopes(
             run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
         ):
-            reports.append(check.to_report({"tau": tau, "method": "gm"}))
+            check.params = {"tau": tau, "method": "gm"}
+            reports.append(check)
         config = SolverConfig(
             max_iters=200,
             step_constant=bounds.beta * obj.L,
@@ -508,11 +482,13 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         for check in fgm_envelopes(
             run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
         ):
-            reports.append(check.to_report({"tau": tau, "method": "fgm"}))
+            check.params = {"tau": tau, "method": "fgm"}
+            reports.append(check)
     # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
     for tau in (0, 1, 2):
         obj = make_quadratic(B, b)
         run = run_krylov_gm(obj, SolverConfig(max_iters=200, x0=x0), tau)
         check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
-        reports.append(check.to_report({"tau": tau, "method": "krylov"}))
+        check.params = {"tau": tau, "method": "krylov"}
+        reports.append(check)
     return reports

@@ -54,6 +54,9 @@ CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k"
 
 METHODS = ("gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov")
 
+# Smallest allowed value of each integer budget.
+_MINIMUM = {"tau": 0, "max_iters": 1, "reference_iters": 1}
+
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -88,8 +91,13 @@ class ExperimentConfig:
             raise ValueError("exactly one of dataset or synthetic must be given")
         if self.dataset is not None and self.loss != "logistic":
             raise ValueError("dataset runs use the logistic loss")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        for key in _MINIMUM:
+            _check_minimum(key, getattr(self, key))
+
+
+def _check_minimum(key: str, value: int | None):
+    if value is not None and value < _MINIMUM[key]:
+        raise ValueError(f"{key} must be at least {_MINIMUM[key]}, got {value}")
 
 
 def _parse_loss(text: str):
@@ -132,6 +140,8 @@ def parse_config_file(path) -> ExperimentConfig:
                         parse_descriptor(raw)
                 elif key in ("tau", "max_iters", "seed", "rows", "reference_iters"):
                     setattr(config, key, int(raw))
+                    if key in _MINIMUM:  # checked here too, so that it names its line
+                        _check_minimum(key, getattr(config, key))
                 elif key == "tol":
                     config.tol = float(raw)
                 elif key == "standardize":
@@ -155,7 +165,12 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
     """Fresh objective (own operator and counters) from a validated config."""
     if config.dataset is not None:
         dataset = parse_libsvm(config.dataset)
-        return logistic_from_dataset(dataset, standardize=config.standardize)
+        try:
+            return logistic_from_dataset(dataset, standardize=config.standardize)
+        except MemoryError as exc:  # a large index parses, but its dense design cannot fit
+            raise ValueError(
+                f"{config.dataset}: n_features={dataset.n_features} does not fit in memory"
+            ) from exc
     lam1, lam2, tail, n = config.synthetic
     spec = SyntheticSpectrumSpec(
         lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
@@ -190,13 +205,12 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     certificate; it is still used, and a warning on the ``polyprec`` logger
     names the config.
     """
-    budget = config.reference_iters or 10 * config.max_iters
     prec = build_from_descriptor(REFERENCE_PRECOND, obj.curvature)
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     run = run_adaptive_fgm(
         obj,
         prec,
-        SolverConfig(max_iters=budget, initial_guess=guess.value, tol=1e-12),
+        SolverConfig(max_iters=_reference_budget(config), initial_guess=guess, tol=1e-12),
     )
     f_star = float(min(r.f_value for r in run.records))
     if run.termination == "max_iters":
@@ -211,9 +225,13 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     return Reference(f_star, run.iterations, run.termination, float(run.records[-1].grad_map))
 
 
+def _reference_budget(config: ExperimentConfig) -> int:
+    """Iteration cap of a config's reference run: ``reference_iters``, else 10 x ``max_iters``."""
+    return 10 * config.max_iters if config.reference_iters is None else config.reference_iters
+
+
 def _reference_key(config: ExperimentConfig) -> tuple:
     """What fixes a config's reference: its problem fields and reference budget."""
-    budget = config.reference_iters or 10 * config.max_iters
     return (
         config.dataset,
         config.synthetic,
@@ -221,7 +239,7 @@ def _reference_key(config: ExperimentConfig) -> tuple:
         config.loss,
         config.seed,
         config.standardize,
-        budget,
+        _reference_budget(config),
     )
 
 
@@ -241,8 +259,7 @@ def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -
             solver_config.rho = bounds.alpha * obj.mu
             return run_fgm(obj, prec, solver_config)
         return run_gm(obj, prec, solver_config)
-    guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-    solver_config.initial_guess = guess.value
+    solver_config.initial_guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     if config.method == "adaptive-gm":
         return run_adaptive_gm(obj, prec, solver_config)
     return run_adaptive_fgm(obj, prec, solver_config)
@@ -361,23 +378,20 @@ def merge_plotdata(run_dir, out_path) -> int:
     """
     run_dir = Path(run_dir)
     merged = 0
-    with open(out_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["run", "method", "precond"] + CSV_HEADER)
-        for summary_path in sorted(run_dir.glob("*.json")):
-            with open(summary_path) as sh:
-                summary = json.load(sh)
-            config = summary.get("config", {})
-            name = config.get("name", summary_path.stem)
-            csv_path = run_dir / f"{name}.csv"
-            if not csv_path.exists():
-                continue
-            with open(csv_path, newline="") as ch:
-                reader = csv.reader(ch)
-                next(reader)
-                for row in reader:
-                    writer.writerow(
-                        [name, config.get("method", ""), config.get("precond", "")] + row
-                    )
-            merged += 1
+    rows = [["run", "method", "precond"] + CSV_HEADER]
+    for summary_path in sorted(run_dir.glob("*.json")):
+        with open(summary_path) as sh:
+            summary = json.load(sh)
+        config = summary.get("config", {})
+        name = config.get("name", summary_path.stem)
+        csv_path = run_dir / f"{name}.csv"
+        if not csv_path.exists():
+            continue
+        with open(csv_path, newline="") as ch:
+            reader = csv.reader(ch)
+            next(reader)
+            labels = [name, config.get("method", ""), config.get("precond", "")]
+            rows += [labels + row for row in reader]
+        merged += 1
+    _write_atomic(out_path, lambda handle: csv.writer(handle).writerows(rows))
     return merged

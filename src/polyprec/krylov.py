@@ -70,9 +70,7 @@ def solve_gram(sys: GramSystem) -> KrylovStepInfo:
     return KrylovStepInfo(coeffs, effective_degree=degree, model_decrease=decrease)
 
 
-def krylov_step(
-    obj: CompositeObjective, x: np.ndarray, info: KrylovStepInfo, sys: GramSystem
-) -> np.ndarray:
+def krylov_step(x: np.ndarray, info: KrylovStepInfo, sys: GramSystem) -> np.ndarray:
     """Apply the solved polynomial step in the cached basis (no matvecs)."""
     return x - sys.basis @ info.coefficients
 
@@ -93,6 +91,6 @@ def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> Ru
         info = solve_gram(sys)
         # Stationarity residual in the step metric; 2x the model decrease.
         grad_map = np.sqrt(max(obj.L * 2.0 * info.model_decrease, 0.0))
-        return Step(krylov_step(obj, x, info, sys), grad_map, eff_degree=info.effective_degree)
+        return Step(krylov_step(x, info, sys), grad_map, eff_degree=info.effective_degree)
 
     return drive("krylov", obj, config, step)

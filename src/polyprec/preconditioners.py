@@ -35,12 +35,10 @@ __all__ = [
     "build_sympoly",
     "compute_alpha_beta",
     "gamma_of_polynomial",
-    "gamma_of_preconditioner",
     "cutting_polynomial",
     "cutting_preconditioner",
     "chebyshev_T",
     "chebyshev_polynomial",
-    "chebyshev_preconditioner",
     "inverse_preconditioner",
     "xi_tau",
     "parse_descriptor",
@@ -82,10 +80,6 @@ class Preconditioner:
 
     descriptor: str = "base"
 
-    @property
-    def degree(self) -> int:
-        raise NotImplementedError
-
     def apply(self, op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -106,10 +100,6 @@ class PolynomialPreconditioner(Preconditioner):
     def __init__(self, coefficients: PolynomialCoefficients, descriptor: str = "coeffs"):
         self.coefficients = coefficients
         self.descriptor = descriptor
-
-    @property
-    def degree(self):
-        return self.coefficients.degree
 
     def apply(self, op, v):
         return apply_polynomial(self.coefficients, op, v)
@@ -145,10 +135,6 @@ class ChebyshevPreconditioner(Preconditioner):
         self.lam_min = float(lam_min)
         self.tau = int(tau)
         self.descriptor = f"chebyshev:{tau}"
-
-    @property
-    def degree(self):
-        return self.tau
 
     def _u0(self) -> float:
         return (self.lam_max + self.lam_min) / (self.lam_max - self.lam_min)
@@ -189,10 +175,6 @@ class MatrixPreconditioner(Preconditioner):
             raise ValueError("preconditioning matrix must be square")
         self.matrix = matrix
         self.descriptor = descriptor
-
-    @property
-    def degree(self):
-        return 0
 
     def apply(self, op, v):
         return self.matrix @ np.asarray(v, dtype=float)
@@ -278,18 +260,16 @@ def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBo
     return QualityBounds(alpha=alpha, beta=beta)
 
 
-def gamma_of_polynomial(p: PolynomialCoefficients, spectrum) -> float:
-    """Worst deviation of ``s * p(s)`` from one over a discrete spectrum."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.size and np.min(spectrum) <= 0:
-        raise ValueError("spectrum must be positive")
-    return float(np.max(np.abs(spectrum * p(spectrum) - 1.0)))
+def gamma_of_polynomial(p, points) -> float:
+    """Worst deviation of ``s * p(s)`` from one over positive points.
 
-
-def gamma_of_preconditioner(prec: Preconditioner, points) -> float:
-    """Worst deviation of ``s * p(s)`` from one over given points, any polynomial kind."""
+    ``p`` is any evaluator of the polynomial: a :class:`PolynomialCoefficients`
+    or a preconditioner's ``eval_at``.
+    """
     points = np.asarray(points, dtype=float)
-    return float(np.max(np.abs(points * np.asarray(prec.eval_at(points)) - 1.0)))
+    if points.size and np.min(points) <= 0:
+        raise ValueError("points must be positive")
+    return float(np.max(np.abs(points * np.asarray(p(points)) - 1.0)))
 
 
 def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialCoefficients:
@@ -371,10 +351,6 @@ def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialCoeffi
     # Constant term of t_cur equals T_{tau+1} at the shift point, so the
     # numerator of (1 - Q)/s starts at exactly zero.
     return PolynomialCoefficients(-t_cur[1:] / t_cur[0], scale=1.0)
-
-
-def chebyshev_preconditioner(lam1: float, lamn: float, tau: int) -> ChebyshevPreconditioner:
-    return ChebyshevPreconditioner(lam1, lamn, tau)
 
 
 def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
@@ -467,5 +443,5 @@ def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
         return build_sympoly(op, tau, "stochastic", *numbers[1:])
     dec = spectral_decomposition(op)
     if kind == "chebyshev":
-        return chebyshev_preconditioner(dec.lam_max, dec.lam_min, tau)
+        return ChebyshevPreconditioner(dec.lam_max, dec.lam_min, tau)
     return cutting_preconditioner(dec.eigenvalues, tau)

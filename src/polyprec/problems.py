@@ -8,7 +8,7 @@ Huber/logistic regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,13 +22,11 @@ __all__ = [
     "CompositeObjective",
     "HuberLoss",
     "LogisticLoss",
-    "BoundsReport",
     "huber",
     "logistic",
     "make_regression",
     "make_quadratic",
     "gradient_step_with_norm",
-    "validate_bounds",
 ]
 
 
@@ -73,24 +71,15 @@ class HuberLoss:
         self.mu_h = float(mu_h)
         self.curvature_bound = 1.0 / mu_h  # sup of the second derivative
 
-    name = "huber"
-
     def __call__(self, t):
         return huber(t, self.mu_h)
 
-    def describe(self) -> str:
-        return f"huber:{self.mu_h:g}"
-
 
 class LogisticLoss:
-    name = "logistic"
     curvature_bound = 0.25
 
     def __call__(self, t):
         return logistic(t)
-
-    def describe(self) -> str:
-        return "logistic"
 
 
 @dataclass
@@ -302,63 +291,3 @@ def gradient_step_with_norm(
     y, step_norm_sq = psi.prox(M, prec, op, x, g)
     return np.asarray(y, dtype=float), float(step_norm_sq)
 
-
-@dataclass
-class BoundsReport:
-    """Outcome of the finite-difference gradient and curvature checks."""
-
-    passed: bool
-    max_grad_rel_err: float
-    max_upper_violation: float
-    max_lower_violation: float
-    violations: list = field(default_factory=list)
-
-
-def validate_bounds(obj: CompositeObjective, trials: int, seed: int) -> BoundsReport:
-    """Check the gradient and the two-sided curvature bounds by central differences.
-
-    For random points and directions the directional Hessian estimate must lie
-    between the mu- and L-scaled operator quadratic forms (up to a relative
-    tolerance), and the directional derivative must match the gradient.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    op = obj.curvature
-    max_grad_err = 0.0
-    max_up = 0.0
-    max_low = 0.0
-    violations = []
-    for _ in range(trials):
-        x = rng.standard_normal(obj.n)
-        v = rng.standard_normal(obj.n)
-        v /= np.linalg.norm(v)
-        eps = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-        g_plus = obj.gradient(x + eps * v)
-        g_minus = obj.gradient(x - eps * v)
-        h_dot_v = float((g_plus - g_minus) @ v) / (2.0 * eps)
-        bvv = float(op.matvec(v) @ v)
-        tol = 1e-4 * obj.L * bvv
-        upper = obj.L * bvv + tol - h_dot_v
-        lower = h_dot_v - (obj.mu * bvv - tol)
-        max_up = max(max_up, -upper)
-        max_low = max(max_low, -lower)
-        if upper < 0 or lower < 0:
-            violations.append((x, v, h_dot_v, bvv))
-
-        g = obj.gradient(x)
-        f_plus = obj.value(x + eps * v)
-        f_minus = obj.value(x - eps * v)
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        denom = max(abs(fd), abs(float(g @ v)), 1e-12)
-        grad_err = abs(fd - float(g @ v)) / denom
-        max_grad_err = max(max_grad_err, grad_err)
-        if grad_err > 1e-5:
-            violations.append((x, v, fd, float(g @ v)))
-    return BoundsReport(
-        passed=not violations,
-        max_grad_rel_err=max_grad_err,
-        max_upper_violation=max_up,
-        max_lower_violation=max_low,
-        violations=violations,
-    )

@@ -26,7 +26,6 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "Step",
-    "InitialGuess",
     "drive",
     "solve_coefficient_equation",
     "quadratic_growth_predicate",
@@ -233,26 +232,20 @@ def quadratic_growth_predicate(
     x: np.ndarray,
     y: np.ndarray,
     obj: CompositeObjective,
-    g: np.ndarray | None = None,
-    step_norm_sq: float | None = None,
+    g: np.ndarray,
+    step_norm_sq: float,
     f_x: float | None = None,
 ) -> bool:
     """Whether the quadratic model at x with constant M dominates f at y.
 
-    When y is the closed-form preconditioned step from x with this same M,
-    the quadratic term equals ``<g, x - y> / 2`` and no metric inversion is
-    needed; oracle-produced steps must pass their own ``step_norm_sq``.
-    A caller that already holds the value at x passes it as ``f_x``.
+    ``g`` is the gradient at x and ``step_norm_sq`` the squared norm of
+    ``y - x`` in the inverse-preconditioner metric, as the step that produced
+    y reports it. A caller that already holds the value at x passes it as
+    ``f_x``.
     """
-    if g is None:
-        g = obj.gradient(x)
-    if step_norm_sq is None:
-        quad = 0.5 * float(g @ (x - y))
-    else:
-        quad = 0.5 * M * step_norm_sq
     if f_x is None:
         f_x = obj.value(x)
-    return obj.value(y) <= f_x + float(g @ (y - x)) + quad
+    return obj.value(y) <= f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
 
 
 def _doubling_search(obj: CompositeObjective, guess: float):
@@ -270,7 +263,7 @@ def _doubling_search(obj: CompositeObjective, guess: float):
         M = guess
         for trials in range(1, MAX_DOUBLINGS + 2):
             state, x, y, g, step_sq, f_x = trial(M)
-            if quadratic_growth_predicate(M, x, y, obj, g=g, step_norm_sq=step_sq, f_x=f_x):
+            if quadratic_growth_predicate(M, x, y, obj, g, step_sq, f_x):
                 guess = M / SHRINK_FACTOR
                 return Step(state, M * np.sqrt(max(step_sq, 0.0)), trials, M)
             M *= GROWTH_FACTOR
@@ -288,19 +281,12 @@ def _positive(value: float | None, message: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class InitialGuess:
-    """Result of the trial-step recipe for seeding the adaptive search."""
-
-    value: float
-
-
 def initial_guess_M(
     obj: CompositeObjective,
     prec: Preconditioner,
     x0: np.ndarray,
     M0_prime: float,
-) -> InitialGuess:
+) -> float:
     """Curvature estimate along one trial step; never exceeds the true constant.
 
     In the degenerate cases a stationary start returns the trial constant
@@ -315,12 +301,12 @@ def initial_guess_M(
         M0_prime, prec, obj.curvature, x0, g0, obj.psi
     )
     if step_norm_sq <= 1e-300:
-        return InitialGuess(M0_prime)  # stationary start
+        return M0_prime  # stationary start
     bregman = obj.value(x1) - obj.value(x0) - float(g0 @ (x1 - x0))
     estimate = bregman / (0.5 * step_norm_sq)
     if not np.isfinite(estimate) or estimate <= 0:
-        return InitialGuess(M0_prime * 2.0**-6)  # no curvature along the step
-    return InitialGuess(estimate)
+        return M0_prime * 2.0**-6  # no curvature along the step
+    return estimate
 
 
 def run_gm(

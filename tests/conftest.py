@@ -1,7 +1,10 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from polyprec import DenseOperator
+from polyprec import DatasetMatrix, DenseOperator
+from polyprec.datasets import _design_matrix
 
 
 def random_rotation(rng, n):
@@ -19,3 +22,89 @@ def random_spd(rng, n, lam_low=0.2, lam_high=8.0, spectrum=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@dataclass
+class BoundsReport:
+    """Outcome of the finite-difference gradient and curvature checks."""
+
+    passed: bool
+    max_grad_rel_err: float
+    max_upper_violation: float
+    max_lower_violation: float
+    violations: list = field(default_factory=list)
+
+
+def validate_bounds(obj, trials: int, seed: int) -> BoundsReport:
+    """Check the gradient and the two-sided curvature bounds by central differences.
+
+    For random points and directions the directional Hessian estimate must lie
+    between the mu- and L-scaled operator quadratic forms (up to a relative
+    tolerance), and the directional derivative must match the gradient.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = np.random.default_rng(seed)
+    op = obj.curvature
+    max_grad_err = 0.0
+    max_up = 0.0
+    max_low = 0.0
+    violations = []
+    for _ in range(trials):
+        x = rng.standard_normal(obj.n)
+        v = rng.standard_normal(obj.n)
+        v /= np.linalg.norm(v)
+        eps = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+        g_plus = obj.gradient(x + eps * v)
+        g_minus = obj.gradient(x - eps * v)
+        h_dot_v = float((g_plus - g_minus) @ v) / (2.0 * eps)
+        bvv = float(op.matvec(v) @ v)
+        tol = 1e-4 * obj.L * bvv
+        upper = obj.L * bvv + tol - h_dot_v
+        lower = h_dot_v - (obj.mu * bvv - tol)
+        max_up = max(max_up, -upper)
+        max_low = max(max_low, -lower)
+        if upper < 0 or lower < 0:
+            violations.append((x, v, h_dot_v, bvv))
+
+        g = obj.gradient(x)
+        f_plus = obj.value(x + eps * v)
+        f_minus = obj.value(x - eps * v)
+        fd = (f_plus - f_minus) / (2.0 * eps)
+        denom = max(abs(fd), abs(float(g @ v)), 1e-12)
+        grad_err = abs(fd - float(g @ v)) / denom
+        max_grad_err = max(max_grad_err, grad_err)
+        if grad_err > 1e-5:
+            violations.append((x, v, fd, float(g @ v)))
+    return BoundsReport(
+        passed=not violations,
+        max_grad_rel_err=max_grad_err,
+        max_upper_violation=max_up,
+        max_lower_violation=max_low,
+        violations=violations,
+    )
+
+
+def synth_classification_dataset(spec, flip: float = 0.2) -> DatasetMatrix:
+    """Generate a sign-labeled dataset with the requested curvature spectrum.
+
+    Labels follow the planted margins with a fraction flipped outright, which
+    keeps overdetermined instances non-separable (an interior optimum is what
+    makes iteration counts to a fixed gap meaningful).
+    """
+    rng = np.random.default_rng(spec.seed)
+    design = _design_matrix(spec, rng)
+    m, _ = design.shape
+    planted = rng.standard_normal(design.shape[1])
+    margins = design @ planted
+    labels = np.where(margins > 0, 1.0, -1.0)
+    labels[rng.random(m) < flip] *= -1.0
+    row, col = np.nonzero(design)
+    return DatasetMatrix(
+        row=row,
+        col=col,
+        val=design[row, col],
+        labels=labels,
+        n_features=design.shape[1],
+        meta={"synthetic": True, "seed": spec.seed, "flip": flip},
+    )

@@ -44,7 +44,7 @@ class TestLemmaSpecVerifier:
 
     def test_report_serializes(self, rng):
         B = random_spd(rng, 4)
-        payload = json.loads(verify_lemma_spec(B, 2, 1e-8).to_json())
+        payload = json.loads(json.dumps(verify_lemma_spec(B, 2, 1e-8).to_dict()))
         assert payload["check"] == "lemma-spec"
         assert payload["pass"] is True
         assert "max_slack" in payload
@@ -158,7 +158,7 @@ class TestEnvelopes:
             checks = gm_envelopes(
                 run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
             )
-            assert {c.theorem for c in checks} == {"gm-convex", "gm-linear"}
+            assert {c.check for c in checks} == {"gm-convex", "gm-linear"}
             assert all(c.passed for c in checks)
 
     def test_gm_envelope_tightens_with_degree(self, rng):
@@ -204,7 +204,7 @@ class TestEnvelopes:
         checks = fgm_envelopes(
             run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
         )
-        names = {c.theorem for c in checks}
+        names = {c.check for c in checks}
         assert names == {
             "fgm-convex",
             "fgm-linear",
@@ -222,7 +222,7 @@ class TestEnvelopes:
             SolverConfig(max_iters=100, step_constant=bounds.beta, rho=0.0, x0=x0),
         )
         checks = fgm_envelopes(run, bounds.alpha, bounds.beta, 1.0, 0.0, 1.0, obj.f_star)
-        assert {c.theorem for c in checks} == {"fgm-convex", "fgm-weight-growth"}
+        assert {c.check for c in checks} == {"fgm-convex", "fgm-weight-growth"}
 
     def test_krylov_envelope_advisory(self, rng):
         obj, x0 = _bench(rng, n=8, cond=50.0)

@@ -21,13 +21,13 @@ from polyprec import (
     reference_optimum,
     run_experiment,
     standardize_columns,
-    synth_classification_dataset,
     synth_regression,
     write_libsvm,
 )
 from polyprec.cli import main as cli_main
 from polyprec.experiments import build_problem, run_bench, write_run_csv
 from polyprec.solvers import ROUNDING_FLOOR, IterationRecord
+from conftest import synth_classification_dataset
 
 
 def read_run_csv(path) -> dict:
@@ -618,6 +618,74 @@ class TestCLI:
         assert cli_main(argv + ["--out", str(tmp_path)]) == 1
         assert repr(text) in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_huge_feature_index_is_exit_one(self, tmp_path, capsys, command, standardize):
+        # The index is below the parser's 2^53 limit, so the file parses; its
+        # column norms (64 PiB) or dense design (128 PiB) exceed any 64-bit
+        # address space, so the failed allocation takes nothing.
+        data = tmp_path / "huge.txt"
+        data.write_text("+1 1:1 9007199254740991:2\n-1 2:1\n")
+        argv = [command, "--dataset", str(data), "--out", str(tmp_path / "out")]
+        if not standardize:
+            argv.append("--no-standardize")
+        assert cli_main(argv) == 1
+        assert f"polyprec: error: {data}: n_features=9007199254740991" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("reference_iters", -3), ("reference_iters", 0), ("tau", -1)]
+    )
+    def test_bad_budget_fails_before_any_run(self, tmp_path, capsys, key, value):
+        good = tmp_path / "good.cfg"
+        good.write_text(
+            "method = krylov\nsynthetic = 10,3,1,8\nloss = huber:0.1\nmax_iters = 20\n"
+        )
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(good.read_text() + f"{key} = {value}\n")
+        out = tmp_path / "runs"
+        assert cli_main(["bench", str(good), str(bad), "--out", str(out)]) == 1
+        assert f"{bad}:5: {key!r}: {key} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+        config = ExperimentConfig(method="krylov", synthetic=(10.0, 3.0, 1.0, 8), **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["spectrum", "--synthetic", "12,2,1,6", "--out", "{out}"], "eigenvalues.csv"),
+            (["verify", "--out", "{out}/report.json"], "report.json"),
+            (["plotdata", "{runs}", "--out", "{out}/merged.csv"], "merged.csv"),
+        ],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, argv, target):
+        from polyprec.diagnostics import CheckReport
+
+        class DiskFull(Exception):
+            pass
+
+        def torn_writer(handle, *args, **kwargs):
+            handle.write("index,")
+            raise DiskFull
+
+        def torn_dump(obj, handle, **kwargs):
+            handle.write("[")
+            raise DiskFull
+
+        monkeypatch.setattr(csv, "writer", torn_writer)
+        monkeypatch.setattr(json, "dump", torn_dump)
+        monkeypatch.setattr(
+            "polyprec.cli.run_verification_suite",
+            lambda seed=0: [CheckReport("stub", {}, True, 0.0)],
+        )
+        out, runs = tmp_path / "out", tmp_path / "runs"
+        out.mkdir()
+        runs.mkdir()
+        with pytest.raises(DiskFull):
+            cli_main([arg.format(out=out, runs=runs) for arg in argv])
+        assert not (out / target).exists()
+        assert list(out.iterdir()) == []
 
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1

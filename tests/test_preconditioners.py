@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyprec import (
+    ChebyshevPreconditioner,
     DenseOperator,
     IdentityPreconditioner,
     IndefinitePreconditionerError,
@@ -16,12 +17,10 @@ from polyprec import (
     build_sympoly,
     chebyshev_T,
     chebyshev_polynomial,
-    chebyshev_preconditioner,
     compute_alpha_beta,
     cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,
-    gamma_of_preconditioner,
     inverse_preconditioner,
     parse_descriptor,
     sympoly_coefficients,
@@ -266,9 +265,9 @@ class TestChebyshev:
             lam1 = float(rng.uniform(5.0, 300.0))
             lamn = float(rng.uniform(0.2, 2.0))
             tau = int(rng.integers(0, 10))
-            prec = chebyshev_preconditioner(lam1, lamn, tau)
+            prec = ChebyshevPreconditioner(lam1, lamn, tau)
             grid = np.linspace(lamn, lam1, 1000)
-            measured = gamma_of_preconditioner(prec, grid)
+            measured = gamma_of_polynomial(prec.eval_at, grid)
             rho = (np.sqrt(lam1) - np.sqrt(lamn)) / (np.sqrt(lam1) + np.sqrt(lamn))
             assert measured <= 2.0 * rho ** (tau + 1) + 1e-10
 
@@ -277,9 +276,9 @@ class TestChebyshev:
         lam1, lamn, eps = 100.0, 1.0, 0.1
         tau = int(np.floor(np.sqrt(lam1 / lamn) * np.log(8.0 / eps)))
         assert tau == 43
-        prec = chebyshev_preconditioner(lam1, lamn, tau)
+        prec = ChebyshevPreconditioner(lam1, lamn, tau)
         grid = np.linspace(lamn, lam1, 1000)
-        measured = gamma_of_preconditioner(prec, grid)
+        measured = gamma_of_polynomial(prec.eval_at, grid)
         rho = (np.sqrt(lam1) - np.sqrt(lamn)) / (np.sqrt(lam1) + np.sqrt(lamn))
         assert measured <= 2.0 * rho ** (tau + 1) + 1e-10
         assert measured <= eps / 2.0
@@ -289,7 +288,7 @@ class TestChebyshev:
             n = int(rng.integers(2, 8))
             op = random_spd(rng, n, lam_low=0.5, lam_high=9.0)
             tau = int(rng.integers(0, 7))
-            prec = chebyshev_preconditioner(10.0, 0.4, tau)
+            prec = ChebyshevPreconditioner(10.0, 0.4, tau)
             v = rng.standard_normal(n)
             via_recurrence = prec.apply(op, v)
             via_monomial = PolynomialPreconditioner(
@@ -303,11 +302,11 @@ class TestChebyshev:
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            chebyshev_preconditioner(2.0, 2.0, 3)
+            ChebyshevPreconditioner(2.0, 2.0, 3)
 
     def test_apply_matvec_budget(self, rng):
         op = random_spd(rng, 5)
-        prec = chebyshev_preconditioner(9.0, 0.5, 4)
+        prec = ChebyshevPreconditioner(9.0, 0.5, 4)
         prec.apply(op, rng.standard_normal(5))
         assert op.matvecs == 4
 

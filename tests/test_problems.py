@@ -20,11 +20,10 @@ from polyprec import (
     make_quadratic,
     make_regression,
     run_adaptive_gm,
-    validate_bounds,
 )
 from polyprec.experiments import build_problem
 from polyprec.problems import gradient_step_with_norm
-from conftest import random_spd
+from conftest import random_spd, validate_bounds
 
 
 class TestHuber:
@@ -208,7 +207,7 @@ class TestMakeRegression:
         prec = build_from_descriptor("sympoly:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         loss.calls = 0
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, initial_guess=guess.value))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, initial_guess=guess))
         assert run.iterations == 20
         # The start point once, then one evaluation per line-search trial: the
         # accepted trial's value and gradient serve the telemetry and next step.

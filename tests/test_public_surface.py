@@ -1,0 +1,92 @@
+"""Every name the package exports has a caller in the library or the benchmark.
+
+A name counts as used when some statement of ``src/polyprec`` refers to it
+outside the name's own top-level definition (import lines and ``__all__``
+strings are not references), or when ``perfbench/`` mentions it. Test-only
+helpers belong in ``tests/conftest.py`` instead of the public surface.
+"""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import polyprec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXEMPT = {
+    # ROADMAP "Settled": the tests write their sparse fixtures with it.
+    "write_libsvm",
+    # ROADMAP "Settled": the monomial reference of the recurrence test.
+    "chebyshev_polynomial",
+    # ROADMAP item 3: the matrix-free set-up will run on it.
+    "MatvecOperator",
+}
+
+
+def exported_names():
+    return {
+        name
+        for name, value in vars(polyprec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def _referenced(node) -> set:
+    """Names a subtree loads, as bare names or as attributes."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def library_references(src_dir) -> set:
+    """Names referenced by ``src_dir``'s modules, each definition's own body excluded."""
+    found = set()
+    for path in Path(src_dir).glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            found |= names
+    return found
+
+
+def benchmark_mentions(bench_dir) -> set:
+    return {
+        word
+        for path in Path(bench_dir).glob("*.py")
+        for word in re.findall(r"\w+", path.read_text())
+    }
+
+
+def unused(names, src_dir, bench_dir) -> list:
+    used = library_references(src_dir) | benchmark_mentions(bench_dir)
+    return sorted(set(names) - used - EXEMPT)
+
+
+def test_every_export_has_a_library_or_benchmark_caller():
+    assert unused(exported_names(), ROOT / "src" / "polyprec", ROOT / "perfbench") == []
+
+
+def test_exempt_names_are_still_exported():
+    assert EXEMPT <= exported_names()
+
+
+def test_an_unused_exported_function_is_caught(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "__init__.py").write_text("from .mod import helper, used\n")
+    (src / "mod.py").write_text(
+        '__all__ = ["helper", "used"]\n\n\n'
+        "def helper(x):\n    return helper(x - 1) if x else 0\n\n\n"
+        "def used():\n    return 1\n\n\n"
+        "def caller():\n    return used()\n"
+    )
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    assert unused({"helper", "used"}, src, bench) == ["helper"]

@@ -233,19 +233,23 @@ class TestPredicate:
         g = obj.gradient(x)
         M = bounds.beta * obj.L
         y = x - g / M
-        assert quadratic_growth_predicate(M, x, y, obj, g=g)
+        assert quadratic_growth_predicate(M, x, y, obj, g=g, step_norm_sq=float(g @ g) / M**2)
 
     def test_trivial_equal_points(self, rng):
         obj = gapped_quadratic(rng, n=4, cond=10)
         x = rng.standard_normal(4)
-        assert quadratic_growth_predicate(0.5, x, x.copy(), obj, step_norm_sq=0.0)
+        assert quadratic_growth_predicate(
+            0.5, x, x.copy(), obj, g=obj.gradient(x), step_norm_sq=0.0
+        )
 
     def test_one_dimensional_counterexample(self):
         B = DenseOperator(np.array([[1.0]]))
         obj = make_quadratic(B, np.zeros(1))
         x = np.array([1.0])
         y = np.array([0.0])
-        assert not quadratic_growth_predicate(0.5, x, y, obj, step_norm_sq=1.0)
+        assert not quadratic_growth_predicate(
+            0.5, x, y, obj, g=obj.gradient(x), step_norm_sq=1.0
+        )
 
 
 class TestAdaptiveGM:
@@ -270,7 +274,7 @@ class TestAdaptiveGM:
         obj = logistic_bench(rng)
         prec = IdentityPreconditioner()
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=200, initial_guess=guess.value)
+        config = SolverConfig(max_iters=200, initial_guess=guess)
         run = run_adaptive_gm(obj, prec, config)
         avg = run.total_ls_trials() / run.iterations
         assert avg <= 2.5
@@ -278,7 +282,7 @@ class TestAdaptiveGM:
     def test_descent(self, rng):
         obj = logistic_bench(rng)
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=50, initial_guess=guess.value)
+        config = SolverConfig(max_iters=50, initial_guess=guess)
         run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
@@ -291,7 +295,7 @@ class TestAdaptiveGM:
         obj, _ = synth_regression(spec, HuberLoss(0.1))
         prec = build_from_descriptor("cutting:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, initial_guess=guess.value))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, initial_guess=guess))
         assert max(r.ls_trials for r in run.records) <= 10
 
 
@@ -333,8 +337,8 @@ class TestAdaptiveFGM:
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         beta_L = bounds.beta * obj.L
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
-        assert guess.value <= beta_L * (1.0 + 1e-9)
-        config = SolverConfig(max_iters=100, initial_guess=guess.value)
+        assert guess <= beta_L * (1.0 + 1e-9)
+        config = SolverConfig(max_iters=100, initial_guess=guess)
         run = run_adaptive_fgm(obj, IdentityPreconditioner(), config)
         for record in run.records[1:]:
             assert record.A_k >= record.k**2 / (16.0 * beta_L) * (1.0 - 1e-12)
@@ -414,7 +418,7 @@ class TestRoundingFloor:
         obj, _ = synth_regression(spec, LogisticLoss())
         prec = build_from_descriptor("inverse", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=500, initial_guess=guess.value, tol=tol)
+        config = SolverConfig(max_iters=500, initial_guess=guess, tol=tol)
         return run_adaptive_fgm(obj, prec, config)
 
     def test_unreachable_tolerance_stops_at_floor(self):
@@ -496,7 +500,7 @@ class TestInitialGuess:
         B = DenseOperator(np.diag([2.0, 1.0]))
         obj = make_quadratic(B, np.zeros(2))
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.array([1.0, 0.0]), 1.0)
-        assert guess.value == pytest.approx(2.0)
+        assert guess == pytest.approx(2.0)
 
     def test_linear_objective_flagged(self, rng):
         op = random_spd(rng, 3)
@@ -510,13 +514,13 @@ class TestInitialGuess:
             mu=0.0,
         )
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(3), 1.0)
-        assert guess.value == pytest.approx(2.0**-6)
+        assert guess == pytest.approx(2.0**-6)
 
     def test_stationary_start_flagged(self, rng):
         B = random_spd(rng, 3)
         obj = make_quadratic(B, np.zeros(3))
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(3), 7.0)
-        assert guess.value == pytest.approx(7.0)
+        assert guess == pytest.approx(7.0)
 
     def test_never_exceeds_curvature_bound_huber(self, rng):
         for trial in range(20):
@@ -528,4 +532,4 @@ class TestInitialGuess:
             guess = initial_guess_M(
                 obj, IdentityPreconditioner(), local.standard_normal(5), 1.0
             )
-            assert guess.value <= bounds.beta * obj.L * (1.0 + 1e-9)
+            assert guess <= bounds.beta * obj.L * (1.0 + 1e-9)
