@@ -60,6 +60,10 @@ class DatasetMatrix:
         return dense
 
 
+# Digit runs this long are below 10**15 < 2**53: int64 reads them without
+# saturating and float64 holds them exactly.
+_INTEGER_DIGITS = 15
+
 # One well-formed feature, ``INDEX:VALUE`` with a decimal integer index; the
 # search finds the first blank-delimited token that is not one.
 _NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)"
@@ -82,7 +86,9 @@ def _feature_pairs(text: str):
     """``(index, value)`` columns of the ``INDEX:VALUE`` tokens in ``text``.
 
     Returns None unless every blank-delimited token is one colon between a
-    signed run of digits and one number; one numpy conversion reads them all.
+    signed run of digits and one number. One numpy conversion reads them all:
+    as integers when every index and value is a short run of digits and no
+    value has a sign, else as floats.
     """
     raw = np.frombuffer(text.encode(), dtype=np.uint8)
     # Blanks are the ASCII whitespace numpy's text conversion skips: space, \t to \r.
@@ -92,23 +98,40 @@ def _feature_pairs(text: str):
     colons = np.flatnonzero(raw == ord(":"))
     if colons.size != starts.size or not np.all((starts < colons) & (colons < ends - 1)):
         return None
-    # +1 at a token's start, -1 at its colon: the running sum marks the indices.
-    marks = np.zeros(raw.size + 1, dtype=np.int8)
-    marks[starts] = 1
-    marks[colons] = -1
-    in_index = np.cumsum(marks[:-1], dtype=np.int8).view(bool)
-    stray = in_index & ((raw < ord("0")) | (raw > ord("9")))
-    stray[starts] &= (raw[starts] != ord("+")) & (raw[starts] != ord("-"))
-    if stray.any():
-        return None
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    signed = (raw[starts] == ord("+")) | (raw[starts] == ord("-"))
+    # Non-blank non-digits besides the colons and the signs of indices; with
+    # none, every index is a digit run and every value an unsigned one.
+    others = np.count_nonzero(~(digit | blank[1:-1])) - colons.size - np.count_nonzero(signed)
+    if others:
+        # +1 at a token's start, -1 at its colon: the running sum marks the indices.
+        marks = np.zeros(raw.size + 1, dtype=np.int8)
+        marks[starts] = 1
+        marks[colons] = -1
+        in_index = np.cumsum(marks[:-1], dtype=np.int8).view(bool)
+        stray = in_index & ~digit
+        stray[starts] &= ~signed
+        if stray.any():
+            return None
     if not starts.size:  # numpy reads a blank-only text as [-1.0]
         return np.empty(0), np.empty(0)
+    # Reading integers is several times faster than reading floats and gives
+    # the same bits for runs of at most _INTEGER_DIGITS digits; values must be
+    # unsigned, since the integer reading drops the sign of -0.
+    as_integers = (
+        not others
+        and (colons - starts - signed).max() <= _INTEGER_DIGITS
+        and (ends - colons - 1).max() <= _INTEGER_DIGITS
+    )
     try:
-        numbers = np.fromstring(text.replace(":", " "), sep=" ")
+        numbers = np.fromstring(
+            text.replace(":", " "), dtype=np.int64 if as_integers else float, sep=" "
+        )
     except ValueError:
         return None
     if numbers.size != 2 * starts.size:  # older numpy stops at bad text with a warning
         return None
+    numbers = numbers.astype(float, copy=False)
     return numbers[0::2], numbers[1::2]
 
 
@@ -224,8 +247,8 @@ def logistic_from_dataset(
     """
     if standardize:
         dataset = standardize_columns(dataset)
-    dense = dataset.to_dense()
-    folded = -dataset.labels[:, None] * dense
+    folded = dataset.to_dense()
+    folded *= -dataset.labels[:, None]  # in place: one dense design at a time
     data = RegressionData(rows=folded, targets=np.zeros(dataset.n_rows), loss=LogisticLoss())
     return make_regression(data)
 
@@ -235,7 +258,7 @@ class SyntheticSpectrumSpec:
     """Requested curvature spectrum ``(lam1, lam2, tail value, n)``.
 
     ``rows`` requests an overdetermined design with that many rows (defaults
-    to n); the planted spectrum is exact either way.
+    to n, and may not be fewer); the planted spectrum is exact either way.
     """
 
     lam1: float
@@ -250,8 +273,10 @@ class SyntheticSpectrumSpec:
             raise ValueError("pattern spec needs n >= 2")
         lam = np.concatenate([[self.lam1, self.lam2], np.full(self.n - 2, self.tail)])
         lam = np.sort(lam)[::-1]
-        if lam[-1] <= 0:
-            raise ValueError("spectrum must be positive")
+        if not np.all(np.isfinite(lam) & (lam > 0)):
+            raise ValueError("spectrum must be finite and positive")
+        if self.rows is not None and self.rows < self.n:
+            raise ValueError(f"rows must be at least the dimension {self.n}, got {self.rows}")
         return lam
 
 
@@ -267,8 +292,6 @@ def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> np.ndarray:
     m = spec.rows if spec.rows is not None else n
     if m == n:
         return core
-    if m < n:
-        raise ValueError("rows must be at least the dimension")
     lift, r = np.linalg.qr(rng.standard_normal((m, n)))
     lift = lift * np.sign(np.diag(r))
     return lift @ core

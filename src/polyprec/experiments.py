@@ -54,8 +54,8 @@ CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k"
 
 METHODS = ("gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov")
 
-# Smallest allowed value of each integer budget.
-_MINIMUM = {"tau": 0, "max_iters": 1, "reference_iters": 1}
+# Smallest allowed value of each integer budget, and of the seed.
+_MINIMUM = {"tau": 0, "max_iters": 1, "reference_iters": 1, "seed": 0}
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -93,6 +93,15 @@ class ExperimentConfig:
             raise ValueError("dataset runs use the logistic loss")
         for key in _MINIMUM:
             _check_minimum(key, getattr(self, key))
+        if self.synthetic is not None:
+            _synthetic_spec(self).resolve()
+
+
+def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
+    lam1, lam2, tail, n = config.synthetic
+    return SyntheticSpectrumSpec(
+        lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
+    )
 
 
 def _check_minimum(key: str, value: int | None):
@@ -152,6 +161,8 @@ def parse_config_file(path) -> ExperimentConfig:
                     config.synthetic = parse_synthetic(raw)
                 else:
                     raise ValueError("unknown config key")
+                if key in ("synthetic", "rows") and config.synthetic is not None:
+                    _synthetic_spec(config).resolve()  # so that a bad shape names its line
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key!r}: {exc}") from exc
     try:
@@ -171,11 +182,7 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
             raise ValueError(
                 f"{config.dataset}: n_features={dataset.n_features} does not fit in memory"
             ) from exc
-    lam1, lam2, tail, n = config.synthetic
-    spec = SyntheticSpectrumSpec(
-        lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
-    )
-    objective, _ = synth_regression(spec, _parse_loss(config.loss))
+    objective, _ = synth_regression(_synthetic_spec(config), _parse_loss(config.loss))
     return objective
 
 

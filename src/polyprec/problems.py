@@ -40,7 +40,7 @@ def huber(t, mu_h: float):
     t = np.asarray(t, dtype=float)
     abst = np.abs(t)
     value = np.where(abst <= mu_h, t * t / (2.0 * mu_h), abst - mu_h / 2.0)
-    deriv = np.clip(t / mu_h, -1.0, 1.0)
+    deriv = np.minimum(np.maximum(t / mu_h, -1.0), 1.0)  # np.clip's bits, less overhead
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -208,17 +208,20 @@ def make_regression(data: RegressionData) -> CompositeObjective:
     loss = data.loss
     curvature = GramOperator(rows)
 
-    # (point, loss value sum, loss derivative) of the last evaluation, replaced
-    # whole so a reader never sees a mixed triple; the point is a copy so a
-    # caller mutating its array cannot poison the cache.
+    # (point key, loss value sum, loss derivative) of the last evaluation,
+    # replaced whole so a reader never sees a mixed triple. The key is the
+    # point's shape and a copy of its bytes, so a caller mutating its array
+    # cannot poison the cache, and only a bitwise-equal point hits it.
     cached = None
 
     def evaluate(x):
         nonlocal cached
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
         entry = cached
-        if entry is None or not np.array_equal(entry[0], x):
+        if entry is None or entry[0] != key:
             values, deriv = loss(rows @ x - targets)
-            entry = (np.array(x, dtype=float), float(np.sum(values)), deriv)
+            entry = (key, float(values.sum()), deriv)
             cached = entry
         return entry
 

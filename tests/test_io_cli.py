@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,36 @@ class TestStandardize:
         assert obj.n == 4
         assert obj.value(np.zeros(4)) == pytest.approx(10 * np.log(2.0))
 
+    @staticmethod
+    def _sparse_dataset(rng, m=4000, n=60, per_row=5):
+        cols = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :per_row], axis=1)
+        return DatasetMatrix(
+            row=np.repeat(np.arange(m), per_row),
+            col=cols.ravel(),
+            val=rng.standard_normal(m * per_row),
+            labels=np.where(rng.random(m) > 0.5, 1.0, -1.0),
+            n_features=n,
+        )
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_logistic_rows_are_folded_design(self, rng, standardize):
+        ds = self._sparse_dataset(rng, m=50, n=7, per_row=3)
+        rows = logistic_from_dataset(ds, standardize=standardize).curvature.design
+        scaled = standardize_columns(ds) if standardize else ds
+        # Bitwise, signed zeros included: the labels fold into the design once.
+        assert rows.tobytes() == (-scaled.labels[:, None] * scaled.to_dense()).tobytes()
+
+    def test_logistic_holds_one_dense_design(self, rng):
+        ds = self._sparse_dataset(rng)
+        dense_bytes = ds.n_rows * ds.n_features * 8
+        tracemalloc.start()
+        try:
+            logistic_from_dataset(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dense_bytes
+
 
 class TestSynthetic:
     def test_spectrum_round_trip(self):
@@ -336,6 +367,12 @@ class TestExperiments:
             ("tol = small", "could not convert"),
             ("precond = cutting:1:zz", "unexpected fields"),
             ("loss = huberish:0.2", "unknown loss"),
+            ("seed = -1", "seed must be at least 0, got -1"),
+            ("rows = 4", "rows must be at least the dimension 6, got 4"),
+            ("synthetic = 1,1,1,1", "n >= 2"),
+            ("synthetic = 12,2,0,6", "spectrum must be finite and positive"),
+            ("synthetic = nan,2,1,6", "spectrum must be finite and positive"),
+            ("synthetic = inf,2,1,6", "spectrum must be finite and positive"),
         ],
     )
     def test_parse_config_bad_value_reports_line(self, tmp_path, line, message):
@@ -634,7 +671,8 @@ class TestCLI:
         assert f"polyprec: error: {data}: n_features=9007199254740991" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("reference_iters", -3), ("reference_iters", 0), ("tau", -1)]
+        "key, value",
+        [("reference_iters", -3), ("reference_iters", 0), ("tau", -1), ("seed", -1), ("rows", 4)],
     )
     def test_bad_budget_fails_before_any_run(self, tmp_path, capsys, key, value):
         good = tmp_path / "good.cfg"

@@ -67,27 +67,47 @@ def reference_parse_libsvm(path) -> DatasetMatrix:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 blanks = st.text(alphabet=" \t", min_size=1, max_size=3)
 labels = st.one_of(st.sampled_from(["0", "1", "-1", "+1"]), finite.map(repr))
-values = st.one_of(
+# Runs of up to 15 digits are read as integers; longer runs, signs and any
+# other number send the whole text to the float reading.
+short_digits = st.text(alphabet="0123456789", min_size=1, max_size=15)
+long_digits = st.text(alphabet="0123456789", min_size=16, max_size=20)
+float_values = st.one_of(
     finite.map(repr),
     finite.map(lambda v: f"{v:+.6e}"),
     st.integers(-5, 5).map(str),
+    st.sampled_from(["-0", "+0", "-0.0", "+7"]),
+    long_digits,
+)
+values = st.one_of(float_values, short_digits)
+# Zero-padding past 15 digits sends an index to the float reading.
+short_prefixes = st.sampled_from(["", "", "+", "0", "+00", "0" * 12])
+prefixes = st.sampled_from(["", "", "+", "0", "+00", "0" * 12, "0" * 15])
+# One (values, index prefixes) pair per file, so that many files take the integer reading.
+file_styles = st.sampled_from(
+    [
+        (values, prefixes),
+        (short_digits, short_prefixes),
+        (short_digits, prefixes),
+        (st.one_of(short_digits, long_digits), short_prefixes),
+    ]
 )
 
 
 @st.composite
-def data_lines(draw):
+def data_lines(draw, style=(values, prefixes)):
     """One well-formed data line as its label and feature tokens."""
+    values, prefixes = style
     indices = sorted(draw(st.sets(st.integers(1, 300), max_size=8)))
-    prefix = st.sampled_from(["", "", "+", "0"])
-    tokens = [f"{draw(prefix)}{i}:{draw(values)}" for i in indices]
+    tokens = [f"{draw(prefixes)}{i}:{draw(values)}" for i in indices]
     return [draw(labels)] + tokens
 
 
 @st.composite
-def sparse_files(draw):
+def sparse_files(draw, style=None):
     """Lines of a well-formed file: data lines mixed with blank and comment lines."""
+    style = draw(file_styles) if style is None else style
     other = st.sampled_from(["", "   ", "\t", "# comment", "  #1:2 oops"])
-    return draw(st.lists(st.one_of(data_lines(), other), max_size=12))
+    return draw(st.lists(st.one_of(data_lines(style), other), max_size=12))
 
 
 def _render(draw, lines):
@@ -112,9 +132,10 @@ fuzz_tokens = st.text(alphabet="0123456789:.+-eEinfa", min_size=1, max_size=6)
 @st.composite
 def mutated_files(draw):
     """A well-formed file with one to three bad fields put into its data lines."""
-    lines = draw(st.lists(st.one_of(data_lines(), st.just("# c")), min_size=1, max_size=10))
+    style = draw(file_styles)
+    lines = draw(st.lists(st.one_of(data_lines(style), st.just("# c")), min_size=1, max_size=10))
     if not any(isinstance(line, list) for line in lines):
-        lines.append(draw(data_lines()))
+        lines.append(draw(data_lines(style)))
     data = [i for i, line in enumerate(lines) if isinstance(line, list)]
     for _ in range(draw(st.integers(1, 3))):
         line = lines[draw(st.sampled_from(data))]
@@ -167,6 +188,19 @@ def test_well_formed_files_parse_bitwise_equal(sample_file, data):
 
 
 @given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_one_float_value_in_an_integer_file(sample_file, data):
+    integers = (short_digits, short_prefixes)
+    lines = data.draw(sparse_files(integers))
+    line = data.draw(data_lines(integers).filter(lambda line: len(line) > 1))
+    k = data.draw(st.integers(1, len(line) - 1))
+    line[k] = f"{line[k].split(':')[0]}:{data.draw(float_values)}"
+    lines.insert(data.draw(st.integers(0, len(lines))), line)
+    sample_file.write_bytes(_render(data.draw, lines).encode())
+    _assert_same(sample_file)
+
+
+@given(data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_malformed_files_fail_with_the_reference_message(sample_file, data):
     text = _render(data.draw, data.draw(mutated_files()))
@@ -184,6 +218,9 @@ def test_malformed_files_fail_with_the_reference_message(sample_file, data):
         ("+1 1.5:1", "bad feature '1.5:1'"),
         ("+1 1e0:1", "bad feature '1e0:1'"),
         ("+1 1:2:3 4", "bad feature '1:2:3'"),
+        ("+1 +:5 7:1", "bad feature '+:5'"),
+        ("+1 1:2 -:7", "bad feature '-:7'"),
+        ("+1 1:2 3+:7", "bad feature '3+:7'"),
         ("+1 0:1", "feature indices must be strictly increasing"),
         ("+1 3:1 2:1", "feature indices must be strictly increasing"),
         ("+1 2:1 1:nan", "non-finite feature '1:nan'"),
@@ -195,12 +232,30 @@ def test_malformed_files_fail_with_the_reference_message(sample_file, data):
 )
 def test_bad_line_names_its_field(tmp_path, line, message):
     path = tmp_path / "bad.txt"
-    path.write_text(f"# header\n-1 1:0.5\n\n{line}\n+1 2:1\n")
-    with pytest.raises(ValueError) as new:
-        parse_libsvm(path)
-    with pytest.raises(ValueError) as reference:
-        reference_parse_libsvm(path)
-    assert str(new.value) == str(reference.value) == f"{path}:4: {message}"
+    for value in ("0.5", "5"):  # with "5", some of these files are all integer text
+        path.write_text(f"# header\n-1 1:{value}\n\n{line}\n+1 2:1\n")
+        with pytest.raises(ValueError) as new:
+            parse_libsvm(path)
+        with pytest.raises(ValueError) as reference:
+            reference_parse_libsvm(path)
+        assert str(new.value) == str(reference.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "99999999999999999999",
+        "9999999999999999999",
+        "999999999999999",
+        "0000000000000000001",
+        "-0",
+        "+12",
+    ],
+)
+def test_value_reads_as_its_float(tmp_path, text):
+    path = tmp_path / "value.txt"
+    path.write_text(f"+1 1:{text} 2:3\n")
+    assert parse_libsvm(path).val[:1].tobytes() == np.float64(float(text)).tobytes()
 
 
 @pytest.mark.parametrize("index", ["99999999999999999999", "9007199254740993"])

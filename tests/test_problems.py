@@ -199,6 +199,20 @@ class TestMakeRegression:
         x -= 1.0
         assert np.array_equal(obj.gradient(x), make_regression(data).gradient(x))
 
+    @pytest.mark.parametrize(
+        "synthetic, rows, loss",
+        [((40, 4, 1, 10), 50, "logistic"), ((1000, 300, 1, 100), 300, "huber:0.1")],
+    )
+    def test_cache_at_signed_zeros_and_nan(self, monkeypatch, synthetic, rows, loss):
+        obj, data = _build_with_data(
+            monkeypatch, ExperimentConfig(synthetic=synthetic, rows=rows, loss=loss)
+        )
+        zero, nan = np.zeros(obj.n), np.full(obj.n, np.nan)
+        for x in [zero, -zero, -zero, zero, nan, nan, -zero]:
+            fresh = make_regression(data)
+            assert np.float64(obj.value(x)).tobytes() == np.float64(fresh.value(x)).tobytes()
+            assert obj.gradient(x).tobytes() == fresh.gradient(x).tobytes()
+
     def test_one_loss_evaluation_per_point(self, monkeypatch):
         config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
         _, data = _build_with_data(monkeypatch, config)
