@@ -40,8 +40,6 @@ from .problems import (
     HuberLoss,
     LogisticLoss,
     RegressionData,
-    huber,
-    logistic,
     make_quadratic,
     make_regression,
 )

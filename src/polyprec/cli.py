@@ -91,6 +91,8 @@ def _cmd_bench(args) -> int:
 def _cmd_spectrum(args) -> int:
     op = build_problem(_config_from_args(args)).curvature
     dec = spectral_decomposition(op)
+    # The table is made before any file is written, so a bad --tau-max writes none.
+    table = xi_table(dec.eigenvalues, min(args.tau_max, op.dim - 1))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eig_path = out_dir / "eigenvalues.csv"
@@ -99,8 +101,6 @@ def _cmd_spectrum(args) -> int:
         ["index", "eigenvalue"],
         [[i, repr(float(value))] for i, value in enumerate(dec.eigenvalues, start=1)],
     )
-    tau_max = min(args.tau_max, op.dim - 1)
-    table = xi_table(dec.eigenvalues, tau_max)
     xi_path = out_dir / "xi_table.csv"
     _write_csv(
         xi_path,

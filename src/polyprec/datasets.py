@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class DatasetMatrix:
     Entry ``k`` is ``val[k]`` at row ``row[k]`` and column ``col[k]``
     (0-based), in row order with strictly increasing columns inside a row.
     ``n_rows`` counts labels, so a row without entries is still a row.
-    ``meta`` records any preprocessing applied.
     """
 
     row: np.ndarray
@@ -48,7 +47,6 @@ class DatasetMatrix:
     val: np.ndarray
     labels: np.ndarray
     n_features: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -225,15 +223,12 @@ def write_libsvm(path, dense_rows: np.ndarray, labels: np.ndarray):
 
 
 def standardize_columns(dataset: DatasetMatrix) -> DatasetMatrix:
-    """Scale every feature column to unit 2-norm; scales land in the metadata."""
+    """Scale every nonempty feature column to unit 2-norm."""
     norms = np.sqrt(
         np.bincount(dataset.col, weights=dataset.val**2, minlength=dataset.n_features)
     )
     norms[norms == 0.0] = 1.0
-    meta = dict(dataset.meta)
-    meta["standardized"] = True
-    meta["column_norms"] = norms
-    return replace(dataset, val=dataset.val / norms[dataset.col], meta=meta)
+    return replace(dataset, val=dataset.val / norms[dataset.col])
 
 
 def logistic_from_dataset(
@@ -297,13 +292,12 @@ def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> np.ndarray:
     return lift @ core
 
 
-def synth_regression(spec: SyntheticSpectrumSpec, loss):
+def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:
     """Generate a regression problem with the requested curvature spectrum.
 
-    Returns ``(objective, truth)`` where truth records the design, planted
-    coefficients, targets, and the spectrum. Huber targets come from the
-    planted model plus unit noise; logistic targets are sign labels drawn
-    from the planted margins with moderate noise, folded into the rows.
+    Huber targets come from the planted model plus unit noise; logistic
+    targets are sign labels drawn from the planted margins with moderate
+    noise, folded into the rows.
     """
     rng = np.random.default_rng(spec.seed)
     design = _design_matrix(spec, rng)
@@ -313,23 +307,13 @@ def synth_regression(spec: SyntheticSpectrumSpec, loss):
     if isinstance(loss, HuberLoss):
         targets = margins + rng.standard_normal(m)
         data = RegressionData(rows=design, targets=targets, loss=loss)
-        labels = None
     elif isinstance(loss, LogisticLoss):
         scale = float(np.std(margins)) or 1.0
         probs = 1.0 / (1.0 + np.exp(-margins / scale))
         labels = np.where(rng.random(m) < probs, 1.0, -1.0)
         folded = -labels[:, None] * design
         data = RegressionData(rows=folded, targets=np.zeros(m), loss=loss)
-        targets = np.zeros(m)
     else:
         raise ValueError(f"unsupported loss {loss!r}")
-    objective = make_regression(data)
-    truth = {
-        "design": design,
-        "planted": planted,
-        "targets": targets,
-        "labels": labels,
-        "eigenvalues": spec.resolve(),
-    }
-    return objective, truth
+    return make_regression(data)
 

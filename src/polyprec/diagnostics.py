@@ -221,8 +221,8 @@ def xi_table(spectrum, tau_max: int) -> XiTable:
     """Tabulate the shrink factor by degree and check monotonicity and endpoints."""
     spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     n = spectrum.size
-    if tau_max > n - 1:
-        raise ValueError(f"tau_max={tau_max} exceeds n-1={n - 1}")
+    if not 0 <= tau_max <= n - 1:
+        raise ValueError(f"tau_max must lie in 0..n-1={n - 1}, got {tau_max}")
     base_cond = float(spectrum[0] / spectrum[-1])
     rows = []
     for tau in range(tau_max + 1):

@@ -182,8 +182,7 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
             raise ValueError(
                 f"{config.dataset}: n_features={dataset.n_features} does not fit in memory"
             ) from exc
-    objective, _ = synth_regression(_synthetic_spec(config), _parse_loss(config.loss))
-    return objective
+    return synth_regression(_synthetic_spec(config), _parse_loss(config.loss))
 
 
 class Reference(NamedTuple):

@@ -35,7 +35,6 @@ class GramSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     basis: np.ndarray  # orthonormal columns spanning {grad, B grad, ...}
-    grad: np.ndarray
 
 
 @dataclass
@@ -58,7 +57,7 @@ def build_gram(obj: CompositeObjective, x: np.ndarray, tau: int) -> GramSystem:
         raise ValueError("tau must be nonnegative")
     g = obj.gradient(x)
     basis, projected = lanczos(obj.curvature, g, tau + 1)
-    return GramSystem(matrix=obj.L * projected, rhs=basis.T @ g, basis=basis, grad=g)
+    return GramSystem(matrix=obj.L * projected, rhs=basis.T @ g, basis=basis)
 
 
 def solve_gram(sys: GramSystem) -> KrylovStepInfo:

@@ -167,14 +167,15 @@ class ChebyshevPreconditioner(Preconditioner):
 
 
 class MatrixPreconditioner(Preconditioner):
-    """Explicit dense preconditioning matrix (e.g. the exact inverse)."""
+    """Explicit dense preconditioning matrix: the exact inverse."""
 
-    def __init__(self, matrix: np.ndarray, descriptor: str = "inverse"):
+    descriptor = "inverse"
+
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("preconditioning matrix must be square")
         self.matrix = matrix
-        self.descriptor = descriptor
 
     def apply(self, op, v):
         return self.matrix @ np.asarray(v, dtype=float)
@@ -364,7 +365,7 @@ def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
     lam = dec.eigenvalues
     keep = lam > lam[0] * lam.size * np.finfo(float).eps
     q = dec.eigenvectors[:, keep]
-    return MatrixPreconditioner((q / lam[keep]) @ q.T, descriptor="inverse")
+    return MatrixPreconditioner((q / lam[keep]) @ q.T)
 
 
 def xi_tau(spectrum, tau: int) -> float:
@@ -399,14 +400,18 @@ _DESCRIPTOR_FIELDS = {
     "sympoly:stochastic": (1, 2),
 }
 
+# Name and smallest allowed value of each integer field, in descriptor order.
+_FIELD_MINIMUM = (("degree", 0), ("sample count", 1), ("seed", 0))
+
 
 def parse_descriptor(text: str) -> tuple[str, list[int]]:
     """Check a preconditioner descriptor and split it into its form and integers.
 
     Understood forms: ``identity``, ``inverse``, ``sympoly:T``,
     ``sympoly:T:stochastic[:S[:SEED]]`` (form ``sympoly:stochastic``),
-    ``chebyshev:T`` and ``cutting:T``. Anything else, a trailing field
-    included, raises a ValueError naming the text.
+    ``chebyshev:T`` and ``cutting:T``. Anything else, a trailing field or a
+    negative degree, sample count below 1 or negative seed included, raises a
+    ValueError naming the text.
     """
     kind, *fields = text.strip().split(":")
     if kind == "sympoly" and fields[1:2] == ["stochastic"]:
@@ -420,9 +425,13 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
     if len(fields) > required + optional:
         raise ValueError(f"unexpected fields in descriptor {text!r}")
     try:
-        return kind, [int(field) for field in fields]
+        numbers = [int(field) for field in fields]
     except ValueError as exc:
         raise ValueError(f"bad integer in descriptor {text!r}") from exc
+    for number, (name, low) in zip(numbers, _FIELD_MINIMUM):
+        if number < low:
+            raise ValueError(f"{name} must be at least {low} in descriptor {text!r}")
+    return kind, numbers
 
 
 def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:

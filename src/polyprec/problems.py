@@ -22,64 +22,49 @@ __all__ = [
     "CompositeObjective",
     "HuberLoss",
     "LogisticLoss",
-    "huber",
-    "logistic",
     "make_regression",
     "make_quadratic",
     "gradient_step_with_norm",
 ]
 
 
-def huber(t, mu_h: float):
-    """Huber value and derivative; quadratic within ``|t| <= mu_h``, linear outside.
+class HuberLoss:
+    """Rowwise Huber loss for regression residuals.
 
-    Both pieces and the derivative are continuous at the seam.
+    Quadratic within ``|t| <= mu_h`` and linear outside; both pieces and the
+    derivative are continuous at the seam.
     """
-    if mu_h <= 0:
-        raise ValueError("huber width must be positive")
-    t = np.asarray(t, dtype=float)
-    abst = np.abs(t)
-    value = np.where(abst <= mu_h, t * t / (2.0 * mu_h), abst - mu_h / 2.0)
-    deriv = np.minimum(np.maximum(t / mu_h, -1.0), 1.0)  # np.clip's bits, less overhead
-    if value.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
+
+    def __init__(self, mu_h: float):
+        if not 0 < mu_h < np.inf:
+            raise ValueError(f"huber width must be finite and positive, got {mu_h}")
+        self.mu_h = float(mu_h)
+        self.curvature_bound = 1.0 / mu_h  # sup of the second derivative
+
+    def __call__(self, t):
+        """Values and derivatives at the residuals ``t``."""
+        mu_h = self.mu_h
+        abst = np.abs(t)
+        value = np.where(abst <= mu_h, t * t / (2.0 * mu_h), abst - mu_h / 2.0)
+        deriv = np.minimum(np.maximum(t / mu_h, -1.0), 1.0)  # np.clip's bits, less overhead
+        return value, deriv
 
 
-def logistic(t):
-    """Softplus value and sigmoid derivative, overflow-safe at both ends.
+class LogisticLoss:
+    """Rowwise softplus loss of classification margins, overflow-safe at both ends.
 
     The value is max(t, 0) + log1p(exp(-|t|)), the formula of
     ``logaddexp(0, t)`` in numpy's vectorized exp and log1p loops. The
     derivative is computed as exp(t - softplus(t)) so the exponent is never
     positive.
     """
-    t = np.asarray(t, dtype=float)
-    value = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    deriv = np.exp(t - value)
-    if value.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
 
-
-class HuberLoss:
-    """Rowwise Huber loss for regression residuals."""
-
-    def __init__(self, mu_h: float):
-        if mu_h <= 0:
-            raise ValueError("huber width must be positive")
-        self.mu_h = float(mu_h)
-        self.curvature_bound = 1.0 / mu_h  # sup of the second derivative
-
-    def __call__(self, t):
-        return huber(t, self.mu_h)
-
-
-class LogisticLoss:
     curvature_bound = 0.25
 
     def __call__(self, t):
-        return logistic(t)
+        """Values and sigmoid derivatives at the margins ``t``."""
+        value = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        return value, np.exp(t - value)
 
 
 @dataclass

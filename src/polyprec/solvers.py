@@ -67,7 +67,6 @@ class SolverConfig:
     tol: float = 0.0
     gap_target: float | None = None
     f_star: float | None = None
-    keep_iterates: bool = False
     x0: np.ndarray | None = None
 
     def start_point(self, n: int) -> np.ndarray:
@@ -109,8 +108,6 @@ class RunResult:
     records: list[IterationRecord]
     x: np.ndarray
     termination: str
-    iterates_x: list[np.ndarray] | None = None
-    iterates_v: list[np.ndarray] | None = None
 
     @property
     def iterations(self) -> int:
@@ -176,8 +173,6 @@ def drive(
 
     x = config.start_point(obj.n)
     state = FGMState(x=x, v=x.copy(), A=0.0) if accelerated else x
-    xs = [x.copy()] if config.keep_iterates else None
-    vs = [x.copy()] if config.keep_iterates and accelerated else None
     f_value = obj.full_value(x)
     record(0, f_value, np.inf, 0, M_0, 0.0)
     gap_rule = config.gap_target is not None and config.f_star is not None
@@ -195,10 +190,6 @@ def drive(
                 f"{method}: objective became non-finite (step constant too small "
                 "for a fixed-step run, or the problem is unbounded)"
             )
-        if xs is not None:
-            xs.append(x.copy())
-        if vs is not None:
-            vs.append(state.v.copy())
         A_k = state.A if accelerated else 0.0
         record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k, out.eff_degree)
         if config.tol > 0 and out.grad_map <= config.tol:
@@ -207,7 +198,7 @@ def drive(
         if config.tol > 0 and out.grad_map**2 <= ROUNDING_FLOOR * out.M_k * abs(f_value):
             termination = "rounding_floor"
             break
-    return RunResult(method, records, x, termination, iterates_x=xs, iterates_v=vs)
+    return RunResult(method, records, x, termination)
 
 
 def solve_coefficient_equation(M: float, rho: float, A: float) -> float:

@@ -24,6 +24,23 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def record_iterates(obj) -> list:
+    """Spy on ``obj.full_value``; the returned list collects a copy of every point read.
+
+    The solver loop reads the objective once per record, the start included,
+    so after a run the list lines up with ``run.records``.
+    """
+    points = []
+    full_value = obj.full_value
+
+    def spy(x):
+        points.append(np.array(x, dtype=float))
+        return full_value(x)
+
+    obj.full_value = spy
+    return points
+
+
 @dataclass
 class BoundsReport:
     """Outcome of the finite-difference gradient and curvature checks."""
@@ -106,5 +123,4 @@ def synth_classification_dataset(spec, flip: float = 0.2) -> DatasetMatrix:
         val=design[row, col],
         labels=labels,
         n_features=design.shape[1],
-        meta={"synthetic": True, "seed": spec.seed, "flip": flip},
     )

@@ -47,7 +47,7 @@ from polyprec import (
     volume_sampling_expectation,
     write_libsvm,
 )
-from conftest import random_spd, synth_classification_dataset, validate_bounds
+from conftest import random_spd, record_iterates, synth_classification_dataset, validate_bounds
 
 
 def _report(num: str, ok: bool, detail: str) -> bool:
@@ -190,10 +190,11 @@ def test_criterion_05_krylov_optimality():
         B = random_spd(rng, n, lam_low=0.4, lam_high=40.0)
         obj = make_quadratic(B, rng.standard_normal(n))
         x0 = rng.standard_normal(n)
-        run = run_krylov_gm(obj, SolverConfig(max_iters=30, x0=x0, keep_iterates=True), 0)
+        iterates = record_iterates(obj)
+        run_krylov_gm(obj, SolverConfig(max_iters=30, x0=x0), 0)
         mat = B.to_dense()
         x = x0.copy()
-        for iterate in run.iterates_x:
+        for iterate in iterates:
             worst_dev = max(worst_dev, float(np.max(np.abs(iterate - x))))
             g = mat @ (x - obj.x_star)
             gg = float(g @ g)
@@ -284,7 +285,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     """Iterations of the adaptive gradient method per preconditioner degree."""
     n = 100
     spec = SyntheticSpectrumSpec(lam1=lam1, lam2=lam2, tail=1.0, n=n, seed=seed)
-    reference_obj, _ = synth_regression(spec, HuberLoss(0.1))
+    reference_obj = synth_regression(spec, HuberLoss(0.1))
     ref_prec = build_sympoly(reference_obj.curvature, 2, "exact")
     guess = initial_guess_M(reference_obj, ref_prec, np.zeros(n), 1.0)
     ref = run_adaptive_fgm(
@@ -295,7 +296,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     f_star = float(min(r.f_value for r in ref.records))
     counts = {}
     for tau in taus:
-        obj, _ = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression(spec, HuberLoss(0.1))
         prec = (
             build_sympoly(obj.curvature, tau, "exact") if tau else IdentityPreconditioner()
         )
@@ -468,8 +469,8 @@ def test_criterion_10_validators():
         ("logistic", make_regression(RegressionData(rows, np.zeros(40), LogisticLoss())))
     )
     spec = SyntheticSpectrumSpec(lam1=40.0, lam2=4.0, tail=1.0, n=15, seed=2)
-    objectives.append(("synthetic-huber", synth_regression(spec, HuberLoss(0.1))[0]))
-    objectives.append(("synthetic-logistic", synth_regression(spec, LogisticLoss())[0]))
+    objectives.append(("synthetic-huber", synth_regression(spec, HuberLoss(0.1))))
+    objectives.append(("synthetic-logistic", synth_regression(spec, LogisticLoss())))
     worst_grad = 0.0
     ok = True
     for name, obj in objectives:

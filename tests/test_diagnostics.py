@@ -121,6 +121,11 @@ class TestXiTable:
         table = xi_table([100.0, 1.0, 1.0], 1)
         assert table.rows[1][1] == pytest.approx(2.0 / 101.0)
 
+    @pytest.mark.parametrize("tau_max", [-1, 3])
+    def test_tau_max_out_of_range(self, tau_max):
+        with pytest.raises(ValueError, match=f"tau_max must lie in 0..n-1=2, got {tau_max}"):
+            xi_table([3.0, 2.0, 1.0], tau_max)
+
 
 class TestPropositionBounds:
     def test_cutting_example(self):

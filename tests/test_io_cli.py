@@ -164,7 +164,6 @@ class TestStandardize:
         ds = standardize_columns(parse_libsvm(path))
         dense = ds.to_dense()
         assert np.allclose(np.linalg.norm(dense, axis=0), 1.0)
-        assert ds.meta["standardized"]
 
     def test_matches_entrywise_loop(self, tmp_path, rng):
         rows = rng.standard_normal((9, 4))
@@ -224,30 +223,32 @@ class TestSynthetic:
     def test_spectrum_round_trip(self):
         for seed in range(10):
             spec = SyntheticSpectrumSpec(lam1=50.0, lam2=5.0, tail=1.0, n=12, seed=seed)
-            obj, truth = synth_regression(spec, HuberLoss(0.1))
+            obj = synth_regression(spec, HuberLoss(0.1))
             got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
-            assert np.allclose(got, truth["eigenvalues"], rtol=1e-9, atol=1e-9)
+            assert np.allclose(got, spec.resolve(), rtol=1e-9, atol=1e-9)
 
     def test_same_seed_same_problem(self):
         spec = SyntheticSpectrumSpec(lam1=9.0, lam2=2.0, tail=1.0, n=6, seed=4)
-        a, ta = synth_regression(spec, HuberLoss(0.1))
-        b, tb = synth_regression(spec, HuberLoss(0.1))
-        assert np.array_equal(ta["design"], tb["design"])
-        assert np.array_equal(ta["targets"], tb["targets"])
+        a = synth_regression(spec, HuberLoss(0.1))
+        b = synth_regression(spec, HuberLoss(0.1))
+        assert np.array_equal(a.curvature.design, b.curvature.design)
+        # The targets enter the value and the gradient at any point.
+        x = np.linspace(-1.0, 1.0, spec.n)
+        assert a.value(x) == b.value(x)
+        assert np.array_equal(a.gradient(x), b.gradient(x))
 
     def test_overdetermined_rows_exact_spectrum(self):
         spec = SyntheticSpectrumSpec(lam1=20.0, lam2=4.0, tail=1.0, n=8, seed=2, rows=40)
-        obj, truth = synth_regression(spec, LogisticLoss())
-        assert truth["design"].shape == (40, 8)
+        obj = synth_regression(spec, LogisticLoss())
+        assert obj.curvature.design.shape == (40, 8)
         got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
-        assert np.allclose(got, truth["eigenvalues"], rtol=1e-9, atol=1e-9)
+        assert np.allclose(got, spec.resolve(), rtol=1e-9, atol=1e-9)
 
     def test_classification_dataset_not_separable_tag(self):
         spec = SyntheticSpectrumSpec(lam1=30.0, lam2=6.0, tail=1.0, n=10, seed=3, rows=50)
         ds = synth_classification_dataset(spec, flip=0.25)
         assert ds.n_rows == 50
         assert set(np.unique(ds.labels)) == {-1.0, 1.0}
-        assert ds.meta["flip"] == 0.25
 
 
 class TestExperiments:
@@ -367,6 +368,14 @@ class TestExperiments:
             ("tol = small", "could not convert"),
             ("precond = cutting:1:zz", "unexpected fields"),
             ("loss = huberish:0.2", "unknown loss"),
+            ("loss = huber:nan", "huber width must be finite and positive, got nan"),
+            ("loss = huber:inf", "huber width must be finite and positive, got inf"),
+            ("loss = huber:0", "huber width must be finite and positive, got 0.0"),
+            ("precond = sympoly:-1", "degree must be at least 0"),
+            ("precond = chebyshev:-2", "degree must be at least 0"),
+            ("precond = cutting:-1", "degree must be at least 0"),
+            ("precond = sympoly:3:stochastic:0", "sample count must be at least 1"),
+            ("precond = sympoly:2:stochastic:64:-5", "seed must be at least 0"),
             ("seed = -1", "seed must be at least 0, got -1"),
             ("rows = 4", "rows must be at least the dimension 6, got 4"),
             ("synthetic = 1,1,1,1", "n >= 2"),
@@ -762,6 +771,13 @@ class TestCLI:
         assert np.all(np.diff(got["eigenvalue"]) <= 0.0)
         assert np.allclose(got["eigenvalue"], expected, rtol=1e-12, atol=1e-12)
 
+    def test_spectrum_negative_tau_max_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "spec"
+        argv = ["spectrum", "--synthetic", "40,4,1,10", "--tau-max", "-1", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "polyprec: error: tau_max must lie in 0..n-1=9, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_dataset_rejects_huber(self, tmp_path):
         data = tmp_path / "d.txt"
         data.write_text("+1 1:1.0\n-1 2:1.0\n")
@@ -821,3 +837,14 @@ class TestCLI:
         out = tmp_path / "runs"
         assert cli_main(["bench", str(good), str(bogus), "--out", str(out)]) == 1
         assert not (out / "good.csv").exists()
+
+    def test_bench_bad_descriptor_range_writes_nothing(self, tmp_path, capsys):
+        problem = "method = adaptive-gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 5\n"
+        good = tmp_path / "a.cfg"
+        good.write_text(problem)
+        bad = tmp_path / "b.cfg"
+        bad.write_text(problem + "precond = sympoly:3:stochastic:0\n")
+        out = tmp_path / "runs"
+        assert cli_main(["bench", str(good), str(bad), "--out", str(out)]) == 1
+        assert f"{bad}:5:" in capsys.readouterr().err
+        assert not out.exists()

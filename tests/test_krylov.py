@@ -22,7 +22,7 @@ from polyprec import (
     spectral_decomposition,
     synth_regression,
 )
-from conftest import random_spd
+from conftest import random_spd, record_iterates
 
 
 def huber_bench(rng, m=24, n=8):
@@ -36,7 +36,7 @@ class TestBuildGram:
         B = DenseOperator(np.diag([2.0, 1.0]))
         obj = make_quadratic(B, np.zeros(2))
         sys = build_gram(obj, np.array([1.0, 1.0]), 0)
-        assert np.allclose(sys.grad, [2.0, 1.0])
+        assert np.allclose(sys.basis @ sys.rhs, [2.0, 1.0])  # the gradient, in the basis
         # One basis vector g/|g|: the matrix is its Rayleigh quotient, rhs |g|.
         assert np.allclose(sys.matrix, [[9.0 / 5.0]])
         assert np.allclose(sys.rhs, [np.sqrt(5.0)])
@@ -97,7 +97,6 @@ class TestSolveGram:
             matrix=2.0 * np.eye(3),
             rhs=np.array([2.0, 4.0, 6.0]),
             basis=np.eye(3),
-            grad=np.zeros(3),
         )
         info = solve_gram(sys)
         assert np.allclose(info.coefficients, [1.0, 2.0, 3.0])
@@ -160,12 +159,11 @@ class TestRunKrylovGM:
             B = random_spd(local, n, lam_low=0.5, lam_high=30.0)
             obj = make_quadratic(B, local.standard_normal(n))
             x0 = local.standard_normal(n)
-            run = run_krylov_gm(
-                obj, SolverConfig(max_iters=25, x0=x0, keep_iterates=True), 0
-            )
+            iterates = record_iterates(obj)
+            run_krylov_gm(obj, SolverConfig(max_iters=25, x0=x0), 0)
             mat = B.to_dense()
             x = x0.copy()
-            for k, iterate in enumerate(run.iterates_x):
+            for iterate in iterates:
                 assert np.allclose(iterate, x, rtol=1e-12, atol=1e-12)
                 g = mat @ x - (mat @ obj.x_star)
                 if float(g @ g) == 0.0:
@@ -185,7 +183,7 @@ class TestRunKrylovGM:
         # On the gapped problem the gradient soon lies in the 98-fold tail
         # eigenspace, so most iterations need fewer than tau + 1 matvecs.
         spec = SyntheticSpectrumSpec(1000.0, 300.0, 1.0, 100, seed=204)
-        obj, _ = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression(spec, HuberLoss(0.1))
         run = run_krylov_gm(obj, SolverConfig(max_iters=200), 3)
         degrees = [r.eff_degree for r in run.records[1:]]
         assert run.total_matvecs() == sum(d + 1 for d in degrees)

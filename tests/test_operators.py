@@ -297,7 +297,7 @@ class TestSpectralDecomposition:
             for _ in range(10)
         ]
         gapped = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, rows=300, seed=204)
-        cases.append((synth_regression(gapped, HuberLoss(0.1))[0].curvature, gapped.resolve()))
+        cases.append((synth_regression(gapped, HuberLoss(0.1)).curvature, gapped.resolve()))
         for op, planted in cases:
             dec = spectral_decomposition(op)
             q = dec.eigenvectors

@@ -14,9 +14,7 @@ from polyprec import (
     RegressionData,
     SolverConfig,
     build_from_descriptor,
-    huber,
     initial_guess_M,
-    logistic,
     make_quadratic,
     make_regression,
     run_adaptive_gm,
@@ -26,17 +24,28 @@ from polyprec.problems import gradient_step_with_norm
 from conftest import random_spd, validate_bounds
 
 
+def huber_at(t, mu_h):
+    """Huber values and derivatives at the residuals ``t``."""
+    return HuberLoss(mu_h)(np.asarray(t, dtype=float))
+
+
+def logistic_at(t):
+    """Logistic values and derivatives at the margins ``t``."""
+    return LogisticLoss()(np.asarray(t, dtype=float))
+
+
 class TestHuber:
     def test_origin(self):
-        assert huber(0.0, 0.1) == (0.0, 0.0)
+        value, deriv = huber_at(0.0, 0.1)
+        assert value == 0.0 and deriv == 0.0
 
     def test_quadratic_branch(self):
-        value, deriv = huber(0.05, 0.1)
+        value, deriv = huber_at(0.05, 0.1)
         assert value == pytest.approx(0.0125)
         assert deriv == pytest.approx(0.5)
 
     def test_linear_branch(self):
-        value, deriv = huber(1.0, 0.1)
+        value, deriv = huber_at(1.0, 0.1)
         assert value == pytest.approx(0.95)
         assert deriv == pytest.approx(1.0)
 
@@ -44,8 +53,8 @@ class TestHuber:
     @settings(max_examples=50)
     def test_continuous_at_seam(self, mu_h):
         eps = 1e-9 * mu_h
-        below = huber(mu_h - eps, mu_h)
-        above = huber(mu_h + eps, mu_h)
+        below = huber_at(mu_h - eps, mu_h)
+        above = huber_at(mu_h + eps, mu_h)
         assert below[0] == pytest.approx(above[0], abs=1e-8 * mu_h)
         assert below[1] == pytest.approx(above[1], abs=1e-8)
 
@@ -55,34 +64,34 @@ class TestHuber:
     )
     @settings(max_examples=80)
     def test_derivative_clipped_and_convex(self, t, mu_h):
-        value, deriv = huber(t, mu_h)
+        value, deriv = huber_at(t, mu_h)
         assert value >= 0.0
         assert abs(deriv) <= 1.0
         # Derivative of a convex function is nondecreasing.
-        _, deriv_right = huber(t + 1e-3, mu_h)
+        _, deriv_right = huber_at(t + 1e-3, mu_h)
         assert deriv_right >= deriv - 1e-12
 
 
 class TestLogistic:
     def test_origin(self):
-        value, deriv = logistic(0.0)
+        value, deriv = logistic_at(0.0)
         assert value == pytest.approx(np.log(2.0))
         assert deriv == pytest.approx(0.5)
 
     def test_large_negative_stable(self):
-        value, deriv = logistic(-700.0)
+        value, deriv = logistic_at(-700.0)
         assert value == pytest.approx(0.0, abs=1e-300)
         assert deriv == pytest.approx(0.0, abs=1e-300)
 
     def test_large_positive_stable(self):
-        value, deriv = logistic(700.0)
+        value, deriv = logistic_at(700.0)
         assert value == pytest.approx(700.0)
         assert deriv == pytest.approx(1.0)
 
     @given(st.floats(min_value=-800.0, max_value=800.0))
     @settings(max_examples=80)
     def test_finite_and_bounded(self, t):
-        value, deriv = logistic(t)
+        value, deriv = logistic_at(t)
         assert np.isfinite(value) and value >= 0.0
         assert 0.0 <= deriv <= 1.0
 
@@ -90,7 +99,7 @@ class TestLogistic:
         # Reference: softplus as np.logaddexp(0, t), the derivative from it.
         t = np.concatenate([np.linspace(-800.0, 800.0, 40001), [0.0, -0.0, 700, -700, 745, -745]])
         expected = np.logaddexp(0.0, t)
-        value, deriv = logistic(t)
+        value, deriv = logistic_at(t)
 
         def ulps(a, b):  # both nonnegative, so the bit patterns order like the values
             return np.abs(a.view(np.int64) - b.view(np.int64)).max()
@@ -101,7 +110,7 @@ class TestLogistic:
     def test_non_finite_inputs_map_as_logaddexp(self):
         t = np.array([np.inf, -np.inf, np.nan])
         with np.errstate(invalid="ignore"):
-            value, deriv = logistic(t)
+            value, deriv = logistic_at(t)
             expected = np.logaddexp(0.0, t)
             np.testing.assert_array_equal(deriv, np.exp(t - expected))
         np.testing.assert_array_equal(value, [np.inf, 0.0, np.nan])
@@ -273,7 +282,7 @@ class TestGradientStep:
 
     def test_scaled_direction(self):
         op = DenseOperator(np.diag([2.0, 1.0]))
-        prec = MatrixPreconditioner(np.diag([2.0, 1.0]), descriptor="coeffs")
+        prec = MatrixPreconditioner(np.diag([2.0, 1.0]))
         y = gradient_step_with_norm(
             1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]), CompositePart.zero()
         )[0]

@@ -25,7 +25,7 @@ from polyprec import (
 )
 from polyprec import CompositeObjective, HuberLoss, LogisticLoss, RegressionData
 from polyprec.solvers import ROUNDING_FLOOR
-from conftest import random_spd
+from conftest import random_spd, record_iterates
 
 
 def gapped_quadratic(rng, n=10, cond=1e3):
@@ -83,13 +83,12 @@ class TestRunGM:
     def test_descent_and_contraction(self, rng):
         B = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         obj = make_quadratic(B, np.zeros(3))
-        config = SolverConfig(
-            max_iters=60, step_constant=3.0, x0=np.ones(3), keep_iterates=True
-        )
+        config = SolverConfig(max_iters=60, step_constant=3.0, x0=np.ones(3))
+        iterates = record_iterates(obj)
         run = run_gm(obj, IdentityPreconditioner(), config)
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-14)
-        dists = [np.linalg.norm(x) for x in run.iterates_x]  # x* = 0
+        dists = [np.linalg.norm(x) for x in iterates]  # x* = 0
         assert all(b <= a + 1e-14 for a, b in zip(dists, dists[1:]))
 
     def test_stationary_start(self, rng):
@@ -169,10 +168,15 @@ class TestRunFGM:
         bounds = compute_alpha_beta(prec, obj.curvature)
         M = bounds.beta
         rho = bounds.alpha
-        config = SolverConfig(
-            max_iters=80, step_constant=M, rho=rho, x0=np.ones(8), keep_iterates=True
-        )
+        config = SolverConfig(max_iters=80, step_constant=M, rho=rho, x0=np.ones(8))
+        iterates = record_iterates(obj)
         run = run_fgm(obj, prec, config)
+        # Prox centres from the records: x_k = (1 - theta_k) x_{k-1} + theta_k v_k
+        # with theta_k = (A_k - A_{k-1}) / A_k, and v_0 = x_0.
+        centres = [iterates[0]]
+        for prev, record, x_prev, x in zip(run.records, run.records[1:], iterates, iterates[1:]):
+            theta = (record.A_k - prev.A_k) / record.A_k
+            centres.append((x - (1.0 - theta) * x_prev) / theta)
         dense_prec = np.zeros((8, 8))
         power = np.eye(8)
         for c in prec.coefficients.coeffs:
@@ -180,7 +184,7 @@ class TestRunFGM:
             power = power @ obj.curvature.to_dense()
         x_star = obj.x_star
         potentials = []
-        for record, x, v in zip(run.records, run.iterates_x, run.iterates_v):
+        for record, v in zip(run.records, centres):
             diff = x_star - v
             dist_sq = float(diff @ np.linalg.solve(dense_prec, diff))
             gap = record.f_value - obj.f_star
@@ -292,7 +296,7 @@ class TestAdaptiveGM:
         # has not yet underflowed; the general model must still accept it
         # instead of doubling M towards the cap.
         spec = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=10, seed=0)
-        obj, _ = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression(spec, HuberLoss(0.1))
         prec = build_from_descriptor("cutting:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, initial_guess=guess))
@@ -307,17 +311,20 @@ class TestAdaptiveFGM:
         obj_fixed = make_quadratic(B, np.ones(5))
         obj_adapt = make_quadratic(DenseOperator(2.0 * np.eye(5)), np.ones(5))
         x0 = np.full(5, 3.0)
-        fixed = run_fgm(
+        fixed_iterates = record_iterates(obj_fixed)
+        adapt_iterates = record_iterates(obj_adapt)
+        run_fgm(
             obj_fixed,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=30, step_constant=2.0, x0=x0, keep_iterates=True),
+            SolverConfig(max_iters=30, step_constant=2.0, x0=x0),
         )
-        adaptive = run_adaptive_fgm(
+        run_adaptive_fgm(
             obj_adapt,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=30, initial_guess=2.0, x0=x0, keep_iterates=True),
+            SolverConfig(max_iters=30, initial_guess=2.0, x0=x0),
         )
-        for xf, xa in zip(fixed.iterates_x, adaptive.iterates_x):
+        assert len(fixed_iterates) == len(adapt_iterates) == 31
+        for xf, xa in zip(fixed_iterates, adapt_iterates):
             assert np.allclose(xf, xa, rtol=1e-13, atol=1e-13)
 
     def test_rejected_trials_leave_state_unchanged(self, rng):
@@ -371,14 +378,18 @@ def run_method(method, obj, config):
 class TestLoopContract:
     """What the shared iteration loop guarantees for every method."""
 
-    def run(self, method, **overrides):
+    def problem(self, **overrides):
         obj = gapped_quadratic(np.random.default_rng(7), n=6, cond=10)
         beta_L = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta * obj.L
         options = dict(
             step_constant=beta_L, initial_guess=beta_L / 4, x0=np.ones(6), f_star=obj.f_star
         )
         options.update(overrides)
-        return obj, run_method(method, obj, SolverConfig(**options))
+        return obj, SolverConfig(**options)
+
+    def run(self, method, **overrides):
+        obj, config = self.problem(**overrides)
+        return obj, run_method(method, obj, config)
 
     def test_start_record(self, method):
         _, run = self.run(method, max_iters=3)
@@ -387,13 +398,14 @@ class TestLoopContract:
         assert first.grad_map == np.inf
         assert first.ls_trials == 0
 
-    def test_keep_iterates(self, method):
-        _, run = self.run(method, max_iters=5, keep_iterates=True)
-        assert len(run.iterates_x) == len(run.records)
-        if method in ("fgm", "adaptive-fgm"):
-            assert len(run.iterates_v) == len(run.records)
-        else:
-            assert run.iterates_v is None
+    def test_one_readout_per_record(self, method):
+        # record_iterates (conftest) relies on one objective readout per record.
+        obj, config = self.problem(max_iters=5)
+        iterates = record_iterates(obj)
+        run = run_method(method, obj, config)
+        assert len(iterates) == len(run.records)
+        assert np.array_equal(iterates[0], np.ones(6))
+        assert np.array_equal(iterates[-1], run.x)
 
     def test_gap_target_stops(self, method):
         obj, run = self.run(method, max_iters=10_000, gap_target=1e-6)
@@ -415,7 +427,7 @@ class TestRoundingFloor:
 
     def run(self, tol):
         spec = SyntheticSpectrumSpec(lam1=40, lam2=4, tail=1, n=10, rows=50, seed=0)
-        obj, _ = synth_regression(spec, LogisticLoss())
+        obj = synth_regression(spec, LogisticLoss())
         prec = build_from_descriptor("inverse", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         config = SolverConfig(max_iters=500, initial_guess=guess, tol=tol)
