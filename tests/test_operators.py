@@ -13,8 +13,11 @@ from polyprec import (
     PolynomialCoefficients,
     SyntheticSpectrumSpec,
     apply_polynomial,
+    build_from_descriptor,
+    compute_alpha_beta,
     elementary_symmetric,
     exact_traces,
+    inverse_preconditioner,
     lanczos,
     spectral_decomposition,
     stochastic_traces,
@@ -129,6 +132,19 @@ class TestApplyPolynomial:
                 power = power @ op.to_dense()
             got = apply_polynomial(PolynomialCoefficients(coeffs), op, v)
             assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
+class TestPolynomialEvaluation:
+    @pytest.mark.parametrize("degree", range(9))
+    def test_horner_is_polyval_bit_for_bit(self, rng, degree):
+        p = PolynomialCoefficients(rng.standard_normal(degree + 1))
+        points = rng.uniform(-3.0, 3.0, 6)
+        for s in (float(points[0]), np.array(points[1]), points, list(points)):
+            got = p(s)
+            expected = np.polynomial.polynomial.polyval(s, p.coeffs)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestLanczos:
@@ -287,6 +303,32 @@ class TestSpectralDecomposition:
     def test_identity(self):
         op = DenseOperator(np.eye(5))
         assert np.allclose(spectral_decomposition(op).eigenvalues, 1.0)
+
+    def test_one_eigh_per_operator(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        descriptors = ("sympoly:2", "cutting:2", "chebyshev:3", "inverse")
+        for descriptor in descriptors:
+            op = random_spd(rng, 6)
+            compute_alpha_beta(build_from_descriptor(descriptor, op), op)
+            compute_alpha_beta(inverse_preconditioner(op), op)
+            exact_traces(op, 3)
+        assert calls == [(6, 6)] * len(descriptors)
+
+    def test_kept_arrays_are_read_only(self, rng):
+        op = random_spd(rng, 4)
+        dec = spectral_decomposition(op)
+        assert spectral_decomposition(op) is dec
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvectors[:, 0] *= 2.0
 
     def test_invariants_vs_numpy(self, rng):
         # Random inputs are checked against numpy's eigvalsh as an independent
