@@ -4,9 +4,7 @@ from .operators import (
     DenseOperator,
     GramOperator,
     MatvecOperator,
-    PolynomialCoefficients,
     SymmetricOperator,
-    apply_polynomial,
     elementary_symmetric,
     exact_traces,
     lanczos,

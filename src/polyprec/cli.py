@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 on usage errors, 2 when verification hard-fails,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -17,12 +16,13 @@ from .diagnostics import run_verification_suite, xi_table
 from .experiments import (
     METHODS,
     ExperimentConfig,
-    _write_atomic,
     build_problem,
     merge_plotdata,
     parse_synthetic,
     run_bench,
     run_experiment,
+    write_csv,
+    write_json,
 )
 from .operators import spectral_decomposition
 
@@ -62,15 +62,6 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
-def _write_csv(path, header, rows):
-    def fill(handle):
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _write_atomic(path, fill)
-
-
 def _cmd_solve(args) -> int:
     summary = run_experiment(_config_from_args(args))
     print(json.dumps(summary, indent=2))
@@ -96,13 +87,13 @@ def _cmd_spectrum(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eig_path = out_dir / "eigenvalues.csv"
-    _write_csv(
+    write_csv(
         eig_path,
         ["index", "eigenvalue"],
         [[i, repr(float(value))] for i, value in enumerate(dec.eigenvalues, start=1)],
     )
     xi_path = out_dir / "xi_table.csv"
-    _write_csv(
+    write_csv(
         xi_path,
         ["tau", "xi", "cond"],
         [[tau, repr(xi), repr(cond)] for tau, xi, cond in table.rows],
@@ -124,7 +115,7 @@ def _cmd_verify(args) -> int:
         print(f"[{status}] {report.check} (max slack {report.max_slack:.3e})")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(args.out, lambda handle: json.dump(lines, handle, indent=2))
+        write_json(args.out, lines)
         print(f"wrote {args.out}")
     return 2 if hard_fail else 0
 
@@ -149,7 +140,8 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--precond",
         default="identity",
-        help="identity | sympoly:T | chebyshev:T | cutting:T | inverse",
+        help="identity | sympoly:T | sympoly:T:stochastic[:S[:SEED]] | chebyshev:T | "
+        "cutting:T | inverse",
     )
     solve.add_argument("--tau", type=int, default=0, help="krylov subspace degree")
     _add_problem_flags(solve)

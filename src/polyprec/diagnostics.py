@@ -16,12 +16,12 @@ import numpy as np
 
 from .operators import (
     DenseOperator,
-    PolynomialCoefficients,
     elementary_symmetric,
     spectral_decomposition,
 )
 from .preconditioners import (
     ChebyshevPreconditioner,
+    PolynomialPreconditioner,
     build_sympoly,
     compute_alpha_beta,
     cutting_preconditioner,
@@ -79,7 +79,7 @@ def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
     return float(elementary_symmetric(reduced, tau).unscaled()[tau])
 
 
-def _dense_polynomial(p: PolynomialCoefficients, mat: np.ndarray) -> np.ndarray:
+def _dense_polynomial(p: PolynomialPreconditioner, mat: np.ndarray) -> np.ndarray:
     """The matrix ``sum_k c_k B^k`` of the unnormalized coefficients of p."""
     built = np.zeros_like(mat)
     power = np.eye(mat.shape[0])
@@ -104,7 +104,7 @@ def verify_lemma_spec(B: DenseOperator, tau: int, tol: float) -> CheckReport:
     details = []
     for i in range(B.dim):
         q_i = dec.eigenvectors[:, i]
-        action = prec.apply(B, q_i) * prec.coefficients.scale
+        action = prec.apply(B, q_i) * prec.scale
         sigma = _sigma_removed(lam, i, tau)
         dev = float(np.linalg.norm(action - sigma * q_i)) / abs(sigma)
         worst = max(worst, dev)
@@ -125,7 +125,7 @@ def verify_adjugate(B: DenseOperator, tol: float) -> CheckReport:
     if n > 10:
         raise ValueError("verifier is desk-scale; need n <= 10")
     mat = B.to_dense()
-    built = _dense_polynomial(build_sympoly(B, n - 1, "exact").coefficients, mat)
+    built = _dense_polynomial(build_sympoly(B, n - 1, "exact"), mat)
     target = np.linalg.det(mat) * np.linalg.inv(mat)
     dev = float(np.linalg.norm(built - target) / np.linalg.norm(target))
     return CheckReport(
@@ -146,7 +146,7 @@ def verify_sandwich(B: DenseOperator, tau: int, tol: float) -> CheckReport:
     dec = spectral_decomposition(B)
     lam = dec.eigenvalues
     prec = build_sympoly(B, tau, "exact")
-    vals = lam * np.asarray(prec.eval_at(lam)) * prec.coefficients.scale
+    vals = lam * prec.eval_at(lam) * prec.scale
     lower = lam[-1] * _sigma_removed(lam, lam.size - 1, tau)
     upper = lam[0] * _sigma_removed(lam, 0, tau)
     slack = max(
@@ -196,7 +196,7 @@ def volume_sampling_expectation(B: DenseOperator, m: int) -> VolumeSamplingRepor
         num += det * padded
         den += det
     expectation = num / den
-    reference = _dense_polynomial(build_sympoly(B, m - 1, "exact").coefficients, mat)
+    reference = _dense_polynomial(build_sympoly(B, m - 1, "exact"), mat)
     constant = float(np.sum(expectation * reference) / np.sum(reference * reference))
     scaled = constant * reference
     max_rel_dev = float(np.max(np.abs(expectation - scaled)) / np.max(np.abs(scaled)))
@@ -420,7 +420,7 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         spectrum = np.sort(rng.uniform(0.5, 40.0, n))[::-1]
         tau = int(rng.integers(0, n))
         prec = cutting_preconditioner(spectrum, tau)
-        measured = gamma_of_polynomial(prec.coefficients, spectrum)
+        measured = gamma_of_polynomial(prec, spectrum)
         cond, _ = proposition_bounds(spectrum, tau)
         return measured - (cond - 1.0) / (cond + 1.0)
 
@@ -430,7 +430,7 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         tau = int(rng.integers(0, 9))
         grid = np.linspace(lamn, lam1, 1000)
         prec = ChebyshevPreconditioner(lam1, lamn, tau)
-        measured = gamma_of_polynomial(prec.eval_at, grid)
+        measured = gamma_of_polynomial(prec, grid)
         return measured - proposition_bounds(grid, tau)[1]
 
     # Degree 1 on a spectrum with one outlier: the condition number falls from

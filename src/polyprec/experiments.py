@@ -48,6 +48,8 @@ __all__ = [
     "run_experiment",
     "run_bench",
     "merge_plotdata",
+    "write_csv",
+    "write_json",
 ]
 
 CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k", "time_ms"]
@@ -81,21 +83,40 @@ class ExperimentConfig:
     reference_iters: int | None = None
 
     def validate(self):
-        _parse_loss(self.loss)
-        parse_descriptor(self.precond)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.method == "krylov" and self.precond not in ("identity",):
-            raise ValueError("the krylov method chooses its own polynomial; drop --precond")
-        if (self.dataset is None) == (self.synthetic is None):
+        _check_fields(self)
+        if self.dataset is None and self.synthetic is None:
             raise ValueError("exactly one of dataset or synthetic must be given")
-        if self.dataset is not None and self.loss != "logistic":
-            raise ValueError("dataset runs use the logistic loss")
-        for key in _MINIMUM:
-            _check_minimum(key, getattr(self, key))
-        if self.synthetic is not None:
-            _synthetic_spec(self).resolve()
-            _check_degree(self)
+
+
+def _check_fields(config: ExperimentConfig):
+    """Check every field that is set, alone and against the others.
+
+    A config file runs this after each line, so that the line that makes a
+    field bad or two fields clash is the one an error names.
+    """
+    _parse_loss(config.loss)
+    kind, numbers = parse_descriptor(config.precond)
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method {config.method!r}; choose from {METHODS}")
+    if config.method == "krylov" and config.precond != "identity":
+        raise ValueError(
+            "the krylov method chooses its own polynomial; drop --precond, "
+            "or precond = in a config file"
+        )
+    if config.dataset is not None and config.synthetic is not None:
+        raise ValueError("exactly one of dataset or synthetic must be given")
+    if config.dataset is not None and config.loss != "logistic":
+        raise ValueError("dataset runs use the logistic loss")
+    for key, low in _MINIMUM.items():
+        value = getattr(config, key)
+        if value is not None and value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
+    if config.synthetic is not None:
+        n = _synthetic_spec(config).resolve().size
+        # A dataset's n is known only once it is parsed; there the
+        # preconditioner build rejects a degree above n - 1.
+        if kind in ("sympoly", "sympoly:stochastic", "cutting") and numbers[0] > n - 1:
+            raise ValueError(f"degree {numbers[0]} of {config.precond!r} exceeds n-1={n - 1}")
 
 
 def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
@@ -103,23 +124,6 @@ def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
     return SyntheticSpectrumSpec(
         lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
     )
-
-
-def _check_degree(config: ExperimentConfig):
-    """Reject a sympoly or cutting degree above n - 1 on a synthetic problem of size n.
-
-    A dataset's n is known only once it is parsed; there the preconditioner
-    build makes the same check.
-    """
-    kind, numbers = parse_descriptor(config.precond)
-    n = config.synthetic[3]
-    if kind in ("sympoly", "sympoly:stochastic", "cutting") and numbers[0] > n - 1:
-        raise ValueError(f"degree {numbers[0]} of {config.precond!r} exceeds n-1={n - 1}")
-
-
-def _check_minimum(key: str, value: int | None):
-    if value is not None and value < _MINIMUM[key]:
-        raise ValueError(f"{key} must be at least {_MINIMUM[key]}, got {value}")
 
 
 def _parse_loss(text: str):
@@ -155,15 +159,8 @@ def parse_config_file(path) -> ExperimentConfig:
             try:
                 if key in ("name", "method", "precond", "dataset", "loss", "out_dir"):
                     setattr(config, key, raw)
-                    # Checked here too, so that a bad value names its line.
-                    if key == "loss":
-                        _parse_loss(raw)
-                    elif key == "precond":
-                        parse_descriptor(raw)
                 elif key in ("tau", "max_iters", "seed", "rows", "reference_iters"):
                     setattr(config, key, int(raw))
-                    if key in _MINIMUM:  # checked here too, so that it names its line
-                        _check_minimum(key, getattr(config, key))
                 elif key == "tol":
                     config.tol = float(raw)
                 elif key == "standardize":
@@ -174,10 +171,7 @@ def parse_config_file(path) -> ExperimentConfig:
                     config.synthetic = parse_synthetic(raw)
                 else:
                     raise ValueError("unknown config key")
-                if key in ("synthetic", "rows") and config.synthetic is not None:
-                    _synthetic_spec(config).resolve()  # so that a bad shape names its line
-                if key in ("synthetic", "precond") and config.synthetic is not None:
-                    _check_degree(config)  # so that a degree above n - 1 names its line
+                _check_fields(config)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key!r}: {exc}") from exc
     try:
@@ -304,25 +298,37 @@ def _write_atomic(path, fill):
         raise
 
 
-def write_run_csv(path, run: RunResult, f_star: float):
+def write_csv(path, header, rows):
+    """Write a header and then ``rows``, an iterable of rows, as one CSV file."""
+
     def fill(handle):
         writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for r in run.records:
-            writer.writerow(
-                [
-                    r.k,
-                    repr(float(r.f_value)),
-                    repr(float(r.f_value - f_star)),
-                    r.matvecs,
-                    r.grad_evals,
-                    r.ls_trials,
-                    repr(float(r.M_k)),
-                    repr(float(r.time_ms)),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
     _write_atomic(path, fill)
+
+
+def write_json(path, payload):
+    """Write ``payload`` as one indented JSON file."""
+    _write_atomic(path, lambda handle: json.dump(payload, handle, indent=2))
+
+
+def write_run_csv(path, run: RunResult, f_star: float):
+    rows = (
+        [
+            r.k,
+            repr(float(r.f_value)),
+            repr(float(r.f_value - f_star)),
+            r.matvecs,
+            r.grad_evals,
+            r.ls_trials,
+            repr(float(r.M_k)),
+            repr(float(r.time_ms)),
+        ]
+        for r in run.records
+    )
+    write_csv(path, CSV_HEADER, rows)
 
 
 def run_experiment(
@@ -379,10 +385,7 @@ def run_experiment(
             "negative_gaps": sum(r.f_value < f_star for r in run.records),
         },
     }
-    _write_atomic(
-        out_dir / f"{config.name}.json",
-        lambda handle: json.dump(summary, handle, indent=2),
-    )
+    write_json(out_dir / f"{config.name}.json", summary)
     return summary
 
 
@@ -417,7 +420,7 @@ def merge_plotdata(run_dir, out_path) -> int:
     """
     run_dir = Path(run_dir)
     merged = 0
-    rows = [["run", "method", "precond"] + CSV_HEADER]
+    rows = []
     for summary_path in sorted(run_dir.glob("*.json")):
         with open(summary_path) as sh:
             summary = json.load(sh)
@@ -432,5 +435,5 @@ def merge_plotdata(run_dir, out_path) -> int:
             labels = [name, config.get("method", ""), config.get("precond", "")]
             rows += [labels + row for row in reader]
         merged += 1
-    _write_atomic(out_path, lambda handle: csv.writer(handle).writerows(rows))
+    write_csv(out_path, ["run", "method", "precond"] + CSV_HEADER, rows)
     return merged

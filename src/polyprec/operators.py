@@ -13,11 +13,9 @@ __all__ = [
     "MatvecOperator",
     "GramOperator",
     "SpectralDecomposition",
-    "PolynomialCoefficients",
     "ElementarySymmetricSums",
     "spectral_decomposition",
     "lanczos",
-    "apply_polynomial",
     "exact_traces",
     "stochastic_traces",
     "elementary_symmetric",
@@ -204,65 +202,6 @@ def lanczos(op: SymmetricOperator, v: np.ndarray, steps: int):
         columns.append(r / beta)
     T = np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
     return np.column_stack(columns), T
-
-
-@dataclass(frozen=True)
-class PolynomialCoefficients:
-    """Coefficients of a polynomial in the operator, lowest degree first.
-
-    ``scale`` is the factor divided out when the coefficients were normalized;
-    ``coeffs * scale`` recovers the unnormalized polynomial.
-    """
-
-    coeffs: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d sequence")
-        if not (self.scale > 0):
-            raise ValueError("scale must be positive")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def unnormalized(self) -> np.ndarray:
-        return self.coeffs * self.scale
-
-    def __call__(self, s):
-        """Evaluate the (normalized) polynomial at scalar or array argument.
-
-        Horner's rule in the steps of ``np.polynomial.polynomial.polyval``, so
-        the values are the same bits without importing ``numpy.polynomial``.
-        """
-        if isinstance(s, (tuple, list)):
-            s = np.asarray(s)
-        c = self.coeffs
-        value = c[-1] + s * 0
-        for i in range(2, c.size + 1):
-            value = c[-i] + value * s
-        return value
-
-
-def apply_polynomial(
-    p: PolynomialCoefficients, op: SymmetricOperator, v: np.ndarray
-) -> np.ndarray:
-    """Apply a polynomial in the operator to a vector by the Horner scheme.
-
-    Uses exactly ``p.degree`` matvecs.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.dim,):
-        raise ValueError(
-            f"vector shape {v.shape} does not match operator dimension {op.dim}"
-        )
-    c = p.coeffs
-    result = c[-1] * v
-    for i in range(c.size - 2, -1, -1):
-        result = op.matvec(result) + c[i] * v
-    return result
 
 
 def exact_traces(op: SymmetricOperator, k_max: int) -> np.ndarray:

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    PolynomialCoefficients,
     SymmetricOperator,
-    apply_polynomial,
     elementary_symmetric,
     exact_traces,
     spectral_decomposition,
@@ -70,49 +68,71 @@ class QualityBounds:
     alpha: float
     beta: float
 
-    @property
-    def cond(self) -> float:
-        return self.beta / self.alpha
-
 
 class Preconditioner:
-    """Base class; concrete kinds are identity, polynomial, chebyshev, matrix."""
-
-    descriptor: str = "base"
+    """Base class; concrete kinds are polynomial (identity included), chebyshev and
+    the exact inverse."""
 
     def apply(self, op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def eval_at(self, s):
-        """Evaluate the underlying polynomial at scalar/array points.
-
-        Matrix-backed preconditioners have no polynomial and raise.
-        """
-        raise ValueError(f"{self.descriptor} preconditioner has no scalar form")
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.descriptor!r})"
+        """The scalar form p(s), at scalar or array points."""
+        raise NotImplementedError
 
 
+@dataclass(frozen=True, eq=False)
 class PolynomialPreconditioner(Preconditioner):
-    """Preconditioner given by explicit polynomial coefficients."""
+    """A polynomial in the operator, coefficients lowest degree first.
 
-    def __init__(self, coefficients: PolynomialCoefficients, descriptor: str = "coeffs"):
-        self.coefficients = coefficients
-        self.descriptor = descriptor
+    ``scale`` is the factor divided out when the coefficients were normalized;
+    ``coeffs * scale`` recovers the unnormalized polynomial.
+    """
+
+    coeffs: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
+        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
+            raise ValueError("coefficients must be a nonempty 1-d sequence")
+        if not (self.scale > 0):
+            raise ValueError("scale must be positive")
+
+    def unnormalized(self) -> np.ndarray:
+        return self.coeffs * self.scale
 
     def apply(self, op, v):
-        return apply_polynomial(self.coefficients, op, v)
+        """The polynomial in the operator times ``v`` by the Horner scheme, at one
+        matvec per degree."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (op.dim,):
+            raise ValueError(
+                f"vector shape {v.shape} does not match operator dimension {op.dim}"
+            )
+        c = self.coeffs
+        result = c[-1] * v
+        for i in range(c.size - 2, -1, -1):
+            result = op.matvec(result) + c[i] * v
+        return result
 
     def eval_at(self, s):
-        return self.coefficients(s)
+        """Horner's rule in the steps of ``np.polynomial.polynomial.polyval``, so
+        the values are the same bits without importing ``numpy.polynomial``."""
+        if isinstance(s, (tuple, list)):
+            s = np.asarray(s)
+        c = self.coeffs
+        value = c[-1] + s * 0
+        for i in range(2, c.size + 1):
+            value = c[-i] + value * s
+        return value
 
 
 class IdentityPreconditioner(PolynomialPreconditioner):
     """The degree-0 polynomial 1: applies as a copy of the vector at zero matvecs."""
 
     def __init__(self):
-        super().__init__(PolynomialCoefficients(np.ones(1)), "identity")
+        super().__init__(np.ones(1))
 
 
 class ChebyshevPreconditioner(Preconditioner):
@@ -134,7 +154,6 @@ class ChebyshevPreconditioner(Preconditioner):
         self.lam_max = float(lam_max)
         self.lam_min = float(lam_min)
         self.tau = int(tau)
-        self.descriptor = f"chebyshev:{tau}"
 
     def _u0(self) -> float:
         return (self.lam_max + self.lam_min) / (self.lam_max - self.lam_min)
@@ -167,22 +186,26 @@ class ChebyshevPreconditioner(Preconditioner):
 
 
 class MatrixPreconditioner(Preconditioner):
-    """Explicit dense preconditioning matrix: the exact inverse."""
+    """The exact inverse as a dense matrix (see :func:`inverse_preconditioner`).
 
-    descriptor = "inverse"
+    Its scalar form is 1/s above ``cutoff``, the eigenvalue below which the
+    operator counts as singular, and 0 below it.
+    """
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("preconditioning matrix must be square")
+    def __init__(self, matrix: np.ndarray, cutoff: float):
         self.matrix = matrix
+        self.cutoff = cutoff
 
     def apply(self, op, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
+    def eval_at(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.divide(1.0, s, out=np.zeros_like(s), where=s > self.cutoff)
 
-def sympoly_coefficients(traces, tau: int) -> PolynomialCoefficients:
-    """Coefficients of the degree-tau trace-recursion preconditioner.
+
+def sympoly_coefficients(traces, tau: int) -> PolynomialPreconditioner:
+    """The degree-tau trace-recursion preconditioner of the given power traces.
 
     Runs the polynomial recursion seeded with the operator power traces,
     then normalizes so the largest coefficient magnitude is one (the raw
@@ -204,10 +227,8 @@ def sympoly_coefficients(traces, tau: int) -> PolynomialCoefficients:
             acc[i : i + prev.size] -= sign * prev
         polys.append(acc / t)
     raw = polys[tau]
-    scale = float(np.max(np.abs(raw)))
-    if scale == 0.0:
-        return PolynomialCoefficients(raw, scale=1.0)
-    return PolynomialCoefficients(raw / scale, scale=scale)
+    scale = float(np.max(np.abs(raw))) or 1.0
+    return PolynomialPreconditioner(raw / scale, scale)
 
 
 def build_sympoly(
@@ -228,32 +249,22 @@ def build_sympoly(
         if not op.is_dense:
             raise ValueError("exact trace mode requires a dense-capable operator")
         traces = exact_traces(op, tau) if tau >= 1 else np.empty(0)
-        descriptor = f"sympoly:{tau}"
     elif trace_mode == "stochastic":
         traces = stochastic_traces(op, tau, samples, seed) if tau >= 1 else np.empty(0)
-        descriptor = f"sympoly:{tau}:stochastic:{samples}:{seed}"
     else:
         raise ValueError(f"unknown trace mode {trace_mode!r}")
-    return PolynomialPreconditioner(sympoly_coefficients(traces, tau), descriptor)
+    return sympoly_coefficients(traces, tau)
 
 
 def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBounds:
     """Tightest two-sided spectral bounds of a preconditioner on a dense operator.
 
-    For polynomial preconditioners these are the extremes of ``lam * p(lam)``
-    over the operator spectrum; explicit matrices go through the symmetric
-    congruence with the operator square root. Raises
+    These are the extremes of ``lam * p(lam)`` over the operator spectrum,
+    ``p`` the preconditioner's scalar form. Raises
     :class:`IndefinitePreconditionerError` when the lower bound is not positive.
     """
-    dec = spectral_decomposition(op)
-    lam = dec.eigenvalues
-    try:
-        vals = lam * np.asarray(prec.eval_at(lam), dtype=float)
-    except ValueError:
-        if not isinstance(prec, MatrixPreconditioner):
-            raise
-        root = dec.eigenvectors @ np.diag(np.sqrt(lam)) @ dec.eigenvectors.T
-        vals = np.linalg.eigvalsh(root @ prec.matrix @ root)
+    lam = spectral_decomposition(op).eigenvalues
+    vals = lam * prec.eval_at(lam)
     alpha = float(np.min(vals))
     beta = float(np.max(vals))
     if alpha <= 0:
@@ -261,19 +272,16 @@ def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBo
     return QualityBounds(alpha=alpha, beta=beta)
 
 
-def gamma_of_polynomial(p, points) -> float:
-    """Worst deviation of ``s * p(s)`` from one over positive points.
-
-    ``p`` is any evaluator of the polynomial: a :class:`PolynomialCoefficients`
-    or a preconditioner's ``eval_at``.
-    """
+def gamma_of_polynomial(prec: Preconditioner, points) -> float:
+    """Worst deviation of ``s * p(s)`` from one over positive points, ``p`` the
+    preconditioner's scalar form."""
     points = np.asarray(points, dtype=float)
     if points.size and np.min(points) <= 0:
         raise ValueError("points must be positive")
-    return float(np.max(np.abs(points * np.asarray(p(points)) - 1.0)))
+    return float(np.max(np.abs(points * prec.eval_at(points) - 1.0)))
 
 
-def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialCoefficients:
+def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialPreconditioner:
     """Degree-tau polynomial with roots placed at the top tau eigenvalues.
 
     ``lam_top`` holds the leading tau+1 eigenvalues; the construction zeroes
@@ -296,7 +304,7 @@ def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialCoefficient
     a = 2.0 / (lam_top[tau] + lam_n)
     r = np.convolve(q, np.array([-1.0, a]))
     r[0] += 1.0  # exactly zero
-    return PolynomialCoefficients(r[1:], scale=1.0)
+    return PolynomialPreconditioner(r[1:])
 
 
 def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
@@ -304,8 +312,7 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     spectrum = np.asarray(spectrum, dtype=float)
     if tau > spectrum.size - 1:
         raise ValueError(f"tau={tau} exceeds n-1={spectrum.size - 1}")
-    p = cutting_polynomial(spectrum[: tau + 1], float(spectrum[-1]), tau)
-    return PolynomialPreconditioner(p, descriptor=f"cutting:{tau}")
+    return cutting_polynomial(spectrum[: tau + 1], float(spectrum[-1]), tau)
 
 
 def chebyshev_T(k: int, x):
@@ -322,8 +329,8 @@ def chebyshev_T(k: int, x):
     return t_cur if t_cur.ndim else float(t_cur)
 
 
-def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialCoefficients:
-    """Monomial coefficients of the Chebyshev inverse-approximation polynomial.
+def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialPreconditioner:
+    """The Chebyshev inverse-approximation polynomial in monomial coefficients.
 
     The shifted-argument recurrence is expanded in the monomial basis, which
     loses about one bit of accuracy per degree; degrees above
@@ -351,7 +358,7 @@ def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialCoeffi
         t_prev, t_cur = t_cur, t_next
     # Constant term of t_cur equals T_{tau+1} at the shift point, so the
     # numerator of (1 - Q)/s starts at exactly zero.
-    return PolynomialCoefficients(-t_cur[1:] / t_cur[0], scale=1.0)
+    return PolynomialPreconditioner(-t_cur[1:] / t_cur[0])
 
 
 def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
@@ -363,9 +370,10 @@ def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
     """
     dec = spectral_decomposition(op)
     lam = dec.eigenvalues
-    keep = lam > lam[0] * lam.size * np.finfo(float).eps
+    cutoff = lam[0] * lam.size * np.finfo(float).eps
+    keep = lam > cutoff
     q = dec.eigenvectors[:, keep]
-    return MatrixPreconditioner((q / lam[keep]) @ q.T)
+    return MatrixPreconditioner((q / lam[keep]) @ q.T, cutoff)
 
 
 def xi_tau(spectrum, tau: int) -> float:

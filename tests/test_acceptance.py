@@ -271,10 +271,10 @@ def test_criterion_06_cutting_chebyshev_bounds():
         cut = cutting_preconditioner(spectrum, tau)
         cond, cheb_bound = proposition_bounds(spectrum, tau)
         cut_bound = (cond - 1.0) / (cond + 1.0)
-        worst_cut = max(worst_cut, gamma_of_polynomial(cut.coefficients, spectrum) - cut_bound)
+        worst_cut = max(worst_cut, gamma_of_polynomial(cut, spectrum) - cut_bound)
         cheb = ChebyshevPreconditioner(spectrum[0], spectrum[-1], tau)
         grid = np.linspace(spectrum[-1], spectrum[0], 1000)
-        worst_cheb = max(worst_cheb, gamma_of_polynomial(cheb.eval_at, grid) - cheb_bound)
+        worst_cheb = max(worst_cheb, gamma_of_polynomial(cheb, grid) - cheb_bound)
     ok = worst_cut <= 1e-10 and worst_cheb <= 1e-10
     assert _report(
         "06", ok, f"cutting slack {worst_cut:.2e}, chebyshev slack {worst_cheb:.2e}"

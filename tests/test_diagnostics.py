@@ -177,7 +177,7 @@ class TestEnvelopes:
         bounds_p1 = compute_alpha_beta(prec, B)
         from polyprec import xi_tau
 
-        ratio = bounds_p1.cond / bounds_id.cond
+        ratio = (bounds_p1.beta / bounds_p1.alpha) / (bounds_id.beta / bounds_id.alpha)
         assert ratio == pytest.approx(xi_tau(spectrum, 1), rel=1e-9)
 
     def test_gm_envelope_trivial_at_optimum(self, rng):

@@ -391,6 +391,8 @@ class TestExperiments:
             ("precond = sympoly:9", "degree 9 of 'sympoly:9' exceeds n-1=5"),
             ("precond = sympoly:6:stochastic", "degree 6 of .* exceeds n-1=5"),
             ("precond = sympoly:7:stochastic:8:1", "degree 7 of .* exceeds n-1=5"),
+            ("method = gmx", "unknown method 'gmx'"),
+            ("dataset = x.txt", "exactly one of dataset or synthetic"),
         ],
     )
     def test_parse_config_bad_value_reports_line(self, tmp_path, line, message):
@@ -398,6 +400,21 @@ class TestExperiments:
         path.write_text(f"method = gm\nsynthetic = 12,2,1,6\n# comment\n{line}\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:4: .*{message}"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("method = krylov", "precond = sympoly:2", "drop --precond, or precond = in a config"),
+            ("dataset = x.txt", "loss = huber:0.1", "dataset runs use the logistic loss"),
+        ],
+    )
+    def test_parse_config_clash_names_the_later_line(self, tmp_path, first, second, message):
+        # Either order: the line that makes two fields clash is the one named.
+        for order in ((first, second), (second, first)):
+            path = tmp_path / "clash.cfg"
+            path.write_text(f"{order[0]}\n# comment\n{order[1]}\n")
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: .*{message}"):
+                parse_config_file(path)
 
     @pytest.mark.parametrize("word, expected", [("yes", True), ("OFF", False), ("0", False)])
     def test_parse_config_standardize_words(self, tmp_path, word, expected):

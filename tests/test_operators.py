@@ -10,9 +10,8 @@ from polyprec import (
     GramOperator,
     HuberLoss,
     MatvecOperator,
-    PolynomialCoefficients,
+    PolynomialPreconditioner,
     SyntheticSpectrumSpec,
-    apply_polynomial,
     build_from_descriptor,
     compute_alpha_beta,
     elementary_symmetric,
@@ -97,24 +96,24 @@ class TestApplyPolynomial:
     def test_constant_is_identity(self, rng):
         op = random_spd(rng, 4)
         v = rng.standard_normal(4)
-        p = PolynomialCoefficients([1.0])
-        assert np.allclose(apply_polynomial(p, op, v), v)
+        p = PolynomialPreconditioner([1.0])
+        assert np.allclose(p.apply(op, v), v)
         assert op.matvecs == 0
 
     def test_trace_shifted(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        p = PolynomialCoefficients([6.0, -1.0])
-        assert np.allclose(apply_polynomial(p, op, np.ones(3)), [3.0, 4.0, 5.0])
+        p = PolynomialPreconditioner([6.0, -1.0])
+        assert np.allclose(p.apply(op, np.ones(3)), [3.0, 4.0, 5.0])
 
     def test_degree_two(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        p = PolynomialCoefficients([11.0, -6.0, 1.0])
-        assert np.allclose(apply_polynomial(p, op, np.ones(3)), [2.0, 3.0, 6.0])
+        p = PolynomialPreconditioner([11.0, -6.0, 1.0])
+        assert np.allclose(p.apply(op, np.ones(3)), [2.0, 3.0, 6.0])
 
     def test_matvec_budget_is_degree(self, rng):
         op = random_spd(rng, 5)
-        p = PolynomialCoefficients(rng.standard_normal(5))
-        apply_polynomial(p, op, rng.standard_normal(5))
+        p = PolynomialPreconditioner(rng.standard_normal(5))
+        p.apply(op, rng.standard_normal(5))
         assert op.matvecs == 4
 
     def test_matches_power_accumulation(self, rng):
@@ -130,17 +129,17 @@ class TestApplyPolynomial:
             for c in coeffs:
                 expected += c * (power @ v)
                 power = power @ op.to_dense()
-            got = apply_polynomial(PolynomialCoefficients(coeffs), op, v)
+            got = PolynomialPreconditioner(coeffs).apply(op, v)
             assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestPolynomialEvaluation:
     @pytest.mark.parametrize("degree", range(9))
     def test_horner_is_polyval_bit_for_bit(self, rng, degree):
-        p = PolynomialCoefficients(rng.standard_normal(degree + 1))
+        p = PolynomialPreconditioner(rng.standard_normal(degree + 1))
         points = rng.uniform(-3.0, 3.0, 6)
         for s in (float(points[0]), np.array(points[1]), points, list(points)):
-            got = p(s)
+            got = p.eval_at(s)
             expected = np.polynomial.polynomial.polyval(s, p.coeffs)
             assert type(got) is type(expected)
             assert np.shape(got) == np.shape(expected)

@@ -9,9 +9,10 @@ from polyprec import (
     ChebyshevPreconditioner,
     DenseOperator,
     IdentityPreconditioner,
+    GramOperator,
     IndefinitePreconditionerError,
+    MatrixPreconditioner,
     MatvecOperator,
-    PolynomialCoefficients,
     PolynomialPreconditioner,
     build_from_descriptor,
     build_sympoly,
@@ -23,6 +24,7 @@ from polyprec import (
     gamma_of_polynomial,
     inverse_preconditioner,
     parse_descriptor,
+    spectral_decomposition,
     sympoly_coefficients,
     xi_tau,
 )
@@ -57,19 +59,19 @@ class TestBuildSympoly:
     def test_action_matches_complement_sums(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         prec = build_sympoly(op, 2, "exact")
-        got = prec.apply(op, np.ones(3)) * prec.coefficients.scale
+        got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, [2.0, 3.0, 6.0])
 
     def test_identity_operator(self):
         op = DenseOperator(np.eye(3))
         prec = build_sympoly(op, 1, "exact")
-        got = prec.apply(op, np.ones(3)) * prec.coefficients.scale
+        got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, 2.0 * np.ones(3))
 
     def test_top_degree_is_scaled_inverse(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         prec = build_sympoly(op, 2, "exact")
-        got = prec.apply(op, np.ones(3)) * prec.coefficients.scale
+        got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, [2.0, 3.0, 6.0])  # det(B) * inv(B) @ 1
 
     def test_tau_beyond_dim_rejected(self):
@@ -82,12 +84,13 @@ class TestBuildSympoly:
         with pytest.raises(ValueError, match="dense"):
             build_sympoly(op, 1, "exact")
 
-    def test_stochastic_mode_records_descriptor(self, rng):
+    def test_stochastic_mode_is_seeded(self, rng):
         op = random_spd(rng, 4)
         prec = build_sympoly(op, 2, "stochastic", samples=64, seed=5)
-        assert prec.descriptor == "sympoly:2:stochastic:64:5"
         again = build_sympoly(op, 2, "stochastic", samples=64, seed=5)
-        assert np.array_equal(prec.coefficients.coeffs, again.coefficients.coeffs)
+        assert np.array_equal(prec.coeffs, again.coeffs)
+        other = build_sympoly(op, 2, "stochastic", samples=64, seed=6)
+        assert not np.array_equal(prec.coeffs, other.coeffs)
 
     def test_stochastic_mode_works_matrix_free(self, rng):
         dense = random_spd(rng, 5)
@@ -96,8 +99,8 @@ class TestBuildSympoly:
         exact = build_sympoly(dense, 1, "exact")
         # Trace estimate within a few percent puts the coefficients close.
         assert np.allclose(
-            prec.coefficients.unnormalized(),
-            exact.coefficients.unnormalized(),
+            prec.unnormalized(),
+            exact.unnormalized(),
             rtol=0.1,
         )
 
@@ -126,7 +129,7 @@ class TestApply:
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         prec = build_sympoly(op, 1, "exact")
         got = prec.apply(op, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(got * prec.coefficients.scale, [3.0, 0.0, 0.0])
+        assert np.allclose(got * prec.scale, [3.0, 0.0, 0.0])
 
     def test_zero_vector(self, rng):
         op = random_spd(rng, 4)
@@ -140,11 +143,11 @@ class TestAlphaBeta:
         bounds = compute_alpha_beta(IdentityPreconditioner(), op)
         assert bounds.alpha == pytest.approx(1.0)
         assert bounds.beta == pytest.approx(3.0)
-        assert bounds.cond == pytest.approx(3.0)
+        assert bounds.beta / bounds.alpha == pytest.approx(3.0)
 
     def test_unnormalized_degree_one(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        prec = PolynomialPreconditioner(PolynomialCoefficients([6.0, -1.0]))
+        prec = PolynomialPreconditioner([6.0, -1.0])
         bounds = compute_alpha_beta(prec, op)
         assert bounds.alpha == pytest.approx(5.0)
         assert bounds.beta == pytest.approx(9.0)
@@ -155,9 +158,19 @@ class TestAlphaBeta:
         assert bounds.alpha == pytest.approx(1.0, rel=1e-9)
         assert bounds.beta == pytest.approx(1.0, rel=1e-9)
 
+    def test_inverse_of_rank_deficient_operator_reported(self):
+        # A feature that never occurs: one Gram eigenvalue is zero up to rounding.
+        design = np.random.default_rng(3).standard_normal((30, 6))
+        design[:, 2] = 0.0
+        op = GramOperator(design)
+        with pytest.raises(IndefinitePreconditionerError) as excinfo:
+            compute_alpha_beta(inverse_preconditioner(op), op)
+        assert excinfo.value.alpha == 0.0
+        assert excinfo.value.beta == pytest.approx(1.0)
+
     def test_indefinite_reported(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        prec = PolynomialPreconditioner(PolynomialCoefficients([2.0, -1.0]))
+        prec = PolynomialPreconditioner([2.0, -1.0])
         with pytest.raises(IndefinitePreconditionerError) as excinfo:
             compute_alpha_beta(prec, op)
         assert excinfo.value.alpha < 0
@@ -170,22 +183,19 @@ class TestAlphaBeta:
                 [float(np.sum(spec**k)) for k, spec in
                  [(1, np.sort(np.linalg.eigvalsh(op.to_dense())))] * 1], 1
             )
-            base = PolynomialPreconditioner(coeffs)
-            scaled = PolynomialPreconditioner(
-                PolynomialCoefficients(coeffs.coeffs * 37.5, scale=coeffs.scale)
-            )
-            c1 = compute_alpha_beta(base, op).cond
-            c2 = compute_alpha_beta(scaled, op).cond
-            assert c1 == pytest.approx(c2, rel=1e-10)
+            scaled = PolynomialPreconditioner(coeffs.coeffs * 37.5, coeffs.scale)
+            b1 = compute_alpha_beta(coeffs, op)
+            b2 = compute_alpha_beta(scaled, op)
+            assert b1.beta / b1.alpha == pytest.approx(b2.beta / b2.alpha, rel=1e-10)
 
 
 class TestGamma:
     def test_constant_half(self):
-        p = PolynomialCoefficients([0.5])
+        p = PolynomialPreconditioner([0.5])
         assert gamma_of_polynomial(p, [3.0, 2.0, 1.0]) == pytest.approx(0.5)
 
     def test_exact_inverse_single_point(self):
-        p = PolynomialCoefficients([1.0 / 7.0])
+        p = PolynomialPreconditioner([1.0 / 7.0])
         assert gamma_of_polynomial(p, [7.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_cutting_example(self):
@@ -213,7 +223,7 @@ class TestCutting:
             spectrum = np.sort(rng.uniform(0.5, 60.0, n))[::-1]
             tau = int(rng.integers(0, n))
             prec = cutting_preconditioner(spectrum, tau)
-            measured = gamma_of_polynomial(prec.coefficients, spectrum)
+            measured = gamma_of_polynomial(prec, spectrum)
             lam_edge = spectrum[min(tau, n - 1)]
             bound = (lam_edge - spectrum[-1]) / (lam_edge + spectrum[-1])
             assert measured <= bound + 1e-10
@@ -224,7 +234,7 @@ class TestCutting:
             spectrum = np.sort(rng.uniform(0.5, 20.0, n))[::-1]
             tau = int(rng.integers(0, min(4, n)))
             prec = cutting_preconditioner(spectrum, tau)
-            measured = gamma_of_polynomial(prec.coefficients, spectrum)
+            measured = gamma_of_polynomial(prec, spectrum)
             lam_edge = spectrum[min(tau, n - 1)]
             bound = (lam_edge - spectrum[-1]) / (lam_edge + spectrum[-1])
             assert measured <= bound + 1e-12
@@ -257,7 +267,7 @@ class TestChebyshev:
             lamn = float(rng.uniform(0.3, 1.5))
             tau = int(rng.integers(0, 9))
             p = chebyshev_polynomial(lam1, lamn, tau)
-            assert p.degree == tau
+            assert p.coeffs.size == tau + 1
             assert np.all(np.isfinite(p.coeffs))
 
     def test_bound_on_grid(self, rng):
@@ -267,7 +277,7 @@ class TestChebyshev:
             tau = int(rng.integers(0, 10))
             prec = ChebyshevPreconditioner(lam1, lamn, tau)
             grid = np.linspace(lamn, lam1, 1000)
-            measured = gamma_of_polynomial(prec.eval_at, grid)
+            measured = gamma_of_polynomial(prec, grid)
             rho = (np.sqrt(lam1) - np.sqrt(lamn)) / (np.sqrt(lam1) + np.sqrt(lamn))
             assert measured <= 2.0 * rho ** (tau + 1) + 1e-10
 
@@ -278,7 +288,7 @@ class TestChebyshev:
         assert tau == 43
         prec = ChebyshevPreconditioner(lam1, lamn, tau)
         grid = np.linspace(lamn, lam1, 1000)
-        measured = gamma_of_polynomial(prec.eval_at, grid)
+        measured = gamma_of_polynomial(prec, grid)
         rho = (np.sqrt(lam1) - np.sqrt(lamn)) / (np.sqrt(lam1) + np.sqrt(lamn))
         assert measured <= 2.0 * rho ** (tau + 1) + 1e-10
         assert measured <= eps / 2.0
@@ -291,9 +301,7 @@ class TestChebyshev:
             prec = ChebyshevPreconditioner(10.0, 0.4, tau)
             v = rng.standard_normal(n)
             via_recurrence = prec.apply(op, v)
-            via_monomial = PolynomialPreconditioner(
-                chebyshev_polynomial(prec.lam_max, prec.lam_min, prec.tau)
-            ).apply(op, v)
+            via_monomial = chebyshev_polynomial(prec.lam_max, prec.lam_min, prec.tau).apply(op, v)
             assert np.allclose(via_recurrence, via_monomial, rtol=1e-11, atol=1e-12)
 
     def test_monomial_cap(self):
@@ -354,16 +362,13 @@ class TestLemmaSpecEquivalence:
             q = q[:, ::-1]
             for tau in range(n):
                 traces = [float(np.sum(lam**k)) for k in range(1, tau + 1)]
-                coeffs = sympoly_coefficients(traces, tau)
+                prec = sympoly_coefficients(traces, tau)
                 for i in range(n):
                     sigma = sum(
                         float(np.prod(c))
                         for c in itertools.combinations(np.delete(lam, i), tau)
                     )
-                    action = (
-                        PolynomialPreconditioner(coeffs).apply(op, q[:, i])
-                        * coeffs.scale
-                    )
+                    action = prec.apply(op, q[:, i]) * prec.scale
                     err = np.linalg.norm(action - sigma * q[:, i]) / abs(sigma)
                     assert err <= 1e-8
 
@@ -377,7 +382,7 @@ class TestAdjugateIdentity:
             prec = build_sympoly(op, n - 1, "exact")
             built = np.zeros((n, n))
             power = np.eye(n)
-            for c in prec.coefficients.unnormalized():
+            for c in prec.unnormalized():
                 built += c * power
                 power = power @ mat
             target = np.linalg.det(mat) * np.linalg.inv(mat)
@@ -393,7 +398,7 @@ class TestSandwich:
             lam = np.sort(np.linalg.eigvalsh(op.to_dense()))[::-1]
             tau = int(rng.integers(0, n))
             prec = build_sympoly(op, tau, "exact")
-            vals = lam * prec.eval_at(lam) * prec.coefficients.scale
+            vals = lam * prec.eval_at(lam) * prec.scale
             lower = lam[-1] * sum(
                 float(np.prod(c)) for c in itertools.combinations(lam[:-1], tau)
             )
@@ -407,11 +412,33 @@ class TestSandwich:
 class TestDescriptors:
     def test_round_trip_forms(self, rng):
         op = random_spd(rng, 6)
-        for text in ("identity", "sympoly:2", "chebyshev:3", "cutting:2", "inverse"):
+        kinds = {
+            "identity": IdentityPreconditioner,
+            "sympoly:2": PolynomialPreconditioner,
+            "chebyshev:3": ChebyshevPreconditioner,
+            "cutting:2": PolynomialPreconditioner,
+            "inverse": MatrixPreconditioner,
+        }
+        for text, kind in kinds.items():
             prec = build_from_descriptor(text, op)
-            assert prec.descriptor.startswith(text.split(":")[0])
+            assert type(prec) is kind
+            if kind is PolynomialPreconditioner:
+                assert prec.coeffs.size - 1 == parse_descriptor(text)[1][0]
             v = rng.standard_normal(6)
             assert np.all(np.isfinite(prec.apply(op, v)))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["identity", "sympoly:3", "sympoly:3:stochastic:16:2", "chebyshev:4", "cutting:3",
+         "inverse"],
+    )
+    def test_scalar_form_is_the_eigen_action(self, rng, text):
+        op = random_spd(rng, 6)
+        prec = build_from_descriptor(text, op)
+        dec = spectral_decomposition(op)
+        for lam_i, q_i in zip(dec.eigenvalues, dec.eigenvectors.T):
+            expected = prec.eval_at(lam_i) * q_i
+            assert np.allclose(prec.apply(op, q_i), expected, rtol=1e-9, atol=1e-12)
 
     def test_unknown_rejected(self, rng):
         op = random_spd(rng, 3)

@@ -10,7 +10,7 @@ from polyprec import (
     HuberLoss,
     IdentityPreconditioner,
     LogisticLoss,
-    MatrixPreconditioner,
+    PolynomialPreconditioner,
     RegressionData,
     SolverConfig,
     build_from_descriptor,
@@ -282,7 +282,7 @@ class TestGradientStep:
 
     def test_scaled_direction(self):
         op = DenseOperator(np.diag([2.0, 1.0]))
-        prec = MatrixPreconditioner(np.diag([2.0, 1.0]))
+        prec = PolynomialPreconditioner([0.0, 1.0])  # the operator itself
         y = gradient_step_with_norm(
             1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]), CompositePart.zero()
         )[0]

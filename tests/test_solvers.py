@@ -179,7 +179,7 @@ class TestRunFGM:
             centres.append((x - (1.0 - theta) * x_prev) / theta)
         dense_prec = np.zeros((8, 8))
         power = np.eye(8)
-        for c in prec.coefficients.coeffs:
+        for c in prec.coeffs:
             dense_prec += c * power
             power = power @ obj.curvature.to_dense()
         x_star = obj.x_star
