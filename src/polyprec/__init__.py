@@ -24,7 +24,6 @@ from .preconditioners import (
     chebyshev_T,
     chebyshev_polynomial,
     compute_alpha_beta,
-    cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,
     inverse_preconditioner,
@@ -37,7 +36,6 @@ from .problems import (
     CompositePart,
     HuberLoss,
     LogisticLoss,
-    RegressionData,
     make_quadratic,
     make_regression,
 )

@@ -45,8 +45,8 @@ def _add_problem_flags(parser):
         help="planted curvature spectrum lam1,lam2,tail,n",
     )
     parser.add_argument("--rows", type=int, help="row count for synthetic designs")
-    parser.add_argument("--loss", default="logistic", help="'logistic' or 'huber:WIDTH'")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--loss", help="'logistic' or 'huber:WIDTH'")
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--no-standardize",
         dest="standardize",
@@ -130,24 +130,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="polyprec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one method on one problem")
-    solve.add_argument("--name", default="run")
-    solve.add_argument(
-        "--method",
-        default="adaptive-gm",
-        choices=METHODS,
+    # solve and spectrum leave a flag that is not given out of the namespace, so
+    # ExperimentConfig's default holds for it.
+    solve = sub.add_parser(
+        "solve", help="run one method on one problem", argument_default=argparse.SUPPRESS
     )
+    solve.add_argument("--name")
+    solve.add_argument("--method", choices=METHODS)
     solve.add_argument(
         "--precond",
-        default="identity",
         help="identity | sympoly:T | sympoly:T:stochastic[:S[:SEED]] | chebyshev:T | "
         "cutting:T | inverse",
     )
-    solve.add_argument("--tau", type=int, default=0, help="krylov subspace degree")
+    solve.add_argument("--tau", type=int, help="krylov subspace degree")
     _add_problem_flags(solve)
-    solve.add_argument("--max-iters", type=int, default=1000)
+    solve.add_argument("--max-iters", type=int)
     solve.add_argument("--tol", type=float, help="optimality-gap target")
-    solve.add_argument("--out", dest="out_dir", default=".", help="output directory")
+    solve.add_argument("--out", dest="out_dir", help="output directory")
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a batch of config files")
@@ -155,7 +154,11 @@ def build_parser() -> _Parser:
     bench.add_argument("--out", help="override output directory")
     bench.set_defaults(func=_cmd_bench)
 
-    spectrum = sub.add_parser("spectrum", help="eigenvalues and shrink table of a problem")
+    spectrum = sub.add_parser(
+        "spectrum",
+        help="eigenvalues and shrink table of a problem",
+        argument_default=argparse.SUPPRESS,
+    )
     _add_problem_flags(spectrum)
     spectrum.add_argument("--tau-max", type=int, default=8)
     spectrum.add_argument("--out", default=".")

@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problems import (
-    CompositeObjective,
-    HuberLoss,
-    LogisticLoss,
-    RegressionData,
-    make_regression,
-)
+from .problems import CompositeObjective, HuberLoss, LogisticLoss, make_regression
 
 __all__ = [
     "DatasetMatrix",
@@ -249,8 +243,7 @@ def logistic_from_dataset(
         dataset = standardize_columns(dataset)
     folded = dataset.to_dense()
     folded *= -dataset.labels[:, None]  # in place: one dense design at a time
-    data = RegressionData(rows=folded, targets=np.zeros(dataset.n_rows), loss=LogisticLoss())
-    return make_regression(data)
+    return make_regression(folded, np.zeros(dataset.n_rows), LogisticLoss())
 
 
 @dataclass
@@ -310,15 +303,11 @@ def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:
     planted = rng.standard_normal(n)
     margins = design @ planted
     if isinstance(loss, HuberLoss):
-        targets = margins + rng.standard_normal(m)
-        data = RegressionData(rows=design, targets=targets, loss=loss)
+        return make_regression(design, margins + rng.standard_normal(m), loss)
     elif isinstance(loss, LogisticLoss):
         scale = float(np.std(margins)) or 1.0
         probs = 1.0 / (1.0 + np.exp(-margins / scale))
         labels = np.where(rng.random(m) < probs, 1.0, -1.0)
-        folded = -labels[:, None] * design
-        data = RegressionData(rows=folded, targets=np.zeros(m), loss=loss)
-    else:
-        raise ValueError(f"unsupported loss {loss!r}")
-    return make_regression(data)
+        return make_regression(-labels[:, None] * design, np.zeros(m), loss)
+    raise ValueError(f"unsupported loss {loss!r}")
 

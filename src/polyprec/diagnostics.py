@@ -339,15 +339,13 @@ def proposition_bounds(spectrum, tau: int):
     """Guaranteed condition number of cutting and uniform-error of Chebyshev.
 
     Returns ``(cutting_cond, chebyshev_gamma)`` for degree tau on the given
-    spectrum; the cutting ratio formally reuses the smallest eigenvalue past
-    the end of the spectrum.
+    spectrum.
     """
     spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     n = spectrum.size
     if not 0 <= tau <= n - 1:
         raise ValueError(f"need 0 <= tau <= n-1, got tau={tau}")
-    lam_after_cut = spectrum[tau] if tau < n else spectrum[-1]
-    cutting_cond = float(lam_after_cut / spectrum[-1])
+    cutting_cond = float(spectrum[tau] / spectrum[-1])
     root_top = np.sqrt(spectrum[0])
     root_bottom = np.sqrt(spectrum[-1])
     if root_top == root_bottom:

@@ -107,6 +107,8 @@ def _check_fields(config: ExperimentConfig):
         raise ValueError("exactly one of dataset or synthetic must be given")
     if config.dataset is not None and config.loss != "logistic":
         raise ValueError("dataset runs use the logistic loss")
+    if config.tol is not None and not 0 <= config.tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {config.tol}")
     for key, low in _MINIMUM.items():
         value = getattr(config, key)
         if value is not None and value < low:
@@ -225,7 +227,7 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     run = run_adaptive_fgm(
         obj,
         prec,
-        SolverConfig(max_iters=_reference_budget(config), initial_guess=guess, tol=1e-12),
+        SolverConfig(max_iters=_reference_budget(config), step_constant=guess, tol=1e-12),
     )
     f_star = float(min(r.f_value for r in run.records))
     if run.termination == "max_iters":
@@ -278,7 +280,7 @@ def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -
             solver_config.rho = bounds.alpha * obj.mu
             return run_fgm(obj, prec, solver_config)
         return run_gm(obj, prec, solver_config)
-    solver_config.initial_guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+    solver_config.step_constant = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     if config.method == "adaptive-gm":
         return run_adaptive_gm(obj, prec, solver_config)
     return run_adaptive_fgm(obj, prec, solver_config)

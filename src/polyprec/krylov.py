@@ -80,7 +80,7 @@ def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> Ru
     Defined for the smooth case only; the telemetry records the effective
     degree actually used each iteration.
     """
-    if not obj.psi.is_zero:
+    if obj.psi is not None:
         raise ValueError("krylov preconditioning handles the smooth case only")
     if tau < 0:
         raise ValueError("tau must be nonnegative")

@@ -33,7 +33,6 @@ __all__ = [
     "build_sympoly",
     "compute_alpha_beta",
     "gamma_of_polynomial",
-    "cutting_polynomial",
     "cutting_preconditioner",
     "chebyshev_T",
     "chebyshev_polynomial",
@@ -246,8 +245,6 @@ def build_sympoly(
             f"tau={tau} exceeds dim-1={op.dim - 1}; higher degrees are redundant"
         )
     if trace_mode == "exact":
-        if not op.is_dense:
-            raise ValueError("exact trace mode requires a dense-capable operator")
         traces = exact_traces(op, tau) if tau >= 1 else np.empty(0)
     elif trace_mode == "stochastic":
         traces = stochastic_traces(op, tau, samples, seed) if tau >= 1 else np.empty(0)
@@ -281,38 +278,31 @@ def gamma_of_polynomial(prec: Preconditioner, points) -> float:
     return float(np.max(np.abs(points * prec.eval_at(points) - 1.0)))
 
 
-def cutting_polynomial(lam_top, lam_n: float, tau: int) -> PolynomialPreconditioner:
+def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     """Degree-tau polynomial with roots placed at the top tau eigenvalues.
 
-    ``lam_top`` holds the leading tau+1 eigenvalues; the construction zeroes
-    the residual at the first tau of them and balances the remaining interval
-    with the optimal constant 2 / (lam_top[tau] + lam_n). The division by s is
-    exact because the constant term cancels identically.
+    ``spectrum`` is the full spectrum in descending order; the construction
+    zeroes the residual at its first tau eigenvalues and balances the
+    remaining interval with the optimal constant
+    2 / (spectrum[tau] + spectrum[-1]). The division by s is exact because
+    the constant term cancels identically.
     """
-    lam_top = np.asarray(lam_top, dtype=float)
+    spectrum = np.asarray(spectrum, dtype=float)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if lam_top.size != tau + 1:
-        raise ValueError(f"need the top tau+1={tau + 1} eigenvalues, got {lam_top.size}")
-    if lam_n <= 0 or np.min(lam_top) <= 0:
+    if tau > spectrum.size - 1:
+        raise ValueError(f"tau={tau} exceeds n-1={spectrum.size - 1}")
+    if np.min(spectrum) <= 0:
         raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(lam_top) > 0) or lam_top[-1] < lam_n:
-        raise ValueError("eigenvalues must be sorted descending with lam_n smallest")
+    if np.any(np.diff(spectrum) > 0):
+        raise ValueError("eigenvalues must be sorted descending")
     q = np.array([1.0])
-    for lam in lam_top[:tau]:
+    for lam in spectrum[:tau]:
         q = np.convolve(q, np.array([1.0, -1.0 / lam]))
-    a = 2.0 / (lam_top[tau] + lam_n)
+    a = 2.0 / (spectrum[tau] + spectrum[-1])
     r = np.convolve(q, np.array([-1.0, a]))
     r[0] += 1.0  # exactly zero
     return PolynomialPreconditioner(r[1:])
-
-
-def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
-    """Cutting polynomial built from a full descending spectrum."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    if tau > spectrum.size - 1:
-        raise ValueError(f"tau={tau} exceeds n-1={spectrum.size - 1}")
-    return cutting_polynomial(spectrum[: tau + 1], float(spectrum[-1]), tau)
 
 
 def chebyshev_T(k: int, x):

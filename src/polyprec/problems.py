@@ -18,7 +18,6 @@ from .preconditioners import Preconditioner
 
 __all__ = [
     "CompositePart",
-    "RegressionData",
     "CompositeObjective",
     "HuberLoss",
     "LogisticLoss",
@@ -67,59 +66,31 @@ class LogisticLoss:
         return value, np.exp(t - value)
 
 
-@dataclass
-class RegressionData:
-    """Dense design rows, targets, and the rowwise loss."""
-
-    rows: np.ndarray
-    targets: np.ndarray
-    loss: HuberLoss | LogisticLoss
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        if self.rows.ndim != 2:
-            raise ValueError("rows must form a 2-d array")
-        if self.rows.shape[0] != self.targets.size:
-            raise ValueError("row count and target count differ")
-        if self.rows.shape[0] == 0:
-            raise ValueError("empty data")
-
-
-@dataclass
+@dataclass(frozen=True)
 class CompositePart:
-    """Optional nonsmooth part with its metric proximal oracle.
+    """Nonsmooth part psi of F = f + psi, with its metric proximal oracle.
 
-    The zero kind means no composite term and lets solvers use the closed-form
-    step. A custom kind must provide ``value(y)`` and a ``prox`` oracle
-    ``(M, prec, op, x, g) -> (y, step_norm_sq)`` returning the minimizer of
-    ``<g, y> + value(y) + (M/2) ||y - x||^2`` in the inverse-preconditioner
-    metric together with that squared step norm.
+    ``value(y)`` evaluates psi, and ``prox(M, prec, op, x, g) -> (y,
+    step_norm_sq)`` returns the minimizer of ``<g, y> + psi(y) + (M/2)
+    ||y - x||^2`` in the inverse-preconditioner metric together with that
+    squared step norm. A smooth objective has no composite part
+    (``psi=None``) and the solvers take the closed-form step.
     """
 
-    kind: str = "zero"
-    value: Callable[[np.ndarray], float] | None = None
-    prox: Callable | None = None
+    value: Callable[[np.ndarray], float]
+    prox: Callable
 
-    @classmethod
-    def zero(cls) -> "CompositePart":
-        return cls(kind="zero")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    def evaluate(self, y: np.ndarray) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(self.value(y))
+    def __post_init__(self):
+        for name in ("value", "prox"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"a composite part requires a callable {name} oracle")
 
 
 class CompositeObjective:
     """Smooth convex function plus optional composite part, under one curvature operator.
 
     ``f_evals``/``grad_evals`` count oracle calls made by algorithms;
-    telemetry readouts go through :meth:`raw_value`, which touches no counter
+    telemetry readouts go through :meth:`full_value`, which touches no counter
     (not even the operator's matvecs, which a quadratic's value spends). The
     counts are calls to :meth:`value` and :meth:`gradient`, not data passes:
     a value callable may reuse work across calls at the same point, as the
@@ -148,7 +119,7 @@ class CompositeObjective:
         self.curvature = curvature
         self.L = float(L)
         self.mu = float(mu)
-        self.psi = psi if psi is not None else CompositePart.zero()
+        self.psi = psi
         self.f_star = f_star
         self.x_star = x_star
         self.f_evals = 0
@@ -162,20 +133,18 @@ class CompositeObjective:
         self.grad_evals += 1
         return np.asarray(self._gradient(x), dtype=float)
 
-    def raw_value(self, x: np.ndarray) -> float:
-        """Objective value without touching the evaluation or matvec counters."""
+    def full_value(self, x: np.ndarray) -> float:
+        """Smooth plus composite value without touching the evaluation or matvec counters."""
         matvecs = self.curvature.matvecs
         value = float(self._value(x))
         self.curvature.matvecs = matvecs
+        if self.psi is not None:
+            value += float(self.psi.value(x))
         return value
 
-    def full_value(self, x: np.ndarray) -> float:
-        """Smooth plus composite value, uncounted (telemetry)."""
-        return self.raw_value(x) + self.psi.evaluate(x)
 
-
-def make_regression(data: RegressionData) -> CompositeObjective:
-    """Separable regression objective: rowwise loss of the residuals.
+def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeObjective:
+    """Separable regression objective: rowwise loss of the residuals ``rows @ x - targets``.
 
     The curvature operator is the Gram matrix of the rows, exposed
     matrix-free; its dense form is available for desk-scale spectra. L is the
@@ -188,9 +157,14 @@ def make_regression(data: RegressionData) -> CompositeObjective:
     line-search trial) costs none. The cache counts nothing: ``f_evals`` and
     ``grad_evals`` still count every oracle call.
     """
-    rows = data.rows
-    targets = data.targets
-    loss = data.loss
+    rows = np.asarray(rows, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must form a 2-d array")
+    if rows.shape[0] != targets.size:
+        raise ValueError("row count and target count differ")
+    if rows.shape[0] == 0:
+        raise ValueError("empty data")
     curvature = GramOperator(rows)
 
     # (point key, loss value sum, loss derivative) of the last evaluation,
@@ -261,21 +235,19 @@ def gradient_step_with_norm(
     op: SymmetricOperator,
     x: np.ndarray,
     g: np.ndarray,
-    psi: CompositePart,
+    psi: CompositePart | None,
 ):
     """Metric gradient step and its squared step norm in the inverse metric.
 
-    With no composite part the step is closed-form and the norm follows from
+    With no composite part (``psi`` None) the step is closed-form and the norm follows from
     ``M ||y - x||^2 = <g, x - y>`` in that metric, avoiding any inversion.
     """
     if M <= 0:
         raise ValueError("step constant must be positive")
-    if psi.is_zero:
+    if psi is None:
         y = x - prec.apply(op, g) / M
         step_norm_sq = float(g @ (x - y)) / M
         return y, step_norm_sq
-    if psi.prox is None:
-        raise ValueError("custom composite part requires a prox oracle")
     y, step_norm_sq = psi.prox(M, prec, op, x, g)
     return np.asarray(y, dtype=float), float(step_norm_sq)
 

@@ -50,8 +50,8 @@ ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 class SolverConfig:
     """Knobs shared by all runs.
 
-    ``step_constant`` is the fixed M of the non-adaptive methods;
-    ``initial_guess`` seeds the adaptive search. Stopping: optimality gap
+    ``step_constant`` is the fixed M of gm/fgm and the first guess of the
+    adaptive methods' doubling search. Stopping: optimality gap
     against a known ``f_star``, gradient-map norm below ``tol``, or the
     iteration cap; the first satisfied rule wins. A run with ``tol > 0``
     also stops as ``"rounding_floor"`` once
@@ -62,7 +62,6 @@ class SolverConfig:
 
     max_iters: int = 1000
     step_constant: float | None = None
-    initial_guess: float | None = None
     rho: float = 0.0
     tol: float = 0.0
     gap_target: float | None = None
@@ -266,10 +265,11 @@ def _doubling_search(obj: CompositeObjective, guess: float):
     return search
 
 
-def _positive(value: float | None, message: str) -> float:
-    if value is None or value <= 0:
-        raise ValueError(message)
-    return value
+def _step_constant(config: SolverConfig) -> float:
+    """The run's M: gm/fgm's fixed constant, or the adaptive search's first guess."""
+    if config.step_constant is None or config.step_constant <= 0:
+        raise ValueError("run requires a positive step_constant")
+    return config.step_constant
 
 
 def initial_guess_M(
@@ -304,7 +304,7 @@ def run_gm(
     obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
 ) -> RunResult:
     """Fixed-step preconditioned gradient method."""
-    M = _positive(config.step_constant, "fixed-step run requires a positive step_constant")
+    M = _step_constant(config)
     op = obj.curvature
 
     def step(x):
@@ -349,7 +349,7 @@ def run_fgm(
     obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
 ) -> RunResult:
     """Fixed-step preconditioned fast gradient method."""
-    M = _positive(config.step_constant, "fixed-step run requires a positive step_constant")
+    M = _step_constant(config)
 
     def step(state):
         state, _, _, step_sq = fgm_step(obj, prec, M, config.rho, state)
@@ -368,14 +368,14 @@ def run_adaptive_gm(
     With no composite part the preconditioned gradient is computed once per
     iteration, so rejected trials cost one objective evaluation each.
     """
-    guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
+    guess = _step_constant(config)
     op = obj.curvature
     search = _doubling_search(obj, guess)
 
     def step(x):
         f_x = obj.value(x)
         g = obj.gradient(x)
-        pg = prec.apply(op, g) if obj.psi.is_zero else None
+        pg = prec.apply(op, g) if obj.psi is None else None
 
         def trial(M):
             if pg is None:
@@ -398,7 +398,7 @@ def run_adaptive_fgm(
     the working constant), tests the predicate at the interpolation point,
     and only an accepted trial advances the state.
     """
-    guess = _positive(config.initial_guess, "adaptive run requires a positive initial_guess")
+    guess = _step_constant(config)
     search = _doubling_search(obj, guess)
 
     def step(state):

@@ -15,7 +15,6 @@ from polyprec import (
     HuberLoss,
     IdentityPreconditioner,
     LogisticLoss,
-    RegressionData,
     SolverConfig,
     SyntheticSpectrumSpec,
     build_gram,
@@ -213,9 +212,7 @@ def test_criterion_05_krylov_optimality():
             obj = make_quadratic(B, local.standard_normal(n))
         else:
             rows = local.standard_normal((3 * n, n))
-            obj = make_regression(
-                RegressionData(rows, local.standard_normal(3 * n), HuberLoss(0.1))
-            )
+            obj = make_regression(rows, local.standard_normal(3 * n), HuberLoss(0.1))
             B = DenseOperator(obj.curvature.to_dense())
         dec = spectral_decomposition(B)
         x = local.standard_normal(n)
@@ -244,8 +241,8 @@ def test_criterion_05_krylov_optimality():
     quad = make_quadratic(random_spd(rng, 10, lam_low=0.5, lam_high=60.0),
                           rng.standard_normal(10))
     rows = rng.standard_normal((30, 10))
-    hub = make_regression(RegressionData(rows, rng.standard_normal(30), HuberLoss(0.1)))
-    log = make_regression(RegressionData(rows, np.zeros(30), LogisticLoss()))
+    hub = make_regression(rows, rng.standard_normal(30), HuberLoss(0.1))
+    log = make_regression(rows, np.zeros(30), LogisticLoss())
     for obj in (quad, hub, log):
         run = run_krylov_gm(obj, SolverConfig(max_iters=40, x0=np.ones(10)), 3)
         values = run.f_values()
@@ -291,7 +288,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     ref = run_adaptive_fgm(
         reference_obj,
         ref_prec,
-        SolverConfig(max_iters=6000, initial_guess=guess, tol=1e-13),
+        SolverConfig(max_iters=6000, step_constant=guess, tol=1e-13),
     )
     f_star = float(min(r.f_value for r in ref.records))
     counts = {}
@@ -306,7 +303,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
             prec,
             SolverConfig(
                 max_iters=40_000,
-                initial_guess=guess,
+                step_constant=guess,
                 gap_target=gap,
                 f_star=f_star,
             ),
@@ -379,7 +376,7 @@ def logistic_dataset_runs(tmp_path_factory):
     ref = run_adaptive_fgm(
         ref_obj,
         ref_prec,
-        SolverConfig(max_iters=15_000, initial_guess=guess, tol=1e-13),
+        SolverConfig(max_iters=15_000, step_constant=guess, tol=1e-13),
     )
     f_star = float(min(r.f_value for r in ref.records))
 
@@ -445,7 +442,7 @@ def test_criterion_09_adaptive_efficiency(logistic_dataset_runs):
     beta_L = bounds_by_tau[0].beta * obj.L
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     assert guess <= beta_L * (1.0 + 1e-9)
-    run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=200, initial_guess=guess))
+    run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=200, step_constant=guess))
     avg_trials = run.total_ls_trials() / run.iterations
     max_M = max(r.M_k for r in run.records[1:])
     ok = avg_trials <= 2.5 and max_M <= 2.0 * beta_L * (1.0 + 1e-12)
@@ -463,10 +460,10 @@ def test_criterion_10_validators():
     objectives.append(("quadratic", make_quadratic(random_spd(rng, 12), rng.standard_normal(12))))
     rows = rng.standard_normal((40, 12))
     objectives.append(
-        ("huber", make_regression(RegressionData(rows, rng.standard_normal(40), HuberLoss(0.1))))
+        ("huber", make_regression(rows, rng.standard_normal(40), HuberLoss(0.1)))
     )
     objectives.append(
-        ("logistic", make_regression(RegressionData(rows, np.zeros(40), LogisticLoss())))
+        ("logistic", make_regression(rows, np.zeros(40), LogisticLoss()))
     )
     spec = SyntheticSpectrumSpec(lam1=40.0, lam2=4.0, tail=1.0, n=15, seed=2)
     objectives.append(("synthetic-huber", synth_regression(spec, HuberLoss(0.1))))

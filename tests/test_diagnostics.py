@@ -233,7 +233,7 @@ class TestEnvelopes:
         obj, x0 = _bench(rng, n=8, cond=50.0)
         run = run_krylov_gm(obj, SolverConfig(max_iters=50, x0=x0), 2)
         spectrum = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
-        D0_sq = 2.0 * (obj.raw_value(x0) - obj.f_star)
+        D0_sq = 2.0 * (obj.full_value(x0) - obj.f_star)
         check = krylov_envelope(run, spectrum, 2, obj.L, D0_sq, obj.f_star)
         assert check.advisory
         assert check.passed  # generous constant for a fast method

@@ -382,6 +382,8 @@ class TestExperiments:
             ("precond = sympoly:3:stochastic:0", "sample count must be at least 1"),
             ("precond = sympoly:2:stochastic:64:-5", "seed must be at least 0"),
             ("seed = -1", "seed must be at least 0, got -1"),
+            ("tol = -1", "tol must be finite and nonnegative, got -1.0"),
+            ("tol = nan", "tol must be finite and nonnegative, got nan"),
             ("rows = 4", "rows must be at least the dimension 6, got 4"),
             ("synthetic = 1,1,1,1", "n >= 2"),
             ("synthetic = 12,2,0,6", "spectrum must be finite and positive"),
@@ -765,6 +767,22 @@ class TestCLI:
         assert cli_main(["solve", "--method", "nope"]) == 1
         assert cli_main(["definitely-not-a-command"]) == 1
         assert cli_main(["spectrum", "--synthetic", "12,2,1,6.7"]) == 1
+
+    def test_left_out_flags_keep_config_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("polyprec.cli.run_experiment", lambda config: seen.append(config) or {})
+        assert cli_main(["solve", "--synthetic", "10,3,1,6"]) == 0
+        assert seen == [ExperimentConfig(synthetic=(10.0, 3.0, 1.0, 6))]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_is_exit_one(self, tmp_path, capsys, tol):
+        # NaN would reach the JSON summary, which is then not JSON; inf stops
+        # at iteration 0 and a negative target is never met.
+        out = tmp_path / "out"
+        argv = ["solve", "--synthetic", "10,3,1,6", "--loss", "huber:0.1", f"--tol={tol}"]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_is_exit_three(self, monkeypatch, capsys):
         def diverged(config):

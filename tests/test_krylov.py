@@ -8,7 +8,6 @@ from polyprec import (
     CompositePart,
     DenseOperator,
     HuberLoss,
-    RegressionData,
     SolverConfig,
     SyntheticSpectrumSpec,
     build_gram,
@@ -28,7 +27,7 @@ from conftest import random_spd, record_iterates
 def huber_bench(rng, m=24, n=8):
     rows = rng.standard_normal((m, n))
     targets = rng.standard_normal(m)
-    return make_regression(RegressionData(rows, targets, HuberLoss(0.1)))
+    return make_regression(rows, targets, HuberLoss(0.1))
 
 
 class TestBuildGram:
@@ -138,7 +137,7 @@ class TestKrylovStep:
 class TestRunKrylovGM:
     def test_rejects_composite(self, rng):
         obj = huber_bench(rng)
-        obj.psi = CompositePart(kind="custom", value=lambda y: 0.0, prox=None)
+        obj.psi = CompositePart(lambda y: 0.0, lambda M, prec, op, x, g: (x, 0.0))
         with pytest.raises(ValueError, match="smooth"):
             run_krylov_gm(obj, SolverConfig(max_iters=3), 1)
 

@@ -19,7 +19,6 @@ from polyprec import (
     chebyshev_T,
     chebyshev_polynomial,
     compute_alpha_beta,
-    cutting_polynomial,
     cutting_preconditioner,
     gamma_of_polynomial,
     inverse_preconditioner,
@@ -199,19 +198,19 @@ class TestGamma:
         assert gamma_of_polynomial(p, [7.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_cutting_example(self):
-        p = cutting_polynomial([10.0, 2.0], 1.0, 1)
+        p = cutting_preconditioner([10.0, 2.0, 1.0], 1)
         assert np.allclose(p.coeffs, [23.0 / 30.0, -1.0 / 15.0])
         assert gamma_of_polynomial(p, [10.0, 2.0, 1.0]) == pytest.approx(0.3)
 
 
 class TestCutting:
     def test_two_point_spectrum_annihilated(self):
-        p = cutting_polynomial([10.0, 1.0], 1.0, 1)
+        p = cutting_preconditioner([10.0, 1.0], 1)
         assert np.allclose(p.coeffs, [1.1, -0.1])
         assert gamma_of_polynomial(p, [10.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_degree_zero(self):
-        p = cutting_polynomial([10.0], 1.0, 0)
+        p = cutting_preconditioner([10.0, 1.0], 0)
         assert np.allclose(p.coeffs, [2.0 / 11.0])
 
     def test_bound_over_random_spectra(self, rng):
@@ -240,8 +239,12 @@ class TestCutting:
             assert measured <= bound + 1e-12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cutting_polynomial([2.0, -1.0], 0.5, 1)
+        with pytest.raises(ValueError, match="positive"):
+            cutting_preconditioner([2.0, 0.5, -1.0], 1)
+
+    def test_rejects_ascending(self):
+        with pytest.raises(ValueError, match="descending"):
+            cutting_preconditioner([1.0, 2.0, 3.0], 1)
 
 
 class TestChebyshev:

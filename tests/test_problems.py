@@ -11,7 +11,6 @@ from polyprec import (
     IdentityPreconditioner,
     LogisticLoss,
     PolynomialPreconditioner,
-    RegressionData,
     SolverConfig,
     build_from_descriptor,
     initial_guess_M,
@@ -118,14 +117,14 @@ class TestLogistic:
 
 
 def _build_with_data(monkeypatch, config):
-    """The config's objective and the RegressionData it was made from."""
+    """The config's objective and the ``(rows, targets, loss)`` it was made from."""
     import polyprec.datasets as datasets
 
     captured = []
 
-    def capture(data):
+    def capture(*data):
         captured.append(data)
-        return make_regression(data)
+        return make_regression(*data)
 
     monkeypatch.setattr(datasets, "make_regression", capture)
     obj = build_problem(config)
@@ -143,44 +142,32 @@ class CountedLogistic(LogisticLoss):
 
 class TestMakeRegression:
     def test_single_row_huber(self):
-        data = RegressionData(
-            rows=np.array([[1.0, 0.0]]), targets=np.array([0.0]), loss=HuberLoss(1.0)
-        )
-        obj = make_regression(data)
+        obj = make_regression(np.array([[1.0, 0.0]]), np.array([0.0]), HuberLoss(1.0))
         x = np.array([0.5, 0.0])
         assert obj.value(x) == pytest.approx(0.125)
         assert np.allclose(obj.gradient(x), [0.5, 0.0])
 
     def test_logistic_at_origin(self, rng):
         m, n = 7, 3
-        data = RegressionData(
-            rows=rng.standard_normal((m, n)), targets=np.zeros(m), loss=LogisticLoss()
-        )
-        obj = make_regression(data)
+        obj = make_regression(rng.standard_normal((m, n)), np.zeros(m), LogisticLoss())
         assert obj.value(np.zeros(n)) == pytest.approx(m * np.log(2.0))
 
     def test_curvature_matches_dense_gram(self, rng):
         rows = rng.standard_normal((11, 4))
-        data = RegressionData(rows=rows, targets=np.zeros(11), loss=LogisticLoss())
-        obj = make_regression(data)
+        obj = make_regression(rows, np.zeros(11), LogisticLoss())
         v = rng.standard_normal(4)
         assert np.allclose(
             obj.curvature.matvec(v), rows.T @ rows @ v, rtol=1e-10, atol=1e-12
         )
 
     def test_constants(self):
-        data = RegressionData(
-            rows=np.ones((2, 2)), targets=np.zeros(2), loss=HuberLoss(0.1)
-        )
-        obj = make_regression(data)
+        obj = make_regression(np.ones((2, 2)), np.zeros(2), HuberLoss(0.1))
         assert obj.L == pytest.approx(10.0)
         assert obj.mu == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            RegressionData(
-                rows=np.empty((0, 3)), targets=np.empty(0), loss=LogisticLoss()
-            )
+            make_regression(np.empty((0, 3)), np.empty(0), LogisticLoss())
 
     @pytest.mark.parametrize(
         "synthetic, rows, loss",
@@ -194,7 +181,7 @@ class TestMakeRegression:
         points = [rng.standard_normal(obj.n) for _ in range(5)]
         order = [0, 0, 3, 1, 3, 4, 2, 2, 0, 4, 1, 1]
         for i, kind in zip(order, rng.integers(2, size=len(order))):
-            fresh = make_regression(data)
+            fresh = make_regression(*data)
             if kind == 0:
                 assert obj.value(points[i]) == fresh.value(points[i])
             else:
@@ -203,10 +190,10 @@ class TestMakeRegression:
         x = points[0].copy()
         obj.value(x)
         x += 0.5
-        assert obj.value(x) == make_regression(data).value(x)
+        assert obj.value(x) == make_regression(*data).value(x)
         obj.gradient(x)
         x -= 1.0
-        assert np.array_equal(obj.gradient(x), make_regression(data).gradient(x))
+        assert np.array_equal(obj.gradient(x), make_regression(*data).gradient(x))
 
     @pytest.mark.parametrize(
         "synthetic, rows, loss",
@@ -218,7 +205,7 @@ class TestMakeRegression:
         )
         zero, nan = np.zeros(obj.n), np.full(obj.n, np.nan)
         for x in [zero, -zero, -zero, zero, nan, nan, -zero]:
-            fresh = make_regression(data)
+            fresh = make_regression(*data)
             assert np.float64(obj.value(x)).tobytes() == np.float64(fresh.value(x)).tobytes()
             assert obj.gradient(x).tobytes() == fresh.gradient(x).tobytes()
 
@@ -226,11 +213,12 @@ class TestMakeRegression:
         config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
         _, data = _build_with_data(monkeypatch, config)
         loss = CountedLogistic()
-        obj = make_regression(RegressionData(data.rows, data.targets, loss))
+        rows, targets, _ = data
+        obj = make_regression(rows, targets, loss)
         prec = build_from_descriptor("sympoly:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         loss.calls = 0
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, initial_guess=guess))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, step_constant=guess))
         assert run.iterations == 20
         # The start point once, then one evaluation per line-search trial: the
         # accepted trial's value and gradient serve the telemetry and next step.
@@ -249,7 +237,7 @@ class TestMakeQuadratic:
         B = random_spd(rng, 4)
         obj = make_quadratic(B, rng.standard_normal(4))
         x = rng.standard_normal(4)
-        assert obj.full_value(x) == obj.raw_value(x) == pytest.approx(obj.value(x))
+        assert obj.full_value(x) == pytest.approx(obj.value(x))
         # Only the counted oracle call spends its product.
         assert (B.matvecs, obj.f_evals) == (1, 1)
 
@@ -276,7 +264,7 @@ class TestGradientStep:
             op,
             np.array([1.0, 1.0]),
             np.array([2.0, -2.0]),
-            CompositePart.zero(),
+            None,
         )[0]
         assert np.allclose(y, [0.0, 2.0])
 
@@ -284,7 +272,7 @@ class TestGradientStep:
         op = DenseOperator(np.diag([2.0, 1.0]))
         prec = PolynomialPreconditioner([0.0, 1.0])  # the operator itself
         y = gradient_step_with_norm(
-            1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]), CompositePart.zero()
+            1.0, prec, op, np.zeros(2), np.array([1.0, 1.0]), None
         )[0]
         assert np.allclose(y, [-2.0, -1.0])
 
@@ -292,15 +280,17 @@ class TestGradientStep:
         op = random_spd(rng, 3)
         x = rng.standard_normal(3)
         y = gradient_step_with_norm(
-            1.0, IdentityPreconditioner(), op, x, np.zeros(3), CompositePart.zero()
+            1.0, IdentityPreconditioner(), op, x, np.zeros(3), None
         )[0]
         assert np.allclose(y, x)
 
-    def test_custom_psi_requires_oracle(self, rng):
-        op = random_spd(rng, 3)
-        psi = CompositePart(kind="custom", value=lambda y: 0.0, prox=None)
-        with pytest.raises(ValueError, match="oracle"):
-            gradient_step_with_norm(1.0, IdentityPreconditioner(), op, np.zeros(3), np.ones(3), psi)
+    def test_custom_psi_requires_oracle(self):
+        with pytest.raises(ValueError, match="prox oracle"):
+            CompositePart(lambda y: 0.0, None)
+
+    def test_custom_psi_requires_callable_value(self):
+        with pytest.raises(ValueError, match="value oracle"):
+            CompositePart(None, lambda M, prec, op, x, g: (x, 0.0))
 
     def test_custom_psi_oracle_used(self, rng):
         # Quadratic regularizer under the identity metric has a closed form.
@@ -310,7 +300,7 @@ class TestGradientStep:
             y = (M * x - g) / (M + sigma)
             return y, float((y - x) @ (y - x))
 
-        psi = CompositePart(kind="custom", value=lambda y: 0.5 * sigma * float(y @ y), prox=prox)
+        psi = CompositePart(lambda y: 0.5 * sigma * float(y @ y), prox)
         op = random_spd(rng, 3)
         x = rng.standard_normal(3)
         g = rng.standard_normal(3)
@@ -326,7 +316,7 @@ class TestGradientStep:
         x = rng.standard_normal(5)
         g = rng.standard_normal(5)
         M = 3.0
-        y = gradient_step_with_norm(M, prec, op, x, g, CompositePart.zero())[0]
+        y = gradient_step_with_norm(M, prec, op, x, g, None)[0]
         lhs = prec.apply(op, g)
         rhs = M * (x - y)
         assert np.allclose(lhs, rhs, rtol=1e-10)
@@ -343,13 +333,13 @@ class TestValidateBounds:
     def test_huber_regression(self, rng):
         rows = rng.standard_normal((20, 6))
         targets = rng.standard_normal(20)
-        obj = make_regression(RegressionData(rows, targets, HuberLoss(0.1)))
+        obj = make_regression(rows, targets, HuberLoss(0.1))
         report = validate_bounds(obj, trials=10, seed=5)
         assert report.passed
 
     def test_logistic_regression(self, rng):
         rows = rng.standard_normal((20, 6))
-        obj = make_regression(RegressionData(rows, np.zeros(20), LogisticLoss()))
+        obj = make_regression(rows, np.zeros(20), LogisticLoss())
         report = validate_bounds(obj, trials=10, seed=6)
         assert report.passed
 
@@ -360,8 +350,8 @@ class TestConvexityProbe:
         rows = rng.standard_normal((12, 5))
         objectives = [
             make_quadratic(B, rng.standard_normal(5)),
-            make_regression(RegressionData(rows, rng.standard_normal(12), HuberLoss(0.1))),
-            make_regression(RegressionData(rows, np.zeros(12), LogisticLoss())),
+            make_regression(rows, rng.standard_normal(12), HuberLoss(0.1)),
+            make_regression(rows, np.zeros(12), LogisticLoss()),
         ]
         for obj in objectives:
             for _ in range(10):

@@ -23,7 +23,7 @@ from polyprec import (
     solve_coefficient_equation,
     synth_regression,
 )
-from polyprec import CompositeObjective, HuberLoss, LogisticLoss, RegressionData
+from polyprec import CompositeObjective, HuberLoss, LogisticLoss
 from polyprec.solvers import ROUNDING_FLOOR
 from conftest import random_spd, record_iterates
 
@@ -45,7 +45,7 @@ def logistic_bench(rng, n=30, m=120):
     labels = np.where(design @ planted > 0, 1.0, -1.0)
     labels[rng.random(m) < 0.2] *= -1.0
     folded = -labels[:, None] * design
-    return make_regression(RegressionData(folded, np.zeros(m), LogisticLoss()))
+    return make_regression(folded, np.zeros(m), LogisticLoss())
 
 
 class TestCoefficientEquation:
@@ -261,7 +261,7 @@ class TestAdaptiveGM:
         obj = gapped_quadratic(rng, n=8, cond=100)
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         beta_L = bounds.beta * obj.L
-        config = SolverConfig(max_iters=100, initial_guess=beta_L / 8, x0=np.ones(8))
+        config = SolverConfig(max_iters=100, step_constant=beta_L / 8, x0=np.ones(8))
         run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
         assert all(r.M_k <= 2.0 * beta_L * (1.0 + 1e-12) for r in run.records[1:])
 
@@ -269,7 +269,7 @@ class TestAdaptiveGM:
         obj = gapped_quadratic(rng, n=6, cond=50)
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         config = SolverConfig(
-            max_iters=1, initial_guess=bounds.beta * obj.L, x0=np.ones(6)
+            max_iters=1, step_constant=bounds.beta * obj.L, x0=np.ones(6)
         )
         run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
         assert run.records[1].ls_trials == 1  # zero doublings
@@ -278,7 +278,7 @@ class TestAdaptiveGM:
         obj = logistic_bench(rng)
         prec = IdentityPreconditioner()
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=200, initial_guess=guess)
+        config = SolverConfig(max_iters=200, step_constant=guess)
         run = run_adaptive_gm(obj, prec, config)
         avg = run.total_ls_trials() / run.iterations
         assert avg <= 2.5
@@ -286,7 +286,7 @@ class TestAdaptiveGM:
     def test_descent(self, rng):
         obj = logistic_bench(rng)
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=50, initial_guess=guess)
+        config = SolverConfig(max_iters=50, step_constant=guess)
         run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
@@ -299,7 +299,7 @@ class TestAdaptiveGM:
         obj = synth_regression(spec, HuberLoss(0.1))
         prec = build_from_descriptor("cutting:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, initial_guess=guess))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, step_constant=guess))
         assert max(r.ls_trials for r in run.records) <= 10
 
 
@@ -321,7 +321,7 @@ class TestAdaptiveFGM:
         run_adaptive_fgm(
             obj_adapt,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=30, initial_guess=2.0, x0=x0),
+            SolverConfig(max_iters=30, step_constant=2.0, x0=x0),
         )
         assert len(fixed_iterates) == len(adapt_iterates) == 31
         for xf, xa in zip(fixed_iterates, adapt_iterates):
@@ -345,7 +345,7 @@ class TestAdaptiveFGM:
         beta_L = bounds.beta * obj.L
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
         assert guess <= beta_L * (1.0 + 1e-9)
-        config = SolverConfig(max_iters=100, initial_guess=guess)
+        config = SolverConfig(max_iters=100, step_constant=guess)
         run = run_adaptive_fgm(obj, IdentityPreconditioner(), config)
         for record in run.records[1:]:
             assert record.A_k >= record.k**2 / (16.0 * beta_L) * (1.0 - 1e-12)
@@ -353,7 +353,7 @@ class TestAdaptiveFGM:
     def test_determinism(self, rng):
         obj_a = logistic_bench(np.random.default_rng(5))
         obj_b = logistic_bench(np.random.default_rng(5))
-        config = SolverConfig(max_iters=40, initial_guess=1.0)
+        config = SolverConfig(max_iters=40, step_constant=1.0)
         run_a = run_adaptive_fgm(obj_a, IdentityPreconditioner(), config)
         run_b = run_adaptive_fgm(obj_b, IdentityPreconditioner(), config)
         for ra, rb in zip(run_a.records, run_b.records):
@@ -378,17 +378,17 @@ def run_method(method, obj, config):
 class TestLoopContract:
     """What the shared iteration loop guarantees for every method."""
 
-    def problem(self, **overrides):
+    def problem(self, method, **overrides):
         obj = gapped_quadratic(np.random.default_rng(7), n=6, cond=10)
         beta_L = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta * obj.L
-        options = dict(
-            step_constant=beta_L, initial_guess=beta_L / 4, x0=np.ones(6), f_star=obj.f_star
-        )
+        # gm/fgm step with the fixed beta*L; the adaptive searches start below it.
+        M = beta_L if method in ("gm", "fgm") else beta_L / 4
+        options = dict(step_constant=M, x0=np.ones(6), f_star=obj.f_star)
         options.update(overrides)
         return obj, SolverConfig(**options)
 
     def run(self, method, **overrides):
-        obj, config = self.problem(**overrides)
+        obj, config = self.problem(method, **overrides)
         return obj, run_method(method, obj, config)
 
     def test_start_record(self, method):
@@ -400,7 +400,7 @@ class TestLoopContract:
 
     def test_one_readout_per_record(self, method):
         # record_iterates (conftest) relies on one objective readout per record.
-        obj, config = self.problem(max_iters=5)
+        obj, config = self.problem(method, max_iters=5)
         iterates = record_iterates(obj)
         run = run_method(method, obj, config)
         assert len(iterates) == len(run.records)
@@ -430,7 +430,7 @@ class TestRoundingFloor:
         obj = synth_regression(spec, LogisticLoss())
         prec = build_from_descriptor("inverse", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=500, initial_guess=guess, tol=tol)
+        config = SolverConfig(max_iters=500, step_constant=guess, tol=tol)
         return run_adaptive_fgm(obj, prec, config)
 
     def test_unreachable_tolerance_stops_at_floor(self):
@@ -477,11 +477,7 @@ class TestCompositeRuns:
             y = (M * x - g) / (M + sigma)
             return y, float((y - x) @ (y - x))
 
-        obj.psi = CompositePart(
-            kind="custom",
-            value=lambda y: 0.5 * sigma * float(y @ y),
-            prox=prox,
-        )
+        obj.psi = CompositePart(lambda y: 0.5 * sigma * float(y @ y), prox)
         target = np.linalg.solve(B.to_dense() + sigma * np.eye(5), b)
         return obj, target
 
@@ -502,7 +498,7 @@ class TestCompositeRuns:
         run = run_adaptive_fgm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=600, initial_guess=0.5, x0=np.ones(5)),
+            SolverConfig(max_iters=600, step_constant=0.5, x0=np.ones(5)),
         )
         assert np.allclose(run.x, target, atol=1e-8)
 
@@ -539,7 +535,7 @@ class TestInitialGuess:
             local = np.random.default_rng(trial)
             rows = local.standard_normal((15, 5))
             targets = local.standard_normal(15)
-            obj = make_regression(RegressionData(rows, targets, HuberLoss(0.1)))
+            obj = make_regression(rows, targets, HuberLoss(0.1))
             bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
             guess = initial_guess_M(
                 obj, IdentityPreconditioner(), local.standard_normal(5), 1.0
