@@ -1,9 +1,9 @@
 """Dataset ingestion and synthetic problem generation.
 
 Reads the plain-text sparse classification format (one ``label idx:val ...``
-line per row, 1-based indices) into coordinate arrays, and builds
-regression/classification problems whose curvature operator has an exactly
-planted spectrum.
+line per row, 1-based indices) block by block into compressed sparse row
+arrays, and builds regression/classification problems whose curvature
+operator has an exactly planted spectrum.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -27,16 +28,21 @@ __all__ = [
 ]
 
 
+# Lines of text parsed per block, and rows scattered per block when densifying:
+# ingestion's temporary memory is one block's text and arrays, not the file's.
+_BLOCK_LINES = 512
+
+
 @dataclass
 class DatasetMatrix:
-    """Sparse dataset in coordinate form with sign labels.
+    """Sparse dataset in compressed sparse row form with sign labels.
 
-    Entry ``k`` is ``val[k]`` at row ``row[k]`` and column ``col[k]``
-    (0-based), in row order with strictly increasing columns inside a row.
-    ``n_rows`` counts labels, so a row without entries is still a row.
+    Row ``i`` holds the entries ``indptr[i]:indptr[i + 1]`` of ``col`` (0-based
+    columns, strictly increasing inside a row) and ``val``. ``n_rows`` counts
+    labels, so a row without entries is still a row.
     """
 
-    row: np.ndarray
+    indptr: np.ndarray
     col: np.ndarray
     val: np.ndarray
     labels: np.ndarray
@@ -47,8 +53,13 @@ class DatasetMatrix:
         return self.labels.size
 
     def to_dense(self) -> np.ndarray:
+        """The dense design, scattered one block of rows at a time."""
         dense = np.zeros((self.n_rows, self.n_features))
-        dense[self.row, self.col] = self.val
+        for start in range(0, self.n_rows, _BLOCK_LINES):
+            bounds = self.indptr[start : start + _BLOCK_LINES + 1]
+            rows = np.repeat(np.arange(start, start + bounds.size - 1), np.diff(bounds))
+            entries = slice(bounds[0], bounds[-1])
+            dense[rows, self.col[entries]] = self.val[entries]
         return dense
 
 
@@ -165,32 +176,24 @@ def _raise_first_error(path):
     raise ValueError(f"{path}: malformed sparse file")
 
 
-def parse_libsvm(path) -> DatasetMatrix:
-    """Parse a sparse classification file; malformed lines report their number.
+def _parse_block(lines):
+    """``(labels, feature counts, indices, values)`` of a block's data lines.
 
-    List comprehensions over the lines split off the labels; one numpy
-    conversion reads every feature, and vectorized checks validate them. Only
-    a file that fails a check is scanned again, line by line, to name its
-    first bad line.
+    Returns None when a check fails. List comprehensions split off the labels,
+    one numpy conversion reads every feature of the block, and vectorized
+    checks validate them.
     """
-    with open(path, "r") as handle:
-        lines = [
-            line.split(None, 1)
-            for line in map(str.strip, handle)
-            if line and not line.startswith("#")
-        ]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset")
+    lines = [
+        line.split(None, 1) for line in map(str.strip, lines) if line and not line.startswith("#")
+    ]
     # fromiter builds no list of Python floats or ints beside the split lines.
     try:
         labels = np.fromiter((float(parts[0]) for parts in lines), float, len(lines))
     except ValueError:
-        _raise_first_error(path)
+        return None
     features = [parts[1] if len(parts) > 1 else "" for parts in lines]
-    del lines
     counts = np.fromiter((text.count(":") for text in features), np.intp, len(features))
     pairs = _feature_pairs("\n".join(features))
-    del features  # the line texts are not needed past the joined copy
     firsts = (np.cumsum(counts) - counts)[counts > 0]
     if (
         pairs is None
@@ -198,14 +201,42 @@ def parse_libsvm(path) -> DatasetMatrix:
         or not np.isfinite(pairs[1]).all()
         or not (_increasing(pairs[0], firsts) & (pairs[0] < _INDEX_LIMIT)).all()
     ):
-        _raise_first_error(path)
-    index, value = pairs
+        return None
+    return labels, counts, *pairs
+
+
+def parse_libsvm(path) -> DatasetMatrix:
+    """Parse a sparse classification file; malformed lines report their number.
+
+    The file is read ``_BLOCK_LINES`` lines at a time, and each block's
+    labels, row lengths, columns and values join the output lists. Only a file
+    that fails a check is scanned again, line by line, to name its first bad
+    line.
+    """
+    labels, counts, cols, vals = [], [], [], []
+    with open(path, "r") as handle:
+        while block := list(islice(handle, _BLOCK_LINES)):
+            parsed = _parse_block(block)
+            if parsed is None:
+                _raise_first_error(path)
+            block_labels, block_counts, index, value = parsed
+            labels.append(block_labels)
+            counts.append(block_counts)
+            cols.append(index.astype(np.intp) - 1)
+            vals.append(value.copy())  # not a view that keeps the block's numbers alive
+    if not any(block.size for block in labels):
+        raise ValueError(f"{path}: empty dataset")
+    labels = np.concatenate(labels)
+    indptr = np.zeros(labels.size + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    col = np.concatenate(cols)
+    del cols  # the column blocks go before the value blocks are copied
     return DatasetMatrix(
-        row=np.repeat(np.arange(labels.size, dtype=np.intp), counts),
-        col=index.astype(np.intp) - 1,
-        val=value.copy(),
+        indptr=indptr,
+        col=col,
+        val=np.concatenate(vals),
         labels=np.where(labels > 0, 1.0, -1.0),  # 0/1 sets map 0 to the negative class
-        n_features=int(index.max()) if index.size else 0,
+        n_features=int(col.max()) + 1 if col.size else 0,
     )
 
 

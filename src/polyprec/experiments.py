@@ -197,12 +197,14 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
 
 
 class Reference(NamedTuple):
-    """A reference optimum and what certifies it: the run's length, end and residual."""
+    """A reference optimum, what certifies it (the run's length, end and
+    residual) and the data passes it spent."""
 
     f_star: float
     iterations: int
     termination: str
     grad_map: float
+    data_passes: int
 
 
 REFERENCE_PRECOND = "inverse"
@@ -222,6 +224,7 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     certificate; it is still used, and a warning on the ``polyprec`` logger
     names the config.
     """
+    passes = obj.data_passes
     prec = build_from_descriptor(REFERENCE_PRECOND, obj.curvature)
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     run = run_adaptive_fgm(
@@ -239,7 +242,13 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
             run.iterations,
             run.records[-1].grad_map,
         )
-    return Reference(f_star, run.iterations, run.termination, float(run.records[-1].grad_map))
+    return Reference(
+        f_star,
+        run.iterations,
+        run.termination,
+        float(run.records[-1].grad_map),
+        obj.data_passes - passes,
+    )
 
 
 def _reference_budget(config: ExperimentConfig) -> int:
@@ -357,7 +366,9 @@ def run_experiment(
         references[key] = reference_optimum(config, obj)
     reference = references[key]
     f_star = reference.f_star
+    passes = obj.data_passes
     run = _execute(config, obj, f_star)
+    data_passes = obj.data_passes - passes
 
     csv_path = out_dir / f"{config.name}.csv"
     write_run_csv(csv_path, run, f_star)
@@ -378,6 +389,7 @@ def run_experiment(
         "final_fval": run.records[-1].f_value,
         "f_evals": run.records[-1].f_evals,
         "grad_evals": run.records[-1].grad_evals,
+        "data_passes": data_passes,
         "reference": {
             "method": "adaptive-fgm",
             "precond": REFERENCE_PRECOND,
@@ -385,6 +397,7 @@ def run_experiment(
             "termination": reference.termination,
             "grad_map": reference.grad_map,
             "negative_gaps": sum(r.f_value < f_star for r in run.records),
+            "data_passes": reference.data_passes,
         },
     }
     write_json(out_dir / f"{config.name}.json", summary)

@@ -94,7 +94,9 @@ class CompositeObjective:
     (not even the operator's matvecs, which a quadratic's value spends). The
     counts are calls to :meth:`value` and :meth:`gradient`, not data passes:
     a value callable may reuse work across calls at the same point, as the
-    regression objectives of :func:`make_regression` do.
+    regression objectives of :func:`make_regression` do. ``data_passes``
+    counts the products with a regression objective's design that the
+    oracles and readouts spend (zero for other objectives).
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class CompositeObjective:
         self.x_star = x_star
         self.f_evals = 0
         self.grad_evals = 0
+        self.data_passes = 0
 
     def value(self, x: np.ndarray) -> float:
         self.f_evals += 1
@@ -151,11 +154,14 @@ def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeO
     loss's curvature bound and mu is zero (both built-in losses have flat
     tails).
 
-    Value and gradient share a one-point cache of the last loss evaluation,
-    so a point's value and gradient cost one forward product between them,
-    and a point evaluated again (a telemetry readout after the accepted
-    line-search trial) costs none. The cache counts nothing: ``f_evals`` and
-    ``grad_evals`` still count every oracle call.
+    Value and gradient share a cache of the last two loss evaluations, so a
+    point's value and gradient cost one forward product between them, and a
+    point evaluated again costs none: a telemetry readout after the accepted
+    line-search trial, or the start point after :func:`initial_guess_M` has
+    also evaluated its trial point. The cache counts no oracle call:
+    ``f_evals`` and ``grad_evals`` still count every one. ``data_passes``
+    counts one forward product per cache miss and one adjoint product per
+    gradient, readouts included.
     """
     rows = np.asarray(rows, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -167,30 +173,36 @@ def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeO
         raise ValueError("empty data")
     curvature = GramOperator(rows)
 
-    # (point key, loss value sum, loss derivative) of the last evaluation,
-    # replaced whole so a reader never sees a mixed triple. The key is the
-    # point's shape and a copy of its bytes, so a caller mutating its array
-    # cannot poison the cache, and only a bitwise-equal point hits it.
-    cached = None
+    # (point key, loss value sum, loss derivative) of the last evaluations,
+    # newest first; the tuple is replaced whole so a reader never sees a mixed
+    # one. The key is the point's shape and a copy of its bytes, so a caller
+    # mutating its array cannot poison the cache, and only a bitwise-equal
+    # point hits it.
+    cached = ()
 
     def evaluate(x):
         nonlocal cached
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        entry = cached
-        if entry is None or entry[0] != key:
-            values, deriv = loss(rows @ x - targets)
-            entry = (key, float(values.sum()), deriv)
-            cached = entry
+        entries = cached
+        for entry in entries:
+            if entry[0] == key:
+                return entry
+        obj.data_passes += 1
+        values, deriv = loss(rows @ x - targets)
+        entry = (key, float(values.sum()), deriv)
+        cached = (entry, *entries[:1])
         return entry
 
     def value(x):
         return evaluate(x)[1]
 
     def gradient(x):
-        return rows.T @ evaluate(x)[2]
+        deriv = evaluate(x)[2]
+        obj.data_passes += 1
+        return rows.T @ deriv
 
-    return CompositeObjective(
+    obj = CompositeObjective(
         n=rows.shape[1],
         value=value,
         gradient=gradient,
@@ -198,6 +210,7 @@ def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeO
         L=loss.curvature_bound,
         mu=0.0,
     )
+    return obj
 
 
 def make_quadratic(B: SymmetricOperator, b: np.ndarray) -> CompositeObjective:

@@ -293,7 +293,8 @@ def initial_guess_M(
     )
     if step_norm_sq <= 1e-300:
         return M0_prime  # stationary start
-    bregman = obj.value(x1) - obj.value(x0) - float(g0 @ (x1 - x0))
+    f0 = obj.value(x0)  # before f(x1): a caching oracle still holds x0 from the gradient call
+    bregman = obj.value(x1) - f0 - float(g0 @ (x1 - x0))
     estimate = bregman / (0.5 * step_norm_sq)
     if not np.isfinite(estimate) or estimate <= 0:
         return M0_prime * 2.0**-6  # no curvature along the step

@@ -118,7 +118,7 @@ def synth_classification_dataset(spec, flip: float = 0.2) -> DatasetMatrix:
     labels[rng.random(m) < flip] *= -1.0
     row, col = np.nonzero(design)
     return DatasetMatrix(
-        row=row,
+        indptr=np.concatenate(([0], np.cumsum(np.count_nonzero(design, axis=1)))),
         col=col,
         val=design[row, col],
         labels=labels,

@@ -106,7 +106,8 @@ class TestParseLibsvm:
         assert ds.n_features == 4
         assert list(ds.labels) == EXPECTED_LABELS
         expected = [(i, j, v) for i, row in enumerate(EXPECTED_ROWS) for j, v in row]
-        assert list(zip(ds.row.tolist(), ds.col.tolist(), ds.val.tolist())) == expected
+        row = np.repeat(np.arange(ds.n_rows), np.diff(ds.indptr))
+        assert list(zip(row.tolist(), ds.col.tolist(), ds.val.tolist())) == expected
 
     def test_label_only_lines_are_rows(self, tmp_path):
         path = tmp_path / "bare.txt"
@@ -161,6 +162,39 @@ class TestParseLibsvm:
         assert np.array_equal(ds.labels, labels)
 
 
+def _write_a9a_shaped(path, rows=32_561, features=123, per_row=14):
+    """A file of a9a's full shape: ``per_row`` distinct binary features per row."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for start in range(0, rows, 4096):
+        m = min(4096, rows - start)
+        keys = rng.random((m, features))
+        cols = np.sort(np.argpartition(keys, per_row, axis=1)[:, :per_row], axis=1) + 1
+        labels = np.where(rng.random(m) < 0.5, 1, -1)
+        lines += [
+            f"{label:+d} " + " ".join(f"{j}:1" for j in row)
+            for label, row in zip(labels.tolist(), cols.tolist())
+        ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_parse_holds_one_block_beside_its_output(tmp_path):
+    path = tmp_path / "a9a_full.txt"
+    _write_a9a_shaped(path)
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == 32_561 and ds.col.size == 14 * 32_561
+    output = ds.indptr.nbytes + ds.col.nbytes + ds.val.nbytes + ds.labels.nbytes
+    # Reading the whole text at once peaked at about 5x the output (38 MiB
+    # here); block by block, one block's text and arrays and the joining copy
+    # remain, about 1.5x.
+    assert peak <= 2 * output
+
+
 class TestStandardize:
     def test_unit_column_norms(self, tmp_path, rng):
         rows = rng.standard_normal((8, 3))
@@ -197,7 +231,7 @@ class TestStandardize:
     def _sparse_dataset(rng, m=4000, n=60, per_row=5):
         cols = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :per_row], axis=1)
         return DatasetMatrix(
-            row=np.repeat(np.arange(m), per_row),
+            indptr=np.arange(0, m * per_row + 1, per_row),
             col=cols.ravel(),
             val=rng.standard_normal(m * per_row),
             labels=np.where(rng.random(m) > 0.5, 1.0, -1.0),
@@ -211,6 +245,25 @@ class TestStandardize:
         scaled = standardize_columns(ds) if standardize else ds
         # Bitwise, signed zeros included: the labels fold into the design once.
         assert rows.tobytes() == (-scaled.labels[:, None] * scaled.to_dense()).tobytes()
+
+    def test_parsed_arrays_go_when_the_problem_is_built(self, tmp_path, monkeypatch, rng):
+        import weakref
+
+        import polyprec.experiments as experiments
+
+        path = tmp_path / "held.txt"
+        write_libsvm(path, rng.standard_normal((12, 3)), np.ones(12))
+        parsed = []
+
+        def parse(data_path):
+            dataset = parse_libsvm(data_path)
+            parsed.append([weakref.ref(array) for array in (dataset.col, dataset.val)])
+            return dataset
+
+        monkeypatch.setattr(experiments, "parse_libsvm", parse)
+        obj = build_problem(ExperimentConfig(dataset=str(path)))
+        assert obj.n == 3
+        assert [ref() for ref in parsed[0]] == [None, None]
 
     def test_logistic_holds_one_dense_design(self, rng):
         ds = self._sparse_dataset(rng)
@@ -604,7 +657,8 @@ class TestReference:
         summary = json.loads((tmp_path / "cert.json").read_text())
         reference = summary["reference"]
         assert set(reference) == {
-            "method", "precond", "iterations", "termination", "grad_map", "negative_gaps"
+            "method", "precond", "iterations", "termination", "grad_map", "negative_gaps",
+            "data_passes",
         }
         assert reference["method"] == "adaptive-fgm"
         assert reference["precond"] == "inverse"
@@ -672,6 +726,48 @@ class TestReference:
         assert negative == int(np.sum(columns["gap"] < 0))
         # A one-iteration reference sits above most of the run.
         assert (negative > 0) == (reference_iters == 1)
+
+    @pytest.mark.parametrize("method", ["adaptive-gm", "adaptive-fgm", "gm"])
+    def test_summary_data_passes_match_spied_products(self, tmp_path, monkeypatch, rng, method):
+        import polyprec.experiments as experiments
+        import polyprec.problems as problems
+
+        path = tmp_path / "passes.txt"
+        write_libsvm(path, rng.standard_normal((30, 4)), np.where(rng.random(30) < 0.5, 1, -1))
+        # Each loss call follows one forward product and each gradient call
+        # makes one adjoint product.
+        products = [0]
+        loss_call = problems.LogisticLoss.__call__
+        gradient = problems.CompositeObjective.gradient
+
+        def forward(self, t):
+            products[0] += 1
+            return loss_call(self, t)
+
+        def adjoint(self, x):
+            products[0] += 1
+            return gradient(self, x)
+
+        spent = []
+        reference = experiments.reference_optimum
+
+        def spied_reference(config, obj):
+            before = products[0]
+            out = reference(config, obj)
+            spent.append(products[0] - before)
+            return out
+
+        monkeypatch.setattr(problems.LogisticLoss, "__call__", forward)
+        monkeypatch.setattr(problems.CompositeObjective, "gradient", adjoint)
+        monkeypatch.setattr(experiments, "reference_optimum", spied_reference)
+        config = ExperimentConfig(
+            name="passes", dataset=str(path), method=method, precond="sympoly:1",
+            max_iters=15, out_dir=str(tmp_path),
+        )
+        summary = run_experiment(config)
+        assert json.loads((tmp_path / "passes.json").read_text()) == summary
+        assert summary["reference"]["data_passes"] == spent[0] > 0
+        assert summary["data_passes"] == products[0] - spent[0] > summary["grad_evals"]
 
     def test_singular_gram_from_unused_feature(self, tmp_path):
         rng = np.random.default_rng(8)

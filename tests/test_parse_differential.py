@@ -2,12 +2,14 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polyprec.datasets as datasets
 from polyprec import DatasetMatrix, parse_libsvm
 
 
@@ -18,7 +20,7 @@ def _map_label(raw: float) -> float:
 
 def reference_parse_libsvm(path) -> DatasetMatrix:
     """Parse a sparse classification file; malformed lines report their number."""
-    row, col, val = [], [], []
+    indptr, col, val = [0], [], []
     labels = []
     n_features = 0
     with open(path, "r") as handle:
@@ -48,15 +50,15 @@ def reference_parse_libsvm(path) -> DatasetMatrix:
                         f"{path}:{lineno}: feature indices must be strictly increasing"
                     )
                 last_index = index
-                row.append(len(labels))
                 col.append(index - 1)
                 val.append(value)
                 n_features = max(n_features, index)
             labels.append(_map_label(raw_label))
+            indptr.append(len(col))
     if not labels:
         raise ValueError(f"{path}: empty dataset")
     return DatasetMatrix(
-        row=np.asarray(row, dtype=np.intp),
+        indptr=np.asarray(indptr, dtype=np.intp),
         col=np.asarray(col, dtype=np.intp),
         val=np.asarray(val, dtype=float),
         labels=np.asarray(labels),
@@ -167,7 +169,7 @@ def _assert_same(path):
         return
     assert isinstance(got, DatasetMatrix), got
     assert got.n_features == expected.n_features
-    for name in ("row", "col", "val", "labels"):
+    for name in ("indptr", "col", "val", "labels"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
@@ -206,6 +208,69 @@ def test_malformed_files_fail_with_the_reference_message(sample_file, data):
     text = _render(data.draw, data.draw(mutated_files()))
     sample_file.write_bytes(text.encode())
     _assert_same(sample_file)  # a fuzz token can be well formed, so either outcome is compared
+
+
+# Small blocks put block edges inside the generated files of at most 12 lines.
+SMALL_BLOCK = 3
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_small_blocks_parse_bitwise_equal(sample_file, data):
+    text = _render(data.draw, data.draw(sparse_files()))
+    sample_file.write_bytes(text.encode())
+    with mock.patch.object(datasets, "_BLOCK_LINES", SMALL_BLOCK):
+        _assert_same(sample_file)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_small_blocks_fail_with_the_reference_message(sample_file, data):
+    text = _render(data.draw, data.draw(mutated_files()))
+    sample_file.write_bytes(text.encode())
+    with mock.patch.object(datasets, "_BLOCK_LINES", SMALL_BLOCK):
+        _assert_same(sample_file)
+
+
+GOOD_LINES = [f"{'+1' if i % 2 else '-1'} {i + 1}:{i}.5 {i + 3}:2" for i in range(7)]
+
+
+@pytest.mark.parametrize("at", range(len(GOOD_LINES) + 1))
+@pytest.mark.parametrize("edge", ["# comment", "", "+1", "-1 "])
+def test_skipped_and_label_only_lines_at_block_edges(tmp_path, monkeypatch, edge, at):
+    monkeypatch.setattr(datasets, "_BLOCK_LINES", SMALL_BLOCK)
+    path = tmp_path / "edges.txt"
+    path.write_text("\n".join(GOOD_LINES[:at] + [edge] + GOOD_LINES[at:]) + "\n")
+    _assert_same(path)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["# a", "", "# b", "+1 1:1", "-1 2:1"],  # the first block holds no row
+        ["+1 1:1", "-1 2:1", "+1 3:1", "# a", "", "# b", "-1 1:2"],  # nor a middle one
+        ["+1 1:1", "-1 2:1", "+1 3:1", "# a", "", "  "],  # nor the last
+        ["+1", "-1", "0", "1", "+1 4:1"],  # rows with no entries across an edge
+    ],
+)
+def test_blocks_without_rows_or_entries(tmp_path, monkeypatch, lines):
+    monkeypatch.setattr(datasets, "_BLOCK_LINES", SMALL_BLOCK)
+    path = tmp_path / "blocks.txt"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_same(path)
+
+
+@pytest.mark.parametrize("lineno", [4, 6, 7, 9])
+@pytest.mark.parametrize("bad", ["x 1:1", "+1 2:oops", "+1 3:1 2:1", "+1 1:nan"])
+def test_bad_line_in_a_later_block_reports_its_number(tmp_path, monkeypatch, bad, lineno):
+    monkeypatch.setattr(datasets, "_BLOCK_LINES", SMALL_BLOCK)
+    lines = ["+1 1:1 2:5"] * 9
+    lines[lineno - 1] = bad
+    path = tmp_path / "late.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+        parse_libsvm(path)
+    _assert_same(path)
 
 
 @pytest.mark.parametrize(

@@ -224,6 +224,21 @@ class TestMakeRegression:
         # accepted trial's value and gradient serve the telemetry and next step.
         assert loss.calls <= 1 + run.total_ls_trials()
 
+    def test_initial_guess_evaluates_two_points(self, monkeypatch):
+        config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
+        rows, targets, _ = _build_with_data(monkeypatch, config)[1]
+        loss = CountedLogistic()
+        obj = make_regression(rows, targets, loss)
+        prec = build_from_descriptor("sympoly:2", obj.curvature)
+        x0 = np.zeros(obj.n)
+        initial_guess_M(obj, prec, x0, 1.0)
+        # f(x0) comes from the gradient's evaluation; only x0 and x1 cost one.
+        assert (loss.calls, obj.f_evals, obj.grad_evals) == (2, 2, 1)
+        # A run starting at x0 then reads its first value from the cache.
+        obj.full_value(x0)
+        assert loss.calls == 2
+        assert obj.data_passes == 2 + 1  # two forward products and one adjoint
+
 
 class TestMakeQuadratic:
     def test_value_and_gradient(self):
