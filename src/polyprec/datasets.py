@@ -39,7 +39,9 @@ class DatasetMatrix:
 
     Row ``i`` holds the entries ``indptr[i]:indptr[i + 1]`` of ``col`` (0-based
     columns, strictly increasing inside a row) and ``val``. ``n_rows`` counts
-    labels, so a row without entries is still a row.
+    labels, so a row without entries is still a row. ``parse_libsvm`` fills
+    each array once, in place; ``standardize_columns`` shares every array but
+    ``val``, so the unscaled values live only as long as their matrix.
     """
 
     indptr: np.ndarray
@@ -73,16 +75,6 @@ _NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity
 _BAD_FEATURE = re.compile(
     rf"(?<!\S)(?![+-]?[0-9]+:{_NUMBER}(?!\S))\S+", re.ASCII | re.IGNORECASE
 )
-
-
-def _records(path):
-    """``(line number, label text, feature text)`` of each data line of a sparse file."""
-    with open(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                parts = line.split(None, 1)
-                yield lineno, parts[0], parts[1] if len(parts) > 1 else ""
 
 
 def _feature_pairs(text: str):
@@ -149,10 +141,18 @@ def _increasing(index: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     return index > previous
 
 
-def _raise_first_error(path):
-    """Raise the error of the first bad line, naming ``path:line`` and the bad field."""
-    for lineno, label_text, text in _records(path):
+def _raise_first_error(path, block, first_lineno: int):
+    """Raise the error of a failing block's first bad line, naming ``path:line``.
+
+    ``first_lineno`` is the number of the block's first line in the file.
+    """
+    for lineno, line in enumerate(block, start=first_lineno):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         where = f"{path}:{lineno}"
+        parts = line.split(None, 1)
+        label_text, text = parts[0], parts[1] if len(parts) > 1 else ""
         try:
             label = float(label_text)
         except ValueError as exc:
@@ -205,37 +205,68 @@ def _parse_block(lines):
     return labels, counts, *pairs
 
 
+# Bytes read at a time by the pass that sizes the output arrays.
+_SIZING_BYTES = 1 << 16
+
+
+def _size_bounds(path) -> tuple[int, int]:
+    """Upper bounds on the rows and entries of a sparse file, from one bounded pass.
+
+    Every entry holds one colon and every row ends at a line break or at the
+    end of the file, so colons in comments and lines without data over-count.
+    A line break is a line feed, a carriage return or the pair; a pair split
+    between two reads counts twice.
+    """
+    rows, entries = 1, 0
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_SIZING_BYTES):
+            rows += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            entries += chunk.count(b":")
+    return rows, entries
+
+
 def parse_libsvm(path) -> DatasetMatrix:
     """Parse a sparse classification file; malformed lines report their number.
 
-    The file is read ``_BLOCK_LINES`` lines at a time, and each block's
-    labels, row lengths, columns and values join the output lists. Only a file
-    that fails a check is scanned again, line by line, to name its first bad
-    line.
+    A first pass over the bytes bounds the rows and entries, so the output
+    arrays are allocated once. The file is then read ``_BLOCK_LINES`` lines at
+    a time, and each block's labels, row ends, columns and values are written
+    into them. A block that fails a check is scanned again, line by line, to
+    name its first bad line.
     """
-    labels, counts, cols, vals = [], [], [], []
+    rows, entries = _size_bounds(path)
+    labels = np.empty(rows)
+    indptr = np.zeros(rows + 1, dtype=np.intp)
+    col = np.empty(entries, dtype=np.intp)
+    val = np.empty(entries)
+    n_rows, lineno = 0, 1
     with open(path, "r") as handle:
         while block := list(islice(handle, _BLOCK_LINES)):
             parsed = _parse_block(block)
             if parsed is None:
-                _raise_first_error(path)
-            block_labels, block_counts, index, value = parsed
-            labels.append(block_labels)
-            counts.append(block_counts)
-            cols.append(index.astype(np.intp) - 1)
-            vals.append(value.copy())  # not a view that keeps the block's numbers alive
-    if not any(block.size for block in labels):
+                _raise_first_error(path, block, lineno)
+            block_labels, counts, index, value = parsed
+            stop = n_rows + block_labels.size
+            # 0/1 labeled sets map 0 to the negative class.
+            labels[n_rows:stop] = np.where(block_labels > 0, 1.0, -1.0)
+            np.cumsum(counts, out=indptr[n_rows + 1 : stop + 1])
+            indptr[n_rows + 1 : stop + 1] += indptr[n_rows]
+            written = slice(indptr[n_rows], indptr[stop])
+            col[written] = index
+            col[written] -= 1
+            val[written] = value
+            n_rows, lineno = stop, lineno + len(block)
+    if not n_rows:
         raise ValueError(f"{path}: empty dataset")
-    labels = np.concatenate(labels)
-    indptr = np.zeros(labels.size + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    col = np.concatenate(cols)
-    del cols  # the column blocks go before the value blocks are copied
+    # Trim what the bounds over-counted, in place: no view of these arrays is alive.
+    nnz = indptr[n_rows]
+    for array, size in ((labels, n_rows), (indptr, n_rows + 1), (col, nnz), (val, nnz)):
+        array.resize(size, refcheck=False)
     return DatasetMatrix(
         indptr=indptr,
         col=col,
-        val=np.concatenate(vals),
-        labels=np.where(labels > 0, 1.0, -1.0),  # 0/1 sets map 0 to the negative class
+        val=val,
+        labels=labels,
         n_features=int(col.max()) + 1 if col.size else 0,
     )
 
@@ -270,9 +301,12 @@ def logistic_from_dataset(
     residual margins; column standardization is on by default so runs on
     different datasets are comparable.
     """
-    if standardize:
-        dataset = standardize_columns(dataset)
-    folded = dataset.to_dense()
+    try:
+        if standardize:
+            dataset = standardize_columns(dataset)  # frees val unless the caller holds it
+        folded = dataset.to_dense()
+    except MemoryError as exc:  # a large index parses, but its dense design cannot fit
+        raise MemoryError(f"n_features={dataset.n_features} does not fit in memory") from exc
     folded *= -dataset.labels[:, None]  # in place: one dense design at a time
     return make_regression(folded, np.zeros(dataset.n_rows), LogisticLoss())
 
@@ -312,7 +346,9 @@ def _orthogonal(rng, n: int) -> np.ndarray:
 def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> np.ndarray:
     lam = spec.resolve()
     n = lam.size
-    core = np.diag(np.sqrt(lam)) @ _orthogonal(rng, n).T
+    # Row scaling gives the bits and the row-major layout of diag(sqrt(lam)) @ Q.T
+    # without its O(n^3) product; the layout fixes the bits of later products.
+    core = np.multiply(np.sqrt(lam)[:, None], _orthogonal(rng, n).T, order="C")
     m = spec.rows if spec.rows is not None else n
     if m == n:
         return core

@@ -186,13 +186,14 @@ def parse_config_file(path) -> ExperimentConfig:
 def build_problem(config: ExperimentConfig) -> CompositeObjective:
     """Fresh objective (own operator and counters) from a validated config."""
     if config.dataset is not None:
-        dataset = parse_libsvm(config.dataset)
         try:
-            return logistic_from_dataset(dataset, standardize=config.standardize)
-        except MemoryError as exc:  # a large index parses, but its dense design cannot fit
-            raise ValueError(
-                f"{config.dataset}: n_features={dataset.n_features} does not fit in memory"
-            ) from exc
+            # No name holds the parsed arrays, so the unscaled values go once
+            # they are standardized, before the dense design is allocated.
+            return logistic_from_dataset(
+                parse_libsvm(config.dataset), standardize=config.standardize
+            )
+        except MemoryError as exc:
+            raise ValueError(f"{config.dataset}: {exc}") from exc
     return synth_regression(_synthetic_spec(config), _parse_loss(config.loss))
 
 

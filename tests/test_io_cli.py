@@ -178,21 +178,44 @@ def _write_a9a_shaped(path, rows=32_561, features=123, per_row=14):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_parse_holds_one_block_beside_its_output(tmp_path):
-    path = tmp_path / "a9a_full.txt"
+@pytest.fixture(scope="module")
+def a9a_full(tmp_path_factory):
+    path = tmp_path_factory.mktemp("a9a") / "a9a_full.txt"
     _write_a9a_shaped(path)
+    return path
+
+
+def _traced_peak(call, *args):
     tracemalloc.start()
     try:
-        ds = parse_libsvm(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _nbytes(ds: DatasetMatrix) -> int:
+    return ds.indptr.nbytes + ds.col.nbytes + ds.val.nbytes + ds.labels.nbytes
+
+
+def test_parse_holds_one_block_beside_its_output(a9a_full):
+    peak = _traced_peak(parse_libsvm, a9a_full)
+    ds = parse_libsvm(a9a_full)
     assert ds.n_rows == 32_561 and ds.col.size == 14 * 32_561
-    output = ds.indptr.nbytes + ds.col.nbytes + ds.val.nbytes + ds.labels.nbytes
     # Reading the whole text at once peaked at about 5x the output (38 MiB
-    # here); block by block, one block's text and arrays and the joining copy
-    # remain, about 1.5x.
-    assert peak <= 2 * output
+    # here), and joining per-block lists at about 1.55x. The output arrays
+    # are now allocated once, so one block's text and arrays remain, about 1.1x.
+    assert peak <= 1.25 * _nbytes(ds)
+
+
+def test_build_problem_holds_the_design_beside_one_parse_output(a9a_full):
+    ds = parse_libsvm(a9a_full)
+    dense_bytes = ds.n_rows * ds.n_features * 8
+    peak = _traced_peak(build_problem, ExperimentConfig(dataset=str(a9a_full)))
+    # The unscaled values go before the design is allocated, so the parsed
+    # arrays are held once beside it (the standardized values replace the
+    # unscaled ones); keeping both read 1.37x the design.
+    assert peak <= dense_bytes + _nbytes(ds) + 2**20
 
 
 class TestStandardize:
@@ -253,16 +276,24 @@ class TestStandardize:
 
         path = tmp_path / "held.txt"
         write_libsvm(path, rng.standard_normal((12, 3)), np.ones(12))
-        parsed = []
+        parsed, unscaled_alive = [], []
 
         def parse(data_path):
             dataset = parse_libsvm(data_path)
             parsed.append([weakref.ref(array) for array in (dataset.col, dataset.val)])
             return dataset
 
+        def to_dense(self):
+            # The unscaled values go once standardized, before the design exists.
+            unscaled_alive.append(parsed[0][1]() is not None)
+            return dense(self)
+
+        dense = DatasetMatrix.to_dense
         monkeypatch.setattr(experiments, "parse_libsvm", parse)
+        monkeypatch.setattr(DatasetMatrix, "to_dense", to_dense)
         obj = build_problem(ExperimentConfig(dataset=str(path)))
         assert obj.n == 3
+        assert unscaled_alive == [False]
         assert [ref() for ref in parsed[0]] == [None, None]
 
     def test_logistic_holds_one_dense_design(self, rng):
@@ -294,6 +325,18 @@ class TestSynthetic:
         x = np.linspace(-1.0, 1.0, spec.n)
         assert a.value(x) == b.value(x)
         assert np.array_equal(a.gradient(x), b.gradient(x))
+
+    @pytest.mark.parametrize("n, seed", [(100, 204), (100, 1), (300, 7), (1000, 204)])
+    def test_design_scaling_matches_the_dense_product(self, n, seed):
+        from polyprec.datasets import _design_matrix, _orthogonal
+
+        spec = SyntheticSpectrumSpec(lam1=300.0, lam2=20.0, tail=1.0, n=n, seed=seed)
+        q = _orthogonal(np.random.default_rng(seed), n)
+        expected = np.diag(np.sqrt(spec.resolve())) @ q.T
+        got = _design_matrix(spec, np.random.default_rng(seed))
+        # The layout too: products with a column-major design round differently.
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
     def test_overdetermined_rows_exact_spectrum(self):
         spec = SyntheticSpectrumSpec(lam1=20.0, lam2=4.0, tail=1.0, n=8, seed=2, rows=40)

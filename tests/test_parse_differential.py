@@ -273,6 +273,30 @@ def test_bad_line_in_a_later_block_reports_its_number(tmp_path, monkeypatch, bad
     _assert_same(path)
 
 
+class _SearchSpy:
+    """Stands in for a compiled pattern and keeps every text it is asked to search."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.texts = []
+
+    def search(self, text):
+        self.texts.append(text)
+        return self.pattern.search(text)
+
+
+def test_bad_last_line_rescans_only_its_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_BLOCK_LINES", SMALL_BLOCK)
+    spy = _SearchSpy(datasets._BAD_FEATURE)
+    monkeypatch.setattr(datasets, "_BAD_FEATURE", spy)
+    path = tmp_path / "long.txt"
+    path.write_text("+1 1:1 2:5\n" * 200 + "-1 2:oops\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:201: bad feature '2:oops'$"):
+        parse_libsvm(path)
+    # Each line of the failing block is checked once; the 200 lines before it are not.
+    assert 1 <= len(spy.texts) <= SMALL_BLOCK
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
