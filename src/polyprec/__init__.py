@@ -21,7 +21,6 @@ from .preconditioners import (
     QualityBounds,
     build_from_descriptor,
     build_sympoly,
-    chebyshev_T,
     chebyshev_polynomial,
     compute_alpha_beta,
     cutting_preconditioner,

@@ -105,6 +105,8 @@ def _check_fields(config: ExperimentConfig):
         )
     if config.dataset is not None and config.synthetic is not None:
         raise ValueError("exactly one of dataset or synthetic must be given")
+    if config.dataset is not None and config.rows is not None:
+        raise ValueError("rows sets the size of a synthetic design; a dataset has its own rows")
     if config.dataset is not None and config.loss != "logistic":
         raise ValueError("dataset runs use the logistic loss")
     if config.tol is not None and not 0 <= config.tol < np.inf:
@@ -409,18 +411,28 @@ def run_bench(config_paths, out_dir=None) -> list[dict]:
     """Run a batch of config files; each produces its own CSV and summary.
 
     Every config is parsed and validated before the first run starts, so a bad
-    file fails the batch without writing any output. A config with the same
-    problem fields as the one before it runs on the problem already built,
-    and configs that share a problem and reference budget share one
-    reference optimum.
+    file, or two files that would write the same outputs (the same directory,
+    after ``out_dir`` overrides it, and name), fail the batch without writing
+    any output. A config with the same problem fields as the one before it
+    runs on the problem already built, and configs that share a problem and
+    reference budget share one reference optimum.
     """
     configs = [parse_config_file(path) for path in config_paths]
+    writers = {}
+    for path, config in zip(config_paths, configs):
+        if out_dir is not None:
+            config.out_dir = str(out_dir)
+        target = (Path(config.out_dir) / config.name).resolve()
+        if target in writers:
+            raise ValueError(
+                f"{writers[target]} and {path} both write {config.name}.csv and "
+                f"{config.name}.json in {config.out_dir}"
+            )
+        writers[target] = path
     references: dict = {}
     summaries = []
     built_key, problem = None, None
     for config in configs:
-        if out_dir is not None:
-            config.out_dir = str(out_dir)
         if _problem_key(config) != built_key:
             problem = None  # let the previous problem go before the next is built
             built_key, problem = _problem_key(config), build_problem(config)

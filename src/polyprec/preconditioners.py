@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    MatvecOperator,
     SymmetricOperator,
     elementary_symmetric,
     exact_traces,
@@ -34,7 +35,6 @@ __all__ = [
     "compute_alpha_beta",
     "gamma_of_polynomial",
     "cutting_preconditioner",
-    "chebyshev_T",
     "chebyshev_polynomial",
     "inverse_preconditioner",
     "xi_tau",
@@ -70,14 +70,20 @@ class QualityBounds:
 
 class Preconditioner:
     """Base class; concrete kinds are polynomial (identity included), chebyshev and
-    the exact inverse."""
+    the exact inverse. A polynomial's scalar form is its ``apply`` on a diagonal."""
 
     def apply(self, op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def eval_at(self, s):
-        """The scalar form p(s), at scalar or array points."""
-        raise NotImplementedError
+        """The scalar form p(s) as p(diag(s)) times a vector of ones, at scalar or
+        array points, typed as ``np.polynomial.polynomial.polyval`` returns."""
+        s = np.asarray(s, dtype=float)
+        if s.size == 0:
+            return np.empty(s.shape)
+        points = s.ravel()
+        diagonal = MatvecOperator(points.size, points.__mul__)
+        return self.apply(diagonal, np.ones(points.size)).reshape(s.shape)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,17 +121,6 @@ class PolynomialPreconditioner(Preconditioner):
             result = op.matvec(result) + c[i] * v
         return result
 
-    def eval_at(self, s):
-        """Horner's rule in the steps of ``np.polynomial.polynomial.polyval``, so
-        the values are the same bits without importing ``numpy.polynomial``."""
-        if isinstance(s, (tuple, list)):
-            s = np.asarray(s)
-        c = self.coeffs
-        value = c[-1] + s * 0
-        for i in range(2, c.size + 1):
-            value = c[-i] + value * s
-        return value
-
 
 class IdentityPreconditioner(PolynomialPreconditioner):
     """The degree-0 polynomial 1: applies as a copy of the vector at zero matvecs."""
@@ -137,9 +132,9 @@ class IdentityPreconditioner(PolynomialPreconditioner):
 class ChebyshevPreconditioner(Preconditioner):
     """Chebyshev approximation of the inverse on a spectral interval.
 
-    Stored as the interval endpoints plus the degree; both application and
-    scalar evaluation use the stable three-term recurrence, so arbitrary
-    degrees are fine (unlike the monomial expansion).
+    Stored as the interval endpoints plus the degree; application, and so the
+    scalar form, runs the stable three-term recurrence, so arbitrary degrees
+    are fine (unlike the monomial expansion).
     """
 
     def __init__(self, lam_max: float, lam_min: float, tau: int):
@@ -154,14 +149,11 @@ class ChebyshevPreconditioner(Preconditioner):
         self.lam_min = float(lam_min)
         self.tau = int(tau)
 
-    def _u0(self) -> float:
-        return (self.lam_max + self.lam_min) / (self.lam_max - self.lam_min)
-
     def apply(self, op, v):
         v = np.asarray(v, dtype=float)
         width = self.lam_max - self.lam_min
         shift = self.lam_max + self.lam_min
-        u0 = self._u0()
+        u0 = shift / width
 
         def u_op(w):
             return (shift * w - 2.0 * op.matvec(w)) / width
@@ -176,19 +168,13 @@ class ChebyshevPreconditioner(Preconditioner):
             d_prev, d_cur = d_cur, d_next
         return y_cur / d_cur
 
-    def eval_at(self, s):
-        s = np.asarray(s, dtype=float)
-        u = (self.lam_max + self.lam_min - 2.0 * s) / (self.lam_max - self.lam_min)
-        t = chebyshev_T(self.tau + 1, u)
-        d = chebyshev_T(self.tau + 1, self._u0())
-        return (1.0 - t / d) / s
-
 
 class MatrixPreconditioner(Preconditioner):
     """The exact inverse as a dense matrix (see :func:`inverse_preconditioner`).
 
-    Its scalar form is 1/s above ``cutoff``, the eigenvalue below which the
-    operator counts as singular, and 0 below it.
+    Its ``apply`` ignores the operator, so its scalar form is its own: 1/s
+    above ``cutoff``, the eigenvalue below which the operator counts as
+    singular, and 0 below it.
     """
 
     def __init__(self, matrix: np.ndarray, cutoff: float):
@@ -303,20 +289,6 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     r = np.convolve(q, np.array([-1.0, a]))
     r[0] += 1.0  # exactly zero
     return PolynomialPreconditioner(r[1:])
-
-
-def chebyshev_T(k: int, x):
-    """Chebyshev polynomial of the first kind by the three-term recurrence."""
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
-    if k == 0:
-        return t_prev if t_prev.ndim else float(t_prev)
-    t_cur = x.copy()
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur if t_cur.ndim else float(t_cur)
 
 
 def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialPreconditioner:

@@ -97,6 +97,19 @@ EXPECTED_ROWS = [
 EXPECTED_LABELS = [1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1]
 
 
+def _run_fresh(script, argv):
+    """Run ``script`` with ``argv`` in a fresh interpreter that imports this polyprec."""
+    src = str(Path(polyprec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestParseLibsvm:
     def test_fixture_field_by_field(self, tmp_path):
         path = tmp_path / "fixture.txt"
@@ -504,6 +517,7 @@ class TestExperiments:
         [
             ("method = krylov", "precond = sympoly:2", "drop --precond, or precond = in a config"),
             ("dataset = x.txt", "loss = huber:0.1", "dataset runs use the logistic loss"),
+            ("dataset = x.txt", "rows = 5", "rows sets the size of a synthetic design"),
         ],
     )
     def test_parse_config_clash_names_the_later_line(self, tmp_path, first, second, message):
@@ -630,15 +644,7 @@ class TestExperiments:
             "print('numpy.polynomial' in sys.modules)\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(polyprec.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "bench", *map(str, paths), "--out", str(tmp_path / "runs")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = _run_fresh(script, ["bench", *map(str, paths), "--out", str(tmp_path / "runs")])
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
@@ -1017,6 +1023,83 @@ class TestCLI:
             cli_main([arg.format(out=out, runs=runs) for arg in argv])
         assert not (out / target).exists()
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "spectrum"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unwritable_out_is_exit_one(self, tmp_path, capsys, command, below):
+        # A regular file where the output directory should be: mkdir raises
+        # FileExistsError on the file itself and NotADirectoryError below it.
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep\n")
+        out = blocker / "x" if below else blocker
+        problem = ["--synthetic", "12,2,1,6", "--loss", "huber:0.1"]
+        if command == "bench":
+            cfg = tmp_path / "one.cfg"
+            cfg.write_text("method = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 5\n")
+            argv = ["bench", str(cfg), "--out", str(out)]
+        else:
+            argv = [command, *problem, "--out", str(out)]
+            if command == "solve":
+                argv += ["--max-iters", "5"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("polyprec: error: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_bench_same_output_twice_writes_nothing(self, tmp_path, capsys, override):
+        # With --out the two files' own directories differ, and the override
+        # makes them clash; without it they name the same directory.
+        out = tmp_path / "dup"
+        paths = []
+        for label in ("a", "b"):
+            cfg = tmp_path / f"{label}.cfg"
+            where = tmp_path / label if override else out
+            cfg.write_text(
+                f"name = same\nmethod = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\n"
+                f"max_iters = 5\nout_dir = {where}\n"
+            )
+            paths.append(str(cfg))
+        argv = ["bench", *paths] + (["--out", str(out)] if override else [])
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{paths[0]} and {paths[1]} both write same.csv" in err
+        assert not out.exists()
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_dataset_with_rows_is_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_text("+1 1:1.0\n-1 2:1.0\n+1 1:1.0 2:1.0\n")
+        out = tmp_path / "out"
+        for command in ("solve", "spectrum"):
+            argv = [command, "--dataset", str(data), "--rows", "5", "--out", str(out)]
+            assert cli_main(argv) == 1
+            assert "rows sets the size of a synthetic design" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_dataset_solve_imports_no_numpy_random(self, tmp_path, rng):
+        # Importing numpy.random costs memory and start-up time that a dataset
+        # run, which draws nothing, does not need.
+        rows = (rng.random((40, 6)) < 0.4).astype(float)
+        data = tmp_path / "d.txt"
+        write_libsvm(data, rows, np.where(rng.random(40) > 0.5, 1.0, -1.0))
+        script = (
+            "import sys\n"
+            "from polyprec.cli import main\n"
+            "print('numpy.random' in sys.modules)\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        argv = [
+            "solve", "--dataset", str(data), "--method", "adaptive-gm", "--precond", "sympoly:2",
+            "--max-iters", "10", "--out", str(tmp_path / "runs"),
+        ]
+        done = _run_fresh(script, argv)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "False")
 
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1

@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polyprec import (
     ChebyshevPreconditioner,
@@ -16,7 +14,6 @@ from polyprec import (
     PolynomialPreconditioner,
     build_from_descriptor,
     build_sympoly,
-    chebyshev_T,
     chebyshev_polynomial,
     compute_alpha_beta,
     cutting_preconditioner,
@@ -248,16 +245,6 @@ class TestCutting:
 
 
 class TestChebyshev:
-    def test_T_examples(self):
-        assert chebyshev_T(0, 0.7) == pytest.approx(1.0)
-        assert chebyshev_T(2, 0.5) == pytest.approx(-0.5)
-        assert chebyshev_T(3, 1.0) == pytest.approx(1.0)
-
-    @given(st.integers(min_value=0, max_value=12), st.floats(-1.0, 1.0))
-    @settings(max_examples=80)
-    def test_T_bounded_on_interval(self, k, x):
-        assert abs(chebyshev_T(k, x)) <= 1.0 + 1e-12
-
     def test_degree_zero_polynomial(self):
         p = chebyshev_polynomial(3.0, 1.0, 0)
         assert np.allclose(p.coeffs, [0.5])
@@ -306,6 +293,28 @@ class TestChebyshev:
             via_recurrence = prec.apply(op, v)
             via_monomial = chebyshev_polynomial(prec.lam_max, prec.lam_min, prec.tau).apply(op, v)
             assert np.allclose(via_recurrence, via_monomial, rtol=1e-11, atol=1e-12)
+
+    def test_scalar_form_types_and_shapes(self, rng):
+        # The types and shapes ``polyval`` gives; the values are the monomial
+        # form's at a degree where its expansion is still accurate.
+        prec = ChebyshevPreconditioner(10.0, 0.4, 5)
+        monomial = chebyshev_polynomial(10.0, 0.4, 5)
+        points = rng.uniform(0.4, 10.0, 6)
+        grid = points.reshape(2, 3)
+        for s in (float(points[0]), np.array(points[1]), points, list(points), grid):
+            got = prec.eval_at(s)
+            expected = np.polynomial.polynomial.polyval(s, monomial.coeffs)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_scalar_form_of_empty_input_is_empty(self):
+        for prec in (ChebyshevPreconditioner(10.0, 0.4, 3), PolynomialPreconditioner([1.0, 2.0])):
+            for s in ([], np.empty(0), np.empty((0, 3))):
+                got = prec.eval_at(s)
+                assert isinstance(got, np.ndarray)
+                assert got.dtype == float
+                assert got.shape == np.shape(s)
 
     def test_monomial_cap(self):
         with pytest.raises(ValueError, match="inaccurate"):

@@ -7,7 +7,8 @@ strings are not references), or when ``perfbench/`` mentions it. A public
 field, property or method of an exported class counts as used when the
 library reads an attribute of that name (``x.name``, on any object) or the
 benchmark mentions it. Test-only helpers belong in ``tests/conftest.py``
-instead of the public surface.
+instead of the public surface. The few exempt names each carry their reason,
+and an exempt name that gains a caller loses its exemption.
 """
 
 import ast
@@ -24,8 +25,6 @@ EXEMPT = {
     "write_libsvm",
     # ROADMAP "Settled": the monomial reference of the recurrence test.
     "chebyshev_polynomial",
-    # ROADMAP item 3: the matrix-free set-up will run on it.
-    "MatvecOperator",
 }
 
 
@@ -130,6 +129,12 @@ def test_every_member_of_an_exported_class_has_a_reader():
 
 def test_exempt_names_are_still_exported():
     assert EXEMPT <= exported_names()
+
+
+def test_exempt_names_still_lack_a_library_caller():
+    # An exemption ends with its reason: once a name has a caller, its entry goes.
+    used = library_references(ROOT / "src" / "polyprec") | benchmark_mentions(ROOT / "perfbench")
+    assert sorted(EXEMPT & used) == []
 
 
 def test_an_unused_exported_function_is_caught(tmp_path):
