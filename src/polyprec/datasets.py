@@ -15,6 +15,7 @@ from itertools import islice
 
 import numpy as np
 
+from .operators import SpectralDecomposition
 from .problems import CompositeObjective, HuberLoss, LogisticLoss, make_regression
 
 __all__ = [
@@ -329,7 +330,7 @@ class SyntheticSpectrumSpec:
     def resolve(self) -> np.ndarray:
         if self.n < 2:
             raise ValueError("pattern spec needs n >= 2")
-        lam = np.concatenate([[self.lam1, self.lam2], np.full(self.n - 2, self.tail)])
+        lam = np.concatenate([[self.lam1, self.lam2], np.full(self.n - 2, self.tail)], dtype=float)
         lam = np.sort(lam)[::-1]
         if not np.all(np.isfinite(lam) & (lam > 0)):
             raise ValueError("spectrum must be finite and positive")
@@ -343,18 +344,25 @@ def _orthogonal(rng, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> np.ndarray:
+def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> tuple[np.ndarray, SpectralDecomposition]:
+    """A design whose Gram has the planted spectrum, and that Gram's decomposition.
+
+    The core ``diag(sqrt(lam)) @ Q.T`` has the Gram ``Q diag(lam) Q.T``. A lift
+    with orthonormal columns (``rows > n``), or a sign per row, keeps it.
+    """
     lam = spec.resolve()
     n = lam.size
+    q = _orthogonal(rng, n)
     # Row scaling gives the bits and the row-major layout of diag(sqrt(lam)) @ Q.T
     # without its O(n^3) product; the layout fixes the bits of later products.
-    core = np.multiply(np.sqrt(lam)[:, None], _orthogonal(rng, n).T, order="C")
+    core = np.multiply(np.sqrt(lam)[:, None], q.T, order="C")
+    spectral = SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
     m = spec.rows if spec.rows is not None else n
     if m == n:
-        return core
+        return core, spectral
     lift, r = np.linalg.qr(rng.standard_normal((m, n)))
     lift = lift * np.sign(np.diag(r))
-    return lift @ core
+    return lift @ core, spectral
 
 
 def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:
@@ -362,19 +370,20 @@ def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:
 
     Huber targets come from the planted model plus unit noise; logistic
     targets are sign labels drawn from the planted margins with moderate
-    noise, folded into the rows.
+    noise, folded into the rows. The curvature operator keeps the planted
+    eigendecomposition, so no spectral set-up on it decomposes the Gram.
     """
     rng = np.random.default_rng(spec.seed)
-    design = _design_matrix(spec, rng)
+    design, spectral = _design_matrix(spec, rng)
     m, n = design.shape
     planted = rng.standard_normal(n)
     margins = design @ planted
     if isinstance(loss, HuberLoss):
-        return make_regression(design, margins + rng.standard_normal(m), loss)
+        return make_regression(design, margins + rng.standard_normal(m), loss, spectral)
     elif isinstance(loss, LogisticLoss):
         scale = float(np.std(margins)) or 1.0
         probs = 1.0 / (1.0 + np.exp(-margins / scale))
         labels = np.where(rng.random(m) < probs, 1.0, -1.0)
-        return make_regression(-labels[:, None] * design, np.zeros(m), loss)
+        return make_regression(-labels[:, None] * design, np.zeros(m), loss, spectral)
     raise ValueError(f"unsupported loss {loss!r}")
 

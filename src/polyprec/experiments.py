@@ -59,6 +59,10 @@ METHODS = ("gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov")
 # Smallest allowed value of each integer budget, and of the seed.
 _MINIMUM = {"tau": 0, "max_iters": 1, "reference_iters": 1, "seed": 0}
 
+# BLAS splits its reductions by thread count, so Gram products and A^T z
+# round differently at different counts; a summary records what set it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -401,6 +405,10 @@ def run_experiment(
             "grad_map": reference.grad_map,
             "negative_gaps": sum(r.f_value < f_star for r in run.records),
             "data_passes": reference.data_passes,
+        },
+        "environment": {
+            "numpy": np.__version__,
+            **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         },
     }
     write_json(out_dir / f"{config.name}.json", summary)

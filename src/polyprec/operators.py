@@ -104,15 +104,25 @@ class GramOperator(SymmetricOperator):
     entries than the design, so memory cannot grow. Either way one
     application counts as a single matvec: the Gram matrix is the curvature
     operator and its products are the unit of cost.
+
+    ``spectral``, when given, is the Gram's known eigendecomposition (a
+    generator that planted the spectrum has it); the operator keeps it in
+    place of the one :func:`spectral_decomposition` would compute.
     """
 
-    def __init__(self, design: np.ndarray):
+    def __init__(self, design: np.ndarray, spectral: SpectralDecomposition | None = None):
         design = np.asarray(design, dtype=float)
         if design.ndim != 2:
             raise ValueError("design matrix must be two-dimensional")
         super().__init__(design.shape[1])
+        if spectral is not None and spectral.eigenvectors.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"decomposition shape {spectral.eigenvectors.shape} does not match "
+                f"operator dimension {self.dim}"
+            )
         self.design = design
         self._dense: np.ndarray | None = None
+        self._spectral = spectral
 
     def _apply(self, v):
         if self.design.shape[0] > self.dim:
@@ -131,10 +141,17 @@ class GramOperator(SymmetricOperator):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues sorted descending and the matching orthonormal eigenvectors."""
+    """Eigenvalues sorted descending and the matching orthonormal eigenvectors.
+
+    Both arrays are made read-only, since every user of an operator shares them.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
+        self.eigenvectors.flags.writeable = False
 
     @property
     def lam_max(self) -> float:
@@ -150,14 +167,12 @@ def spectral_decomposition(op: SymmetricOperator) -> SpectralDecomposition:
 
     Computed once per operator and kept on it: traces, the spectral
     preconditioners, their quality bounds and the exact inverse all share one
-    ``eigh``. The shared arrays are read-only.
+    ``eigh``, or none when the operator was built with its decomposition.
     """
     if not op.is_dense:
         raise ValueError("spectral decomposition requires a dense-capable operator")
     if op._spectral is None:
         vals, vecs = np.linalg.eigh(op.to_dense())
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
         op._spectral = SpectralDecomposition(
             eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1]
         )

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import GramOperator, SymmetricOperator
+from .operators import GramOperator, SpectralDecomposition, SymmetricOperator
 from .preconditioners import Preconditioner
 
 __all__ = [
@@ -146,13 +146,19 @@ class CompositeObjective:
         return value
 
 
-def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeObjective:
+def make_regression(
+    rows,
+    targets,
+    loss: HuberLoss | LogisticLoss,
+    spectral: SpectralDecomposition | None = None,
+) -> CompositeObjective:
     """Separable regression objective: rowwise loss of the residuals ``rows @ x - targets``.
 
     The curvature operator is the Gram matrix of the rows, exposed
-    matrix-free; its dense form is available for desk-scale spectra. L is the
-    loss's curvature bound and mu is zero (both built-in losses have flat
-    tails).
+    matrix-free; its dense form is available for desk-scale spectra, and
+    ``spectral``, when given, is its known eigendecomposition (see
+    :class:`GramOperator`). L is the loss's curvature bound and mu is zero
+    (both built-in losses have flat tails).
 
     Value and gradient share a cache of the last two loss evaluations, so a
     point's value and gradient cost one forward product between them, and a
@@ -171,7 +177,7 @@ def make_regression(rows, targets, loss: HuberLoss | LogisticLoss) -> CompositeO
         raise ValueError("row count and target count differ")
     if rows.shape[0] == 0:
         raise ValueError("empty data")
-    curvature = GramOperator(rows)
+    curvature = GramOperator(rows, spectral)
 
     # (point key, loss value sum, loss derivative) of the last evaluations,
     # newest first; the tuple is replaced whole so a reader never sees a mixed

@@ -110,7 +110,7 @@ def synth_classification_dataset(spec, flip: float = 0.2) -> DatasetMatrix:
     makes iteration counts to a fixed gap meaningful).
     """
     rng = np.random.default_rng(spec.seed)
-    design = _design_matrix(spec, rng)
+    design, _ = _design_matrix(spec, rng)
     m, _ = design.shape
     planted = rng.standard_normal(design.shape[1])
     margins = design @ planted

@@ -26,6 +26,7 @@ from polyprec import (
     parse_libsvm,
     reference_optimum,
     run_experiment,
+    spectral_decomposition,
     standardize_columns,
     synth_regression,
     write_libsvm,
@@ -346,7 +347,7 @@ class TestSynthetic:
         spec = SyntheticSpectrumSpec(lam1=300.0, lam2=20.0, tail=1.0, n=n, seed=seed)
         q = _orthogonal(np.random.default_rng(seed), n)
         expected = np.diag(np.sqrt(spec.resolve())) @ q.T
-        got = _design_matrix(spec, np.random.default_rng(seed))
+        got, _ = _design_matrix(spec, np.random.default_rng(seed))
         # The layout too: products with a column-major design round differently.
         assert got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
@@ -357,6 +358,25 @@ class TestSynthetic:
         assert obj.curvature.design.shape == (40, 8)
         got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
         assert np.allclose(got, spec.resolve(), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows, loss",
+        [(rows, loss) for rows in (None, 300) for loss in (HuberLoss(0.1), LogisticLoss())],
+    )
+    def test_kept_decomposition_is_the_grams(self, monkeypatch, rows, loss):
+        spec = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, seed=204, rows=rows)
+        op = synth_regression(spec, loss).curvature
+        gram = op.to_dense()
+        expected = np.sort(np.linalg.eigvalsh(gram))[::-1]
+        monkeypatch.setattr(np.linalg, "eigh", None)  # the kept decomposition needs none
+        dec = spectral_decomposition(op)
+        assert dec.eigenvalues.tobytes() == spec.resolve().tobytes()
+        assert np.allclose(dec.eigenvalues, expected, rtol=1e-10, atol=0.0)
+        q = dec.eigenvectors
+        assert np.allclose(q @ np.diag(dec.eigenvalues) @ q.T, gram, rtol=0.0, atol=1e-12)
+        for array in (dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_classification_dataset_not_separable_tag(self):
         spec = SyntheticSpectrumSpec(lam1=30.0, lam2=6.0, tail=1.0, n=10, seed=3, rows=50)
@@ -620,10 +640,31 @@ class TestExperiments:
                 del summary["config"]["out_dir"]
             assert summaries[0] == summaries[1]
 
-    @pytest.mark.parametrize("second_seed, expected_calls", [(5, 1), (6, 2)])
-    def test_bench_decomposes_each_problem_once(
-        self, tmp_path, monkeypatch, second_seed, expected_calls
-    ):
+    @pytest.mark.parametrize("source", ["synthetic", "dataset"])
+    def test_bench_decomposes_each_problem_once(self, tmp_path, monkeypatch, rng, source):
+        # Two problems, each run by a fixed-step method with every spectral
+        # family and an adaptive one, each with its inverse-metric reference.
+        # A synthetic problem keeps its planted decomposition, so it costs no
+        # eigh; a dataset costs one per problem.
+        paths = []
+        for name, method, precond, problem in (
+            ("g", "gm", "sympoly:2", 0),
+            ("f", "fgm", "cutting:1", 0),
+            ("c", "fgm", "chebyshev:3", 1),
+            ("a", "adaptive-fgm", "sympoly:1:stochastic:16", 1),
+        ):
+            if source == "synthetic":
+                fields = f"synthetic = 20,4,1,8\nloss = huber:0.1\nseed = {5 + problem}\n"
+            else:
+                data = tmp_path / f"d{problem}.txt"
+                if not data.exists():
+                    write_libsvm(data, rng.standard_normal((30, 8)), rng.choice([-1.0, 1.0], 30))
+                fields = f"dataset = {data}\n"
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                f"name = {name}\nmethod = {method}\nprecond = {precond}\nmax_iters = 25\n{fields}"
+            )
+            paths.append(path)
         calls = []
         eigh = np.linalg.eigh
 
@@ -632,8 +673,8 @@ class TestExperiments:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        run_bench(self._one_problem_batch(tmp_path, second_seed), out_dir=tmp_path / "runs")
-        assert len(calls) == expected_calls
+        run_bench(paths, out_dir=tmp_path / "runs")
+        assert calls == ([] if source == "synthetic" else [(8, 8)] * 2)
 
     def test_bench_imports_no_numpy_polynomial(self, tmp_path):
         paths = self._one_problem_batch(tmp_path)
@@ -1101,6 +1142,28 @@ class TestCLI:
         lines = done.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", "False")
 
+    def test_summary_records_blas_threads(self, tmp_path, monkeypatch):
+        # The thread count decides how BLAS rounds, so a summary names it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        script = "import sys\nfrom polyprec.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        argv = [
+            "solve", "--name", "env", "--synthetic", "10,3,1,6", "--loss", "huber:0.1",
+            "--max-iters", "5", "--out", str(tmp_path),
+        ]
+        done = _run_fresh(script, argv)
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((tmp_path / "env.json").read_text())
+        assert summary["environment"] == {
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": None,
+        }
+        header = (tmp_path / "env.csv").read_text().splitlines()[0]
+        assert header == "iter,fval,gap,matvecs,grad_evals,ls_trials,M_k,time_ms"
+
     def test_missing_problem_is_exit_one(self):
         assert cli_main(["solve", "--method", "gm"]) == 1
         assert cli_main(["spectrum"]) == 1
@@ -1116,6 +1179,10 @@ class TestCLI:
         eig = (tmp_path / "eigenvalues.csv").read_text().splitlines()
         assert eig[0] == "index,eigenvalue"
         assert len(eig) == 11
+        # The planted spectrum, bit for bit: no eigh rounds it.
+        planted = SyntheticSpectrumSpec(lam1=40, lam2=4, tail=1, n=10, seed=3).resolve()
+        got = read_run_csv(tmp_path / "eigenvalues.csv")["eigenvalue"]
+        assert got.tobytes() == planted.tobytes()
         xi = (tmp_path / "xi_table.csv").read_text().splitlines()
         assert xi[0] == "tau,xi,cond"
         assert len(xi) == 6

@@ -22,6 +22,7 @@ from polyprec import (
     stochastic_traces,
     synth_regression,
 )
+from polyprec.operators import SpectralDecomposition
 from conftest import random_spd
 
 
@@ -329,29 +330,38 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError, match="read-only"):
             dec.eigenvectors[:, 0] *= 2.0
 
+    def test_known_decomposition_is_kept(self, monkeypatch):
+        q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        lam = np.array([4.0, 1.0])
+        design = np.sqrt(lam)[:, None] * q.T
+        known = SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        op = GramOperator(design, known)
+        assert spectral_decomposition(op) is known
+        assert np.allclose(exact_traces(op, 2), [5.0, 17.0])
+        with pytest.raises(ValueError, match="does not match operator dimension 2"):
+            GramOperator(design, SpectralDecomposition(lam[:1], q[:, :1]))
+
     def test_invariants_vs_numpy(self, rng):
-        # Random inputs are checked against numpy's eigvalsh as an independent
-        # oracle; the gapped Gram (98 equal eigenvalues through a tall design)
-        # against its planted spectrum.
+        # Checked against numpy's eigvalsh as an independent oracle: random
+        # inputs, whose decomposition is computed, and the gapped Gram (98 equal
+        # eigenvalues through a tall design), whose decomposition is the planted one.
         cases = [
-            (random_spd(rng, int(rng.integers(2, 30)), lam_low=0.1, lam_high=100.0), None)
+            random_spd(rng, int(rng.integers(2, 30)), lam_low=0.1, lam_high=100.0)
             for _ in range(10)
         ]
         gapped = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, rows=300, seed=204)
-        cases.append((synth_regression(gapped, HuberLoss(0.1)).curvature, gapped.resolve()))
-        for op, planted in cases:
+        cases.append(synth_regression(gapped, HuberLoss(0.1)).curvature)
+        for op in cases:
             dec = spectral_decomposition(op)
             q = dec.eigenvectors
             assert np.all(np.diff(dec.eigenvalues) <= 0.0)
             assert np.allclose(q.T @ q, np.eye(op.dim), atol=1e-9)
             recon = q @ np.diag(dec.eigenvalues) @ q.T
             assert np.allclose(recon, op.to_dense(), rtol=1e-8, atol=1e-8)
-            if planted is None:
-                assert np.allclose(
-                    dec.eigenvalues,
-                    np.sort(np.linalg.eigvalsh(op.to_dense()))[::-1],
-                    rtol=1e-9,
-                    atol=1e-10,
-                )
-            else:
-                assert np.allclose(dec.eigenvalues, planted, rtol=1e-10, atol=0.0)
+            assert np.allclose(
+                dec.eigenvalues,
+                np.sort(np.linalg.eigvalsh(op.to_dense()))[::-1],
+                rtol=1e-10,
+                atol=0.0,
+            )

@@ -117,7 +117,7 @@ class TestLogistic:
 
 
 def _build_with_data(monkeypatch, config):
-    """The config's objective and the ``(rows, targets, loss)`` it was made from."""
+    """The config's objective and the ``(rows, targets, loss, spectral)`` it was made from."""
     import polyprec.datasets as datasets
 
     captured = []
@@ -213,7 +213,7 @@ class TestMakeRegression:
         config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
         _, data = _build_with_data(monkeypatch, config)
         loss = CountedLogistic()
-        rows, targets, _ = data
+        rows, targets = data[:2]
         obj = make_regression(rows, targets, loss)
         prec = build_from_descriptor("sympoly:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
@@ -226,7 +226,7 @@ class TestMakeRegression:
 
     def test_initial_guess_evaluates_two_points(self, monkeypatch):
         config = ExperimentConfig(synthetic=(40, 4, 1, 10), rows=50, loss="logistic")
-        rows, targets, _ = _build_with_data(monkeypatch, config)[1]
+        rows, targets = _build_with_data(monkeypatch, config)[1][:2]
         loss = CountedLogistic()
         obj = make_regression(rows, targets, loss)
         prec = build_from_descriptor("sympoly:2", obj.curvature)
