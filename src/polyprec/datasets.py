@@ -339,8 +339,9 @@ class SyntheticSpectrumSpec:
         return lam
 
 
-def _orthogonal(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def _orthonormal(rng, shape) -> np.ndarray:
+    """Orthonormal columns from the QR of a Gaussian draw, with R's diagonal made positive."""
+    q, r = np.linalg.qr(rng.standard_normal(shape))
     return q * np.sign(np.diag(r))
 
 
@@ -352,7 +353,7 @@ def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> tuple[np.ndarray, Spectr
     """
     lam = spec.resolve()
     n = lam.size
-    q = _orthogonal(rng, n)
+    q = _orthonormal(rng, (n, n))
     # Row scaling gives the bits and the row-major layout of diag(sqrt(lam)) @ Q.T
     # without its O(n^3) product; the layout fixes the bits of later products.
     core = np.multiply(np.sqrt(lam)[:, None], q.T, order="C")
@@ -360,9 +361,7 @@ def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> tuple[np.ndarray, Spectr
     m = spec.rows if spec.rows is not None else n
     if m == n:
         return core, spectral
-    lift, r = np.linalg.qr(rng.standard_normal((m, n)))
-    lift = lift * np.sign(np.diag(r))
-    return lift @ core, spectral
+    return _orthonormal(rng, (m, n)) @ core, spectral
 
 
 def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:

@@ -1,7 +1,10 @@
 """Verifiers for the spectral identities and convergence-rate guarantees.
 
 Every verifier and envelope is a pure function of its inputs, deterministic
-given its seed, and returns a :class:`CheckReport` that serializes to JSON.
+given its seed. An identity verifier returns its slack, the worst relative
+deviation from the identity, and the suite judges it against a tolerance.
+Envelopes and the suite's batches return a :class:`CheckReport` that
+serializes to JSON.
 Envelope checks carry an ``advisory`` flag: fixed-step runs with exact
 constants are hard checks, while adaptive and best-polynomial rate envelopes
 involve unstated absolute constants and only flag.
@@ -14,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    DenseOperator,
-    elementary_symmetric,
-    spectral_decomposition,
-)
+from .datasets import _orthonormal
+from .krylov import run_krylov_gm
+from .operators import DenseOperator, elementary_symmetric, spectral_decomposition
 from .preconditioners import (
     ChebyshevPreconditioner,
     PolynomialPreconditioner,
@@ -28,7 +29,8 @@ from .preconditioners import (
     gamma_of_polynomial,
     xi_tau,
 )
-from .solvers import RunResult
+from .problems import make_quadratic
+from .solvers import RunResult, SolverConfig, run_fgm, run_gm
 
 __all__ = [
     "CheckReport",
@@ -79,21 +81,17 @@ def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
     return float(elementary_symmetric(reduced, tau).unscaled()[tau])
 
 
-def _dense_polynomial(p: PolynomialPreconditioner, mat: np.ndarray) -> np.ndarray:
-    """The matrix ``sum_k c_k B^k`` of the unnormalized coefficients of p."""
-    built = np.zeros_like(mat)
-    power = np.eye(mat.shape[0])
-    for c in p.unnormalized():
-        built += c * power
-        power = power @ mat
-    return built
+def _dense_polynomial(p: PolynomialPreconditioner, B: DenseOperator) -> np.ndarray:
+    """The unnormalized p(B) as a matrix, one column per ``apply`` to a unit vector."""
+    return np.column_stack([p.apply(B, e) * p.scale for e in np.eye(B.dim)])
 
 
-def verify_lemma_spec(B: DenseOperator, tau: int, tol: float) -> CheckReport:
-    """Check the eigen-action of the unnormalized trace-recursion preconditioner.
+def verify_lemma_spec(B: DenseOperator, tau: int) -> float:
+    """Slack of the eigen-action of the unnormalized trace-recursion preconditioner.
 
     On each eigenvector the degree-tau member must act as the tau-th
-    elementary symmetric polynomial of the complementary eigenvalues.
+    elementary symmetric polynomial of the complementary eigenvalues; the
+    slack is the worst relative deviation over the eigenvectors.
     """
     if B.dim > 64:
         raise ValueError("verifier is desk-scale; need n <= 64")
@@ -101,47 +99,30 @@ def verify_lemma_spec(B: DenseOperator, tau: int, tol: float) -> CheckReport:
     lam = dec.eigenvalues
     prec = build_sympoly(B, tau, "exact")
     worst = 0.0
-    details = []
-    for i in range(B.dim):
-        q_i = dec.eigenvectors[:, i]
-        action = prec.apply(B, q_i) * prec.scale
+    for i, q_i in enumerate(dec.eigenvectors.T):
         sigma = _sigma_removed(lam, i, tau)
-        dev = float(np.linalg.norm(action - sigma * q_i)) / abs(sigma)
-        worst = max(worst, dev)
-        if dev > tol:
-            details.append({"eigenvector": i, "sigma": sigma, "deviation": dev})
-    return CheckReport(
-        check="lemma-spec",
-        params={"n": B.dim, "tau": tau, "tol": tol},
-        passed=worst <= tol,
-        max_slack=worst,
-        details=details,
-    )
+        dev = float(np.linalg.norm(prec.apply(B, q_i) * prec.scale - sigma * q_i))
+        worst = max(worst, dev / abs(sigma))
+    return worst
 
 
-def verify_adjugate(B: DenseOperator, tol: float) -> CheckReport:
-    """Check that the top-degree family member is the adjugate of the operator."""
+def verify_adjugate(B: DenseOperator) -> float:
+    """Relative distance of the top-degree family member from the adjugate."""
     n = B.dim
     if n > 10:
         raise ValueError("verifier is desk-scale; need n <= 10")
     mat = B.to_dense()
-    built = _dense_polynomial(build_sympoly(B, n - 1, "exact"), mat)
+    built = _dense_polynomial(build_sympoly(B, n - 1, "exact"), B)
     target = np.linalg.det(mat) * np.linalg.inv(mat)
-    dev = float(np.linalg.norm(built - target) / np.linalg.norm(target))
-    return CheckReport(
-        check="adjugate",
-        params={"n": n, "tol": tol},
-        passed=dev <= tol,
-        max_slack=dev,
-        details=[],
-    )
+    return float(np.linalg.norm(built - target) / np.linalg.norm(target))
 
 
-def verify_sandwich(B: DenseOperator, tau: int, tol: float) -> CheckReport:
-    """Two-sided eigenvalue bounds of the symmetrized preconditioned operator.
+def verify_sandwich(B: DenseOperator, tau: int) -> float:
+    """Slack of the two-sided eigenvalue bounds of the preconditioned operator.
 
     All products lam_i * p(lam_i) must lie between the extreme eigenvalues
-    times the matching complementary symmetric polynomials.
+    times the matching complementary symmetric polynomials; the slack is the
+    worst excursion beyond either bound, relative to the upper one.
     """
     dec = spectral_decomposition(B)
     lam = dec.eigenvalues
@@ -149,16 +130,9 @@ def verify_sandwich(B: DenseOperator, tau: int, tol: float) -> CheckReport:
     vals = lam * prec.eval_at(lam) * prec.scale
     lower = lam[-1] * _sigma_removed(lam, lam.size - 1, tau)
     upper = lam[0] * _sigma_removed(lam, 0, tau)
-    slack = max(
+    return max(
         float(np.max((lower - vals) / upper, initial=0.0)),
         float(np.max((vals - upper) / upper, initial=0.0)),
-    )
-    return CheckReport(
-        check="sandwich",
-        params={"n": B.dim, "tau": tau, "tol": tol},
-        passed=slack <= tol,
-        max_slack=slack,
-        details=[],
     )
 
 
@@ -196,7 +170,7 @@ def volume_sampling_expectation(B: DenseOperator, m: int) -> VolumeSamplingRepor
         num += det * padded
         den += det
     expectation = num / den
-    reference = _dense_polynomial(build_sympoly(B, m - 1, "exact"), mat)
+    reference = _dense_polynomial(build_sympoly(B, m - 1, "exact"), B)
     constant = float(np.sum(expectation * reference) / np.sum(reference * reference))
     scaled = constant * reference
     max_rel_dev = float(np.max(np.abs(expectation - scaled)) / np.max(np.abs(scaled)))
@@ -213,12 +187,11 @@ class XiTable:
     """Shrink factors and resulting condition numbers per degree."""
 
     rows: list  # (tau, xi, cond)
-    passed: bool
     max_slack: float
 
 
 def xi_table(spectrum, tau_max: int) -> XiTable:
-    """Tabulate the shrink factor by degree and check monotonicity and endpoints."""
+    """The shrink factor by degree, with the slack of its monotonicity and endpoints."""
     spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     n = spectrum.size
     if not 0 <= tau_max <= n - 1:
@@ -228,14 +201,13 @@ def xi_table(spectrum, tau_max: int) -> XiTable:
     for tau in range(tau_max + 1):
         xi = xi_tau(spectrum, tau)
         rows.append((tau, xi, base_cond * xi))
-    slack = 0.0
     xis = [row[1] for row in rows]
-    slack = max(slack, abs(xis[0] - 1.0))
+    slack = abs(xis[0] - 1.0)
     for prev, cur in zip(xis, xis[1:]):
         slack = max(slack, cur - prev)
     if tau_max == n - 1:
         slack = max(slack, abs(xis[-1] - spectrum[-1] / spectrum[0]))
-    return XiTable(rows=rows, passed=slack <= 1e-12, max_slack=slack)
+    return XiTable(rows=rows, max_slack=slack)
 
 
 def _envelope(theorem, gaps, bounds, f_star, initial_gap, advisory=False) -> CheckReport:
@@ -358,8 +330,7 @@ def proposition_bounds(spectrum, tau: int):
 
 
 def _random_spd(rng, n, lam_low=0.2, lam_high=8.0, spectrum=None):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
+    q = _orthonormal(rng, (n, n))
     if spectrum is None:
         spectrum = np.sort(rng.uniform(lam_low, lam_high, n))[::-1]
     return DenseOperator(q @ np.diag(spectrum) @ q.T)
@@ -381,27 +352,23 @@ def _batch(check: str, params: dict, tol: float, trials: int, slack_of) -> Check
 
 def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     """The desk-scale identity and envelope suite behind the verify command."""
-    from .krylov import run_krylov_gm
-    from .problems import make_quadratic
-    from .solvers import SolverConfig, run_fgm, run_gm
-
     rng = np.random.default_rng(seed)
 
     def lemma_spec():
         n = int(rng.integers(2, 9))
         B = _random_spd(rng, n)
         tau = int(rng.integers(0, n))
-        return verify_lemma_spec(B, tau, 1e-8).max_slack
+        return verify_lemma_spec(B, tau)
 
     def adjugate():
         B = _random_spd(rng, int(rng.integers(2, 7)), lam_low=0.5, lam_high=20.0)
-        return verify_adjugate(B, 1e-8).max_slack
+        return verify_adjugate(B)
 
     def sandwich():
         n = int(rng.integers(2, 9))
         B = _random_spd(rng, n)
         tau = int(rng.integers(0, n))
-        return verify_sandwich(B, tau, 1e-9).max_slack
+        return verify_sandwich(B, tau)
 
     def volume():
         n = int(rng.integers(2, 7))
@@ -443,9 +410,7 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         _batch("sandwich-batch", {"trials": 10, "tol": 1e-9}, 1e-9, 10, sandwich),
         _batch("volume-sampling-batch", {"trials": 5, "tol": 1e-10}, 1e-10, 5, volume),
         _batch("xi-monotone-batch", {"trials": 10}, 1e-12, 10, xi_monotone),
-        CheckReport(
-            "gap-collapse", {"gaps": [10, 100, 1000], "n": n}, shrunk <= n, shrunk / n
-        ),
+        CheckReport("gap-collapse", {"gaps": [10, 100, 1000], "n": n}, shrunk <= n, shrunk / n),
         _batch("cutting-bound-batch", {"trials": 10, "tol": 1e-10}, 1e-10, 10, cutting),
         _batch("chebyshev-bound-batch", {"trials": 10, "tol": 1e-10}, 1e-10, 10, chebyshev),
     ]
@@ -454,37 +419,24 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     n = 20
     spectrum = np.logspace(0, 3, n)[::-1]
     B = _random_spd(rng, n, spectrum=spectrum)
-    b = rng.standard_normal(n)
+    obj = make_quadratic(B, rng.standard_normal(n))
     x0 = rng.standard_normal(n)
+    R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
     for tau in (0, 1, 2):
-        obj = make_quadratic(B, b)
         prec = build_sympoly(B, tau, "exact")
         bounds = compute_alpha_beta(prec, B)
-        R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
-        config = SolverConfig(
-            max_iters=200, step_constant=bounds.beta * obj.L, x0=x0
-        )
-        run = run_gm(obj, prec, config)
-        for check in gm_envelopes(
-            run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
+        for method, runner, envelopes, rho in (
+            ("gm", run_gm, gm_envelopes, 0.0),
+            ("fgm", run_fgm, fgm_envelopes, bounds.alpha * obj.mu),
         ):
-            check.params = {"tau": tau, "method": "gm"}
-            reports.append(check)
-        config = SolverConfig(
-            max_iters=200,
-            step_constant=bounds.beta * obj.L,
-            rho=bounds.alpha * obj.mu,
-            x0=x0,
-        )
-        run = run_fgm(obj, prec, config)
-        for check in fgm_envelopes(
-            run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
-        ):
-            check.params = {"tau": tau, "method": "fgm"}
-            reports.append(check)
+            config = SolverConfig(max_iters=200, step_constant=bounds.beta * obj.L, rho=rho, x0=x0)
+            run = runner(obj, prec, config)
+            checks = envelopes(run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star)
+            for check in checks:
+                check.params = {"tau": tau, "method": method}
+                reports.append(check)
     # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
     for tau in (0, 1, 2):
-        obj = make_quadratic(B, b)
         run = run_krylov_gm(obj, SolverConfig(max_iters=200, x0=x0), tau)
         check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
         check.params = {"tau": tau, "method": "krylov"}

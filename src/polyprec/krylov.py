@@ -77,8 +77,8 @@ def krylov_step(x: np.ndarray, info: KrylovStepInfo, sys: GramSystem) -> np.ndar
 def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> RunResult:
     """Gradient method with the per-iteration optimal degree-tau polynomial step.
 
-    Defined for the smooth case only; the telemetry records the effective
-    degree actually used each iteration.
+    Defined for the smooth case only; an iteration of effective degree d
+    spends d + 1 matvecs, which the records' matvec counts carry.
     """
     if obj.psi is not None:
         raise ValueError("krylov preconditioning handles the smooth case only")
@@ -90,6 +90,6 @@ def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> Ru
         info = solve_gram(sys)
         # Stationarity residual in the step metric; 2x the model decrease.
         grad_map = np.sqrt(max(obj.L * 2.0 * info.model_decrease, 0.0))
-        return Step(krylov_step(x, info, sys), grad_map, eff_degree=info.effective_degree)
+        return Step(krylov_step(x, info, sys), grad_map)
 
     return drive("krylov", obj, config, step)

@@ -104,9 +104,6 @@ class PolynomialPreconditioner(Preconditioner):
         if not (self.scale > 0):
             raise ValueError("scale must be positive")
 
-    def unnormalized(self) -> np.ndarray:
-        return self.coeffs * self.scale
-
     def apply(self, op, v):
         """The polynomial in the operator times ``v`` by the Horner scheme, at one
         matvec per degree."""

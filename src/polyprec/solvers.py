@@ -98,7 +98,6 @@ class IterationRecord:
     M_k: float
     A_k: float
     time_ms: float
-    eff_degree: int | None = None
 
 
 @dataclass
@@ -129,7 +128,6 @@ class Step(NamedTuple):
     grad_map: float
     ls_trials: int = 0
     M_k: float = 0.0
-    eff_degree: int | None = None
 
 
 def drive(
@@ -153,7 +151,7 @@ def drive(
     mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
     records: list[IterationRecord] = []
 
-    def record(k, f_value, grad_map, ls_trials, M_k, A_k, eff_degree=None):
+    def record(k, f_value, grad_map, ls_trials, M_k, A_k):
         records.append(
             IterationRecord(
                 k=k,
@@ -166,7 +164,6 @@ def drive(
                 M_k=M_k,
                 A_k=A_k,
                 time_ms=(time.perf_counter() - t0) * 1e3,
-                eff_degree=eff_degree,
             )
         )
 
@@ -190,7 +187,7 @@ def drive(
                 "for a fixed-step run, or the problem is unbounded)"
             )
         A_k = state.A if accelerated else 0.0
-        record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k, out.eff_degree)
+        record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k)
         if config.tol > 0 and out.grad_map <= config.tol:
             termination = "grad_map_tol"
             break

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import polyprec.diagnostics
 from polyprec import (
     DenseOperator,
     IdentityPreconditioner,
+    PolynomialPreconditioner,
     SolverConfig,
     build_sympoly,
     compute_alpha_beta,
@@ -30,38 +32,36 @@ from conftest import random_spd
 class TestLemmaSpecVerifier:
     def test_diag_degree_one(self):
         B = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        report = verify_lemma_spec(B, 1, 1e-10)
-        assert report.passed
+        assert verify_lemma_spec(B, 1) <= 1e-10
 
     def test_diag_degree_two(self):
         B = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        assert verify_lemma_spec(B, 2, 1e-10).passed
+        assert verify_lemma_spec(B, 2) <= 1e-10
 
     def test_degree_zero_trivial(self, rng):
         B = random_spd(rng, 5)
-        report = verify_lemma_spec(B, 0, 1e-12)
-        assert report.passed
+        assert verify_lemma_spec(B, 0) <= 1e-12
 
-    def test_report_serializes(self, rng):
-        B = random_spd(rng, 4)
-        payload = json.loads(json.dumps(verify_lemma_spec(B, 2, 1e-8).to_dict()))
-        assert payload["check"] == "lemma-spec"
+    def test_report_serializes(self):
+        report = run_verification_suite(seed=0)[0]
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["check"] == "lemma-spec-batch"
         assert payload["pass"] is True
-        assert "max_slack" in payload
+        assert 0.0 <= payload["max_slack"] <= 1e-8
 
 
 class TestAdjugateVerifier:
     def test_diag(self):
         B = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        assert verify_adjugate(B, 1e-10).passed
+        assert verify_adjugate(B) <= 1e-10
 
     def test_identity(self):
         B = DenseOperator(np.eye(4))
-        assert verify_adjugate(B, 1e-12).passed
+        assert verify_adjugate(B) <= 1e-12
 
     def test_random(self, rng):
         B = random_spd(rng, 5, lam_low=0.5, lam_high=20.0)
-        assert verify_adjugate(B, 1e-8).passed
+        assert verify_adjugate(B) <= 1e-8
 
 
 class TestSandwichVerifier:
@@ -70,7 +70,7 @@ class TestSandwichVerifier:
             n = int(rng.integers(2, 9))
             B = random_spd(rng, n)
             tau = int(rng.integers(0, n))
-            assert verify_sandwich(B, tau, 1e-9).passed
+            assert verify_sandwich(B, tau) <= 1e-9
 
 
 class TestVolumeSampling:
@@ -102,6 +102,33 @@ class TestVolumeSampling:
             assert report.max_rel_dev <= 1e-10
 
 
+class TestWrongConstructionCaught:
+    """Each identity check fails on a sympoly member with its constant doubled."""
+
+    @pytest.fixture(autouse=True)
+    def doubled_constant(self, monkeypatch):
+        def wrong(op, tau, *args, **kwargs):
+            right = build_sympoly(op, tau, *args, **kwargs)
+            coeffs = right.coeffs.copy()
+            coeffs[0] *= 2.0
+            return PolynomialPreconditioner(coeffs, right.scale)
+
+        monkeypatch.setattr(polyprec.diagnostics, "build_sympoly", wrong)
+
+    def test_lemma_spec(self, rng):
+        assert verify_lemma_spec(random_spd(rng, 5), 2) > 1e-8
+
+    def test_adjugate(self, rng):
+        assert verify_adjugate(random_spd(rng, 5, lam_low=0.5, lam_high=20.0)) > 1e-8
+
+    def test_sandwich(self, rng):
+        assert verify_sandwich(random_spd(rng, 5), 2) > 1e-9
+
+    def test_volume_sampling(self, rng):
+        B = random_spd(rng, 5, lam_low=0.5, lam_high=5.0)
+        assert volume_sampling_expectation(B, 3).max_rel_dev > 1e-10
+
+
 class TestXiTable:
     def test_known_spectrum(self):
         table = xi_table([3.0, 2.0, 1.0], 2)
@@ -111,7 +138,7 @@ class TestXiTable:
         assert taus == [0, 1, 2]
         assert xis == pytest.approx([1.0, 0.6, 1.0 / 3.0])
         assert conds == pytest.approx([3.0, 1.8, 1.0])
-        assert table.passed
+        assert table.max_slack <= 1e-12
 
     def test_uniform_spectrum(self):
         table = xi_table([1.0, 1.0, 1.0], 2)

@@ -342,10 +342,10 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("n, seed", [(100, 204), (100, 1), (300, 7), (1000, 204)])
     def test_design_scaling_matches_the_dense_product(self, n, seed):
-        from polyprec.datasets import _design_matrix, _orthogonal
+        from polyprec.datasets import _design_matrix, _orthonormal
 
         spec = SyntheticSpectrumSpec(lam1=300.0, lam2=20.0, tail=1.0, n=n, seed=seed)
-        q = _orthogonal(np.random.default_rng(seed), n)
+        q = _orthonormal(np.random.default_rng(seed), (n, n))
         expected = np.diag(np.sqrt(spec.resolve())) @ q.T
         got, _ = _design_matrix(spec, np.random.default_rng(seed))
         # The layout too: products with a column-major design round differently.

@@ -35,11 +35,11 @@ class TestSympolyCoefficients:
 
     def test_degree_one(self):
         p = sympoly_coefficients([6.0], 1)
-        assert np.allclose(p.unnormalized(), [6.0, -1.0])
+        assert np.allclose(p.coeffs * p.scale, [6.0, -1.0])
 
     def test_degree_two(self):
         p = sympoly_coefficients([6.0, 14.0], 2)
-        assert np.allclose(p.unnormalized(), [11.0, -6.0, 1.0])
+        assert np.allclose(p.coeffs * p.scale, [11.0, -6.0, 1.0])
 
     def test_normalization(self):
         p = sympoly_coefficients([6.0, 14.0], 2)
@@ -95,8 +95,8 @@ class TestBuildSympoly:
         exact = build_sympoly(dense, 1, "exact")
         # Trace estimate within a few percent puts the coefficients close.
         assert np.allclose(
-            prec.unnormalized(),
-            exact.unnormalized(),
+            prec.coeffs * prec.scale,
+            exact.coeffs * exact.scale,
             rtol=0.1,
         )
 
@@ -394,7 +394,7 @@ class TestAdjugateIdentity:
             prec = build_sympoly(op, n - 1, "exact")
             built = np.zeros((n, n))
             power = np.eye(n)
-            for c in prec.unnormalized():
+            for c in prec.coeffs * prec.scale:
                 built += c * power
                 power = power @ mat
             target = np.linalg.det(mat) * np.linalg.inv(mat)
