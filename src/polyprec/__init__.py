@@ -51,7 +51,7 @@ from .solvers import (
     run_gm,
     solve_coefficient_equation,
 )
-from .krylov import GramSystem, KrylovStepInfo, build_gram, krylov_step, run_krylov_gm, solve_gram
+from .krylov import KrylovStepInfo, build_gram, run_krylov_gm, solve_gram
 from .diagnostics import (
     CheckReport,
     fgm_envelopes,

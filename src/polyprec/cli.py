@@ -84,7 +84,8 @@ def _cmd_spectrum(args) -> int:
     op = build_problem(_config_from_args(args)).curvature
     dec = spectral_decomposition(op)
     # The table is made before any file is written, so a bad --tau-max writes none.
-    table = xi_table(dec.eigenvalues, min(args.tau_max, op.dim - 1))
+    spectrum = dec.range_eigenvalues
+    table = xi_table(spectrum, min(args.tau_max, spectrum.size - 1))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eig_path = out_dir / "eigenvalues.csv"

@@ -144,6 +144,9 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending and the matching orthonormal eigenvectors.
 
     Both arrays are made read-only, since every user of an operator shares them.
+    Eigenvalues at or below ``cutoff`` (``lam_max * n * eps``) are rounding noise
+    of a singular operator, whichever sign they round to, so ``lam_min`` and
+    ``range_eigenvalues`` judge the spectrum on the operator's range.
     """
 
     eigenvalues: np.ndarray
@@ -158,8 +161,19 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
     @property
+    def cutoff(self) -> float:
+        return self.lam_max * self.eigenvalues.size * np.finfo(float).eps
+
+    @property
+    def range_eigenvalues(self) -> np.ndarray:
+        kept = self.eigenvalues[self.eigenvalues > self.cutoff]
+        if kept.size == 0:
+            raise ValueError("the operator is zero up to rounding; its range is empty")
+        return kept
+
+    @property
     def lam_min(self) -> float:
-        return float(self.eigenvalues[-1])
+        return float(self.range_eigenvalues[-1])
 
 
 def spectral_decomposition(op: SymmetricOperator) -> SpectralDecomposition:

@@ -69,8 +69,9 @@ class QualityBounds:
 
 
 class Preconditioner:
-    """Base class; concrete kinds are polynomial (identity included), chebyshev and
-    the exact inverse. A polynomial's scalar form is its ``apply`` on a diagonal."""
+    """Base class; concrete kinds are polynomial (identity included), chebyshev, the
+    exact inverse and the krylov step of :mod:`polyprec.krylov`, whose polynomial
+    depends on its vector. A polynomial's scalar form is its ``apply`` on a diagonal."""
 
     def apply(self, op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -239,11 +240,11 @@ def build_sympoly(
 def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBounds:
     """Tightest two-sided spectral bounds of a preconditioner on a dense operator.
 
-    These are the extremes of ``lam * p(lam)`` over the operator spectrum,
-    ``p`` the preconditioner's scalar form. Raises
+    These are the extremes of ``lam * p(lam)`` over the operator spectrum on
+    its range, ``p`` the preconditioner's scalar form. Raises
     :class:`IndefinitePreconditionerError` when the lower bound is not positive.
     """
-    lam = spectral_decomposition(op).eigenvalues
+    lam = spectral_decomposition(op).range_eigenvalues
     vals = lam * prec.eval_at(lam)
     alpha = float(np.min(vals))
     beta = float(np.max(vals))
@@ -323,16 +324,13 @@ def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialPrecon
 def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:
     """Moore-Penrose inverse of a dense-capable operator, the paper's exact endpoint.
 
-    Only eigenvalues above ``lam_max * n * eps`` are inverted; the rest are
-    rounding noise of a singular operator (say, a Gram matrix with a feature
-    that never occurs) and map to zero, so the result stays finite.
+    Only the eigenvalues on the operator's range are inverted; the rest (see
+    :class:`SpectralDecomposition`) map to zero, so the result stays finite.
     """
     dec = spectral_decomposition(op)
-    lam = dec.eigenvalues
-    cutoff = lam[0] * lam.size * np.finfo(float).eps
-    keep = lam > cutoff
+    keep = dec.eigenvalues > dec.cutoff
     q = dec.eigenvectors[:, keep]
-    return MatrixPreconditioner((q / lam[keep]) @ q.T, cutoff)
+    return MatrixPreconditioner((q / dec.eigenvalues[keep]) @ q.T, dec.cutoff)
 
 
 def xi_tau(spectrum, tau: int) -> float:
@@ -420,4 +418,4 @@ def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
     dec = spectral_decomposition(op)
     if kind == "chebyshev":
         return ChebyshevPreconditioner(dec.lam_max, dec.lam_min, tau)
-    return cutting_preconditioner(dec.eigenvalues, tau)
+    return cutting_preconditioner(dec.range_eigenvalues, tau)

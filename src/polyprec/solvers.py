@@ -1,12 +1,13 @@
-"""One iteration loop and doubling search driving gm/fgm and the krylov step.
+"""One iteration loop and doubling search driving gm/fgm and their adaptive forms.
 
 Each method supplies only its step to :func:`drive`, which owns the start
 point, the stopping rules and the telemetry: per-iteration records of
 objective value, gradient-map norm, cumulative matvec and oracle counts,
 line-search trials, and the accumulation weights of the accelerated scheme.
 The adaptive methods share one doubling search on the step constant, judged
-by :func:`quadratic_growth_predicate`. Runs are deterministic; nothing here
-draws randomness.
+by :func:`quadratic_growth_predicate`; the krylov method is gm with the
+vector-dependent preconditioner of :mod:`polyprec.krylov`. Runs are
+deterministic; nothing here draws randomness.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class SolverConfig:
     iteration cap; the first satisfied rule wins. A run with ``tol > 0``
     also stops as ``"rounding_floor"`` once
     ``grad_map**2 <= ROUNDING_FLOOR * M_k * |f|``: no further step can lower
-    f in floating point. Steps that report no constant (``M_k = 0``) never
-    meet that rule.
+    f in floating point.
     """
 
     max_iters: int = 1000
@@ -126,8 +126,8 @@ class Step(NamedTuple):
 
     state: np.ndarray | FGMState
     grad_map: float
+    M_k: float
     ls_trials: int = 0
-    M_k: float = 0.0
 
 
 def drive(
@@ -135,7 +135,7 @@ def drive(
     obj: CompositeObjective,
     config: SolverConfig,
     step,
-    M_0: float = 0.0,
+    M_0: float,
     accelerated: bool = False,
 ) -> RunResult:
     """The iteration loop of every method; ``step`` maps a state to a :class:`Step`.
@@ -252,7 +252,7 @@ def _doubling_search(obj: CompositeObjective, guess: float):
             state, x, y, g, step_sq, f_x = trial(M)
             if quadratic_growth_predicate(M, x, y, obj, g, step_sq, f_x):
                 guess = M / SHRINK_FACTOR
-                return Step(state, M * np.sqrt(max(step_sq, 0.0)), trials, M)
+                return Step(state, M * np.sqrt(max(step_sq, 0.0)), M, trials)
             M *= GROWTH_FACTOR
         raise RuntimeError(
             "adaptive search exceeded the doubling cap; the objective or "
@@ -307,7 +307,7 @@ def run_gm(
 
     def step(x):
         y, step_sq = gradient_step_with_norm(M, prec, op, x, obj.gradient(x), obj.psi)
-        return Step(y, M * np.sqrt(max(step_sq, 0.0)), M_k=M)
+        return Step(y, M * np.sqrt(max(step_sq, 0.0)), M)
 
     return drive("gm", obj, config, step, M)
 
@@ -351,7 +351,7 @@ def run_fgm(
 
     def step(state):
         state, _, _, step_sq = fgm_step(obj, prec, M, config.rho, state)
-        return Step(state, M * np.sqrt(max(step_sq, 0.0)), M_k=M)
+        return Step(state, M * np.sqrt(max(step_sq, 0.0)), M)
 
     return drive("fgm", obj, config, step, M, accelerated=True)
 

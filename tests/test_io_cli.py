@@ -886,6 +886,29 @@ class TestReference:
         # A reference stopped at the rounding floor is optimal up to rounding.
         assert f_star - summary["final_fval"] <= ROUNDING_FLOOR * abs(f_star)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "gm", "--precond", "identity"],
+            ["solve", "--method", "fgm", "--precond", "identity"],
+            ["solve", "--method", "gm", "--precond", "inverse"],
+            ["solve", "--method", "fgm", "--precond", "chebyshev:3"],
+            ["solve", "--method", "gm", "--precond", "cutting:2"],
+            ["spectrum"],
+        ],
+    )
+    def test_singular_gram_runs_on_its_range(self, tmp_path, argv):
+        # A feature that never occurs: the Gram's zero eigenvalue rounds to
+        # -1.7e-17 here, and the spectral set-ups must look past its sign.
+        design = np.random.default_rng(0).standard_normal((30, 6))
+        design[:, 2] = 0.0
+        path = tmp_path / "zero3.txt"
+        write_libsvm(path, design, np.where(np.arange(30) % 2 == 0, 1, -1))
+        argv = [*argv, "--dataset", str(path), "--out", str(tmp_path / "out")]
+        if argv[0] == "solve":
+            argv += ["--max-iters", "20"]
+        assert cli_main(argv) == 0
+
     def test_tall_huber_matches_newton(self):
         config = ExperimentConfig(rows=300, max_iters=200, **GAPPED)
         f_star = reference_optimum(config, build_problem(config)).f_star
@@ -1141,6 +1164,31 @@ class TestCLI:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", "False")
+
+    def test_synthetic_runs_ignore_blas_thread_count(self, tmp_path, monkeypatch):
+        # A synthetic problem keeps its planted decomposition, so no eigh or
+        # other thread-split reduction decides a step.
+        problem = "synthetic = 1000,300,1,100\nloss = huber:0.1\nseed = 204\nmax_iters = 20\n"
+        configs = []
+        for name, method, precond in (
+            ("cheb", "fgm", "chebyshev:4"), ("sym", "adaptive-fgm", "sympoly:2")
+        ):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"name = {name}\nmethod = {method}\nprecond = {precond}\n{problem}")
+            configs.append(str(path))
+        script = "import sys\nfrom polyprec.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        for threads in ("1", "2"):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(var, threads)
+            done = _run_fresh(script, ["bench", *configs, "--out", str(tmp_path / threads)])
+            assert done.returncode == 0, done.stderr
+        for name in ("cheb", "sym"):
+            one = read_run_csv(tmp_path / "1" / f"{name}.csv")
+            two = read_run_csv(tmp_path / "2" / f"{name}.csv")
+            del one["time_ms"], two["time_ms"]
+            assert one.keys() == two.keys()
+            for column in one:
+                assert np.array_equal(one[column], two[column]), (name, column)
 
     def test_summary_records_blas_threads(self, tmp_path, monkeypatch):
         # The thread count decides how BLAS rounds, so a summary names it.

@@ -321,6 +321,13 @@ class TestSpectralDecomposition:
             exact_traces(op, 3)
         assert calls == [(6, 6)] * len(descriptors)
 
+    def test_zero_operator_has_no_range(self):
+        # An all-zero design: no eigenvalue is above the rounding cutoff.
+        dec = spectral_decomposition(GramOperator(np.zeros((4, 3))))
+        for read in ("lam_min", "range_eigenvalues"):
+            with pytest.raises(ValueError, match="range is empty"):
+                getattr(dec, read)
+
     def test_kept_arrays_are_read_only(self, rng):
         op = random_spd(rng, 4)
         dec = spectral_decomposition(op)

@@ -156,13 +156,23 @@ class TestAlphaBeta:
 
     def test_inverse_of_rank_deficient_operator_reported(self):
         # A feature that never occurs: one Gram eigenvalue is zero up to rounding.
+        # On the operator's range the pseudo-inverse is exact.
         design = np.random.default_rng(3).standard_normal((30, 6))
         design[:, 2] = 0.0
         op = GramOperator(design)
-        with pytest.raises(IndefinitePreconditionerError) as excinfo:
-            compute_alpha_beta(inverse_preconditioner(op), op)
-        assert excinfo.value.alpha == 0.0
-        assert excinfo.value.beta == pytest.approx(1.0)
+        bounds = compute_alpha_beta(inverse_preconditioner(op), op)
+        assert bounds.alpha == pytest.approx(1.0, abs=1e-12)
+        assert bounds.beta == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singular_gram_judged_on_its_range(self, seed):
+        # The zero eigenvalue rounds to either sign; neither may decide alpha.
+        design = np.random.default_rng(seed).standard_normal((30, 6))
+        design[:, 2] = 0.0
+        lam = np.linalg.eigvalsh(design.T @ design)
+        smallest = lam[lam > lam.max() * lam.size * np.finfo(float).eps].min()
+        bounds = compute_alpha_beta(IdentityPreconditioner(), GramOperator(design))
+        assert bounds.alpha == pytest.approx(smallest, rel=1e-12)
 
     def test_indefinite_reported(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
