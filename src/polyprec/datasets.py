@@ -221,9 +221,12 @@ def _size_bounds(path) -> tuple[int, int]:
     rows, entries = 1, 0
     with open(path, "rb") as handle:
         while chunk := handle.read(_SIZING_BYTES):
-            rows += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            entries += chunk.count(b":")
-    return rows, entries
+            data = np.frombuffer(chunk, np.uint8)
+            feed, ret = data == ord("\n"), data == ord("\r")
+            pairs = np.count_nonzero(ret[:-1] & feed[1:])
+            rows += np.count_nonzero(feed) + np.count_nonzero(ret) - pairs
+            entries += np.count_nonzero(data == ord(":"))
+    return int(rows), int(entries)
 
 
 def parse_libsvm(path) -> DatasetMatrix:

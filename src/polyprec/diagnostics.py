@@ -34,7 +34,6 @@ from .solvers import RunResult, SolverConfig, run_fgm, run_gm
 
 __all__ = [
     "CheckReport",
-    "XiTable",
     "verify_lemma_spec",
     "verify_adjugate",
     "verify_sandwich",

@@ -40,16 +40,12 @@ from .solvers import (
 
 __all__ = [
     "ExperimentConfig",
-    "CSV_HEADER",
     "parse_config_file",
-    "build_problem",
     "Reference",
     "reference_optimum",
     "run_experiment",
     "run_bench",
     "merge_plotdata",
-    "write_csv",
-    "write_json",
 ]
 
 CSV_HEADER = ["iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k", "time_ms"]

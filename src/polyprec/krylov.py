@@ -21,7 +21,6 @@ from .solvers import RunResult, SolverConfig, run_gm
 
 __all__ = [
     "KrylovStepInfo",
-    "KrylovPreconditioner",
     "build_gram",
     "solve_gram",
     "run_krylov_gm",

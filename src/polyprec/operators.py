@@ -12,8 +12,6 @@ __all__ = [
     "DenseOperator",
     "MatvecOperator",
     "GramOperator",
-    "SpectralDecomposition",
-    "ElementarySymmetricSums",
     "spectral_decomposition",
     "lanczos",
     "exact_traces",

@@ -23,7 +23,6 @@ __all__ = [
     "LogisticLoss",
     "make_regression",
     "make_quadratic",
-    "gradient_step_with_norm",
 ]
 
 

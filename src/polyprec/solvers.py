@@ -24,10 +24,7 @@ from .problems import CompositeObjective, gradient_step_with_norm
 __all__ = [
     "SolverConfig",
     "FGMState",
-    "IterationRecord",
     "RunResult",
-    "Step",
-    "drive",
     "solve_coefficient_equation",
     "quadratic_growth_predicate",
     "initial_guess_M",

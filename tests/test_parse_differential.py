@@ -122,7 +122,7 @@ def _render(draw, lines):
             out.append(indent + text + trail)
         else:
             out.append(line)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(out) + draw(st.sampled_from(["", ending]))
 
 
@@ -167,6 +167,10 @@ def _assert_same(path):
     if isinstance(expected, str):
         assert got == expected
         return
+    _assert_bitwise_equal(got, expected)
+
+
+def _assert_bitwise_equal(got, expected):
     assert isinstance(got, DatasetMatrix), got
     assert got.n_features == expected.n_features
     for name in ("indptr", "col", "val", "labels"):
@@ -258,6 +262,27 @@ def test_blocks_without_rows_or_entries(tmp_path, monkeypatch, lines):
     path = tmp_path / "blocks.txt"
     path.write_text("\n".join(lines) + "\n")
     _assert_same(path)
+
+
+@pytest.mark.parametrize("ending", ["\r", "\r\n"])
+def test_line_break_at_the_sizing_read_edge(tmp_path, ending):
+    # A line break starts at the first sizing read's last byte; a CRLF pair
+    # there straddles two reads, and the sizing pass counts it as two rows.
+    size, line = datasets._SIZING_BYTES, "+1 1:1 3:0.25"
+    count = (size - 2) // (len(line) + len(ending))
+    pad = size - 1 - count * (len(line) + len(ending))
+    lines = ["#" + "x" * (pad - 1)] + [line] * count + ["-1 2:7", line]
+    text = ending.join(lines) + ending
+    assert text[size - 1 : size - 1 + len(ending)] == ending
+    path, lf_path = tmp_path / "ending.txt", tmp_path / "lf.txt"
+    path.write_bytes(text.encode())
+    lf_path.write_bytes(text.replace(ending, "\n").encode())
+    got, expected = parse_libsvm(path), parse_libsvm(lf_path)
+    _assert_bitwise_equal(got, expected)
+    rows, entries = datasets._size_bounds(path)
+    assert rows >= got.n_rows and entries >= got.col.size
+    lf_rows, lf_entries = datasets._size_bounds(lf_path)
+    assert (rows, entries) == (lf_rows + (ending == "\r\n"), lf_entries)
 
 
 @pytest.mark.parametrize("lineno", [4, 6, 7, 9])
