@@ -1,8 +1,9 @@
 """Command-line harness: single runs, batches, spectra, and the verifier suite.
 
-Exit codes: 0 on success, 1 on usage errors and on files that cannot be read
-or written, 2 when verification hard-fails, 3 when a run fails numerically
-(non-finite objective, doubling cap).
+Exit codes: 0 on success, 1 on usage errors, on files that cannot be read or
+written and on a problem too large for memory, 2 when verification
+hard-fails, 3 when a run fails numerically (non-finite objective, doubling
+cap).
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"polyprec: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

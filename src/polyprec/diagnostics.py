@@ -76,7 +76,9 @@ class CheckReport:
 def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
     """Elementary symmetric polynomial of the spectrum with one entry removed."""
     reduced = np.delete(lam, remove)
-    return float(elementary_symmetric(reduced, tau).unscaled()[tau])
+    sigma, scale = elementary_symmetric(reduced, tau)
+    # numpy's array power: Python's float power rounds some powers differently.
+    return float((sigma * scale ** np.arange(sigma.size))[tau])
 
 
 def _dense_polynomial(p: PolynomialPreconditioner, B: DenseOperator) -> np.ndarray:
@@ -338,6 +340,8 @@ def _batch(check: str, params: dict, tol: float, trials: int, slack_of) -> Check
 
 def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     """The desk-scale identity and envelope suite behind the verify command."""
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def lemma_spec():

@@ -94,6 +94,8 @@ def _check_fields(config: ExperimentConfig):
     A config file runs this after each line, so that the line that makes a
     field bad or two fields clash is the one an error names.
     """
+    if config.name in ("", ".", "..") or "/" in config.name or os.sep in config.name:
+        raise ValueError(f"name must be a plain file name, got {config.name!r}")
     _parse_loss(config.loss)
     kind, numbers = parse_descriptor(config.precond)
     if config.method not in METHODS:
@@ -451,6 +453,8 @@ def merge_plotdata(run_dir, out_path) -> int:
     plots directly; returns the number of runs merged.
     """
     run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise ValueError(f"run directory {run_dir} is not a directory")
     merged = 0
     rows = []
     for summary_path in sorted(run_dir.glob("*.json")):

@@ -1,4 +1,10 @@
-"""Matrix-free symmetric operators, spectral utilities, and symmetric polynomials."""
+"""Matrix-free symmetric operators, spectral utilities, and symmetric polynomials.
+
+The elementary symmetric polynomials of a spectrum, which the sympoly family,
+its shrink factor and the verified identities are built from, are the
+coefficient magnitudes of the polynomial with that spectrum as roots, from
+``np.poly``.
+"""
 
 from __future__ import annotations
 
@@ -266,27 +272,15 @@ def stochastic_traces(
     return np.mean(estimates, axis=0)
 
 
-@dataclass(frozen=True)
-class ElementarySymmetricSums:
-    """Elementary symmetric polynomial values of pre-scaled inputs.
+def elementary_symmetric(values, k_max: int) -> tuple[np.ndarray, float]:
+    """Elementary symmetric polynomials up to order ``k_max``, as ``(sigma, scale)``.
 
     ``sigma[k]`` is the k-th elementary symmetric polynomial of the inputs
-    divided by ``scale``; ratios at equal k are therefore scale-free, and
-    ``unscaled()`` restores the raw values when they fit in double precision.
-    """
-
-    sigma: np.ndarray
-    scale: float
-
-    def unscaled(self) -> np.ndarray:
-        return self.sigma * self.scale ** np.arange(self.sigma.size)
-
-
-def elementary_symmetric(values, k_max: int) -> ElementarySymmetricSums:
-    """All elementary symmetric polynomials up to order ``k_max``.
-
-    Standard prefix recurrence; inputs are divided by their maximum first
-    because the raw values grow combinatorially.
+    divided by ``scale``, their maximum, since the raw values grow
+    combinatorially; ratios at equal k are therefore scale-free, and
+    ``sigma * scale ** np.arange(sigma.size)`` restores the raw values when
+    they fit in double precision. The sums are the magnitudes of the
+    coefficients of the polynomial with the scaled inputs as roots.
     """
     values = np.asarray(values, dtype=float)
     m = values.size
@@ -297,12 +291,4 @@ def elementary_symmetric(values, k_max: int) -> ElementarySymmetricSums:
     if m and np.min(values) <= 0:
         raise ValueError("values must be positive")
     scale = float(np.max(values)) if m else 1.0
-    scaled = values / scale
-    sigma = np.zeros(k_max + 1)
-    sigma[0] = 1.0
-    for i in range(m):
-        v = scaled[i]
-        top = min(k_max, i + 1)
-        for k in range(top, 0, -1):
-            sigma[k] += v * sigma[k - 1]
-    return ElementarySymmetricSums(sigma=sigma, scale=scale)
+    return np.abs(np.atleast_1d(np.poly(values / scale)))[: k_max + 1], scale

@@ -268,8 +268,10 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     ``spectrum`` is the full spectrum in descending order; the construction
     zeroes the residual at its first tau eigenvalues and balances the
     remaining interval with the optimal constant
-    2 / (spectrum[tau] + spectrum[-1]). The division by s is exact because
-    the constant term cancels identically.
+    a = 2 / (spectrum[tau] + spectrum[-1]). The residual 1 - s p(s) is the
+    product of the factors (1 - s / lam) and (1 - a s), whose ascending
+    coefficients are those of ``np.poly`` on the reciprocal roots; its
+    constant term 1 cancels exactly, so p is minus the others.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     if tau < 0:
@@ -280,13 +282,8 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
         raise ValueError("eigenvalues must be positive")
     if np.any(np.diff(spectrum) > 0):
         raise ValueError("eigenvalues must be sorted descending")
-    q = np.array([1.0])
-    for lam in spectrum[:tau]:
-        q = np.convolve(q, np.array([1.0, -1.0 / lam]))
     a = 2.0 / (spectrum[tau] + spectrum[-1])
-    r = np.convolve(q, np.array([-1.0, a]))
-    r[0] += 1.0  # exactly zero
-    return PolynomialPreconditioner(r[1:])
+    return PolynomialPreconditioner(-np.poly(np.append(1.0 / spectrum[:tau], a))[1:])
 
 
 def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialPreconditioner:
@@ -346,13 +343,11 @@ def xi_tau(spectrum, tau: int) -> float:
         raise ValueError(f"tau={tau} out of range for spectrum of size {n}")
     if np.min(spectrum) <= 0:
         raise ValueError("spectrum must be positive")
-    top_removed = elementary_symmetric(spectrum[1:], tau)
-    bottom_removed = elementary_symmetric(spectrum[:-1], tau)
+    top_removed, top_scale = elementary_symmetric(spectrum[1:], tau)
+    bottom_removed, bottom_scale = elementary_symmetric(spectrum[:-1], tau)
     # Combine the per-call scales in ratio form; the base is at most one.
-    base = top_removed.scale / bottom_removed.scale
-    return float(
-        top_removed.sigma[tau] / bottom_removed.sigma[tau] * base**tau
-    )
+    base = top_scale / bottom_scale
+    return float(top_removed[tau] / bottom_removed[tau] * base**tau)
 
 
 # Integer fields of each descriptor form: (required, optional).

@@ -24,6 +24,43 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# The gapped spectrum of the benchmark's problem: 1000, 300 and 98 unit eigenvalues.
+GAPPED_SPECTRUM = np.array([1000.0, 300.0] + [1.0] * 98)
+
+
+def seeded_spectra(seed: int):
+    """Descending spectra of sizes 1 to 60, each in [spread, 1] or [1, spread]
+    for spreads 1e-3 to 1e3, drawn log-uniformly from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for spread in 10.0 ** np.arange(-3, 4):
+        for size in range(1, 61):
+            yield np.sort(spread ** rng.uniform(0.0, 1.0, size))[::-1]
+
+
+def prefix_elementary_symmetric(values, k_max: int):
+    """Reference ``(sigma, scale)``: the prefix recurrence over the inputs
+    divided by their maximum, adding one input at a time."""
+    values = np.asarray(values, dtype=float)
+    scale = float(np.max(values)) if values.size else 1.0
+    sigma = np.zeros(k_max + 1)
+    sigma[0] = 1.0
+    for i, v in enumerate(values / scale):
+        for k in range(min(k_max, i + 1), 0, -1):
+            sigma[k] += v * sigma[k - 1]
+    return sigma, scale
+
+
+def convolve_cutting_coefficients(spectrum, tau: int) -> np.ndarray:
+    """Reference cutting coefficients: 1 - s p(s) built one linear factor at a time."""
+    q = np.array([1.0])
+    for lam in spectrum[:tau]:
+        q = np.convolve(q, np.array([1.0, -1.0 / lam]))
+    a = 2.0 / (spectrum[tau] + spectrum[-1])
+    r = np.convolve(q, np.array([-1.0, a]))
+    r[0] += 1.0  # exactly zero
+    return r[1:]
+
+
 def record_iterates(obj) -> list:
     """Spy on ``obj.full_value``; the returned list collects a copy of every point read.
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -1019,6 +1020,37 @@ class TestCLI:
         assert repr(text) in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--synthetic", "1,1,1,5000000"],
+            ["--synthetic", "10,5,1,20", "--rows", "1000000000000000"],
+            ["--synthetic", "10,5,1,20", "--precond", "sympoly:2:stochastic:1000000000000000"],
+        ],
+    )
+    def test_oversized_synthetic_is_exit_one(self, tmp_path, capsys, flags):
+        # The orthonormal factor (182 TiB), the lifted design or the stochastic
+        # draws (142 PiB each) exceed the 128 TiB a process can map, so the
+        # allocation fails at once under any overcommit setting.
+        out = tmp_path / "out"
+        assert cli_main(["solve", *flags, "--loss", "huber:0.1", "--out", str(out)]) == 1
+        assert "polyprec: error: Unable to allocate" in capsys.readouterr().err
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("name", ["../escape", "", ".", "..", "a/b"])
+    def test_run_name_must_be_a_file_name(self, tmp_path, capsys, name):
+        out = tmp_path / "o" / "sub"
+        argv = ["solve", "--name", name, "--synthetic", "10,5,1,6", "--loss", "huber:0.1"]
+        assert cli_main(argv + ["--max-iters", "3", "--out", str(out)]) == 1
+        message = f"name must be a plain file name, got {name!r}"
+        assert f"polyprec: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"synthetic = 10,5,1,6\nloss = huber:0.1\nname = {name}\n")
+        assert cli_main(["bench", str(cfg), "--out", str(out)]) == 1
+        assert f"{cfg}:3: 'name': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["solve", "spectrum"])
     @pytest.mark.parametrize("standardize", [True, False])
     def test_huge_feature_index_is_exit_one(self, tmp_path, capsys, command, standardize):
@@ -1235,6 +1267,23 @@ class TestCLI:
         assert xi[0] == "tau,xi,cond"
         assert len(xi) == 6
 
+    def test_spectrum_xi_table_pinned(self, tmp_path):
+        # The shrink table of the gapped benchmark problem, bit for bit: the
+        # symmetric sums behind every xi must round as the prefix recurrence does.
+        argv = [
+            "spectrum", "--synthetic", "1000,300,1,100", "--loss", "huber:0.1",
+            "--seed", "204", "--tau-max", "99", "--out", str(tmp_path),
+        ]
+        assert cli_main(argv) == 0
+        table = (tmp_path / "xi_table.csv").read_bytes()
+        assert table.splitlines()[:3] == [
+            b"tau,xi,cond", b"0,1.0,1000.0", b"1,0.28489620615605243,284.8962061560524"
+        ]
+        assert len(table.splitlines()) == 101
+        assert hashlib.sha256(table).hexdigest() == (
+            "0b481d84ef119f7a065efcf1eae5e0f1a124bec1a94e4b6cde51fc0c48b61a45"
+        )
+
     @pytest.mark.parametrize("standardize", [True, False])
     def test_spectrum_dataset(self, tmp_path, rng, standardize):
         rows = rng.standard_normal((12, 5)) * [1.0, 2.0, 5.0, 0.5, 3.0]
@@ -1276,6 +1325,12 @@ class TestCLI:
         assert [entry["params"]["tau"] for entry in krylov] == [0, 1, 2]
         assert all(entry["advisory"] and entry["pass"] for entry in krylov)
 
+    def test_verify_negative_seed_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--seed", "-1", "--out", str(out)]) == 1
+        assert "polyprec: error: seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_hard_fail_is_exit_two(self, monkeypatch):
         from polyprec.diagnostics import CheckReport
 
@@ -1308,6 +1363,15 @@ class TestCLI:
         assert cli_main(["bench", str(cfg), "--out", str(out)]) == 0
         assert cli_main(["plotdata", str(out), "--out", str(tmp_path / "m.csv")]) == 0
         assert (tmp_path / "m.csv").exists()
+
+    def test_plotdata_missing_directory_is_exit_one(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(missing), "--out", str(out)]) == 1
+        assert f"polyprec: error: run directory {missing} is not a directory" in (
+            capsys.readouterr().err
+        )
+        assert not any(tmp_path.iterdir())
 
     def test_bench_validates_every_config_first(self, tmp_path):
         good = tmp_path / "good.cfg"

@@ -23,7 +23,12 @@ from polyprec import (
     synth_regression,
 )
 from polyprec.operators import SpectralDecomposition
-from conftest import random_spd
+from conftest import (
+    GAPPED_SPECTRUM,
+    prefix_elementary_symmetric,
+    random_spd,
+    seeded_spectra,
+)
 
 
 class TestMatvec:
@@ -242,18 +247,22 @@ class TestStochasticTrace:
         assert abs(est - 8.5) <= 3.0 * se
 
 
+def _unscaled(values, k_max):
+    sigma, scale = elementary_symmetric(values, k_max)
+    return sigma * scale ** np.arange(sigma.size)
+
+
 class TestElementarySymmetric:
     def test_known_321(self):
-        sums = elementary_symmetric([3.0, 2.0, 1.0], 3)
-        assert np.allclose(sums.unscaled(), [1.0, 6.0, 11.0, 6.0])
+        assert np.allclose(_unscaled([3.0, 2.0, 1.0], 3), [1.0, 6.0, 11.0, 6.0])
 
     def test_known_21(self):
-        sums = elementary_symmetric([2.0, 1.0], 2)
-        assert np.allclose(sums.unscaled(), [1.0, 3.0, 2.0])
+        assert np.allclose(_unscaled([2.0, 1.0], 2), [1.0, 3.0, 2.0])
 
     def test_order_zero(self, rng):
         values = rng.uniform(0.5, 3.0, 6)
-        assert elementary_symmetric(values, 0).sigma[0] == 1.0
+        sigma, _ = elementary_symmetric(values, 0)
+        assert sigma[0] == 1.0
 
     def test_k_max_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -265,7 +274,7 @@ class TestElementarySymmetric:
     @settings(max_examples=60, deadline=None)
     def test_matches_enumeration(self, values):
         k_max = len(values)
-        sums = elementary_symmetric(values, k_max).unscaled()
+        sums = _unscaled(values, k_max)
         for k in range(k_max + 1):
             expected = sum(
                 float(np.prod(c)) for c in itertools.combinations(values, k)
@@ -277,7 +286,7 @@ class TestElementarySymmetric:
         for _ in range(20):
             m = int(rng.integers(1, 9))
             values = rng.uniform(0.2, 6.0, m)
-            direct = elementary_symmetric(values, m).unscaled()
+            direct = _unscaled(values, m)
             power_sums = [float(np.sum(values**i)) for i in range(1, m + 1)]
             rebuilt = [1.0]
             for k in range(1, m + 1):
@@ -286,6 +295,26 @@ class TestElementarySymmetric:
                     total += (-1) ** (i - 1) * rebuilt[k - i] * power_sums[i - 1]
                 rebuilt.append(total / k)
             assert np.allclose(direct, rebuilt, rtol=1e-9)
+
+    def test_empty_input(self):
+        sigma, scale = elementary_symmetric([], 0)
+        assert np.array_equal(sigma, [1.0]) and scale == 1.0
+
+    def _assert_matches_prefix_recurrence(self, values):
+        ref_sigma, ref_scale = prefix_elementary_symmetric(values, values.size)
+        for k in range(values.size + 1):
+            sigma, scale = elementary_symmetric(values, k)
+            assert scale == ref_scale
+            assert np.array_equal(sigma, ref_sigma[: k + 1])
+
+    def test_matches_prefix_recurrence_bitwise(self):
+        for values in seeded_spectra(25):
+            self._assert_matches_prefix_recurrence(values)
+
+    def test_matches_prefix_recurrence_on_gapped_spectrum(self):
+        # The full spectrum and the two that xi_tau removes an end from.
+        for values in (GAPPED_SPECTRUM, GAPPED_SPECTRUM[1:], GAPPED_SPECTRUM[:-1]):
+            self._assert_matches_prefix_recurrence(values)
 
 
 class TestSpectralDecomposition:

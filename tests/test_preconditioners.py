@@ -24,7 +24,12 @@ from polyprec import (
     sympoly_coefficients,
     xi_tau,
 )
-from conftest import random_spd
+from conftest import (
+    GAPPED_SPECTRUM,
+    convolve_cutting_coefficients,
+    random_spd,
+    seeded_spectra,
+)
 
 
 class TestSympolyCoefficients:
@@ -244,6 +249,20 @@ class TestCutting:
             lam_edge = spectrum[min(tau, n - 1)]
             bound = (lam_edge - spectrum[-1]) / (lam_edge + spectrum[-1])
             assert measured <= bound + 1e-12
+
+    @staticmethod
+    def _assert_matches_convolution(spectrum):
+        for tau in range(spectrum.size):
+            prec = cutting_preconditioner(spectrum, tau)
+            assert prec.scale == 1.0
+            assert np.array_equal(prec.coeffs, convolve_cutting_coefficients(spectrum, tau))
+
+    def test_matches_convolution_bitwise(self):
+        for spectrum in seeded_spectra(25):
+            self._assert_matches_convolution(spectrum)
+
+    def test_matches_convolution_on_gapped_spectrum(self):
+        self._assert_matches_convolution(GAPPED_SPECTRUM)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
