@@ -22,7 +22,6 @@ __all__ = [
     "DatasetMatrix",
     "SyntheticSpectrumSpec",
     "parse_libsvm",
-    "write_libsvm",
     "standardize_columns",
     "logistic_from_dataset",
     "synth_regression",
@@ -273,18 +272,6 @@ def parse_libsvm(path) -> DatasetMatrix:
         labels=labels,
         n_features=int(col.max()) + 1 if col.size else 0,
     )
-
-
-def write_libsvm(path, dense_rows: np.ndarray, labels: np.ndarray):
-    """Write dense rows in the sparse text format (zeros are dropped)."""
-    dense_rows = np.asarray(dense_rows, dtype=float)
-    with open(path, "w") as handle:
-        for row, label in zip(dense_rows, labels):
-            fields = [f"{int(label):+d}"]
-            for j, value in enumerate(row):
-                if value != 0.0:
-                    fields.append(f"{j + 1}:{float(value)!r}")
-            handle.write(" ".join(fields) + "\n")
 
 
 def standardize_columns(dataset: DatasetMatrix) -> DatasetMatrix:

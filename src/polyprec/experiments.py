@@ -362,8 +362,6 @@ def run_experiment(
     from the run's own start, so sharing a problem changes no output.
     """
     config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     obj = build_problem(config) if problem is None else problem
     references = {} if references is None else references
     key = _reference_key(config)
@@ -375,8 +373,10 @@ def run_experiment(
     run = _execute(config, obj, f_star)
     data_passes = obj.data_passes - passes
 
-    csv_path = out_dir / f"{config.name}.csv"
-    write_run_csv(csv_path, run, f_star)
+    # Made only now, so a run that fails before its first file leaves no directory.
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_run_csv(out_dir / f"{config.name}.csv", run, f_star)
 
     iterations_to_tol = None
     if config.tol is not None:
@@ -450,7 +450,9 @@ def merge_plotdata(run_dir, out_path) -> int:
     """Merge every run CSV in a directory into one long-format table.
 
     Adds run/method/precond columns from the JSON summaries so the result
-    plots directly; returns the number of runs merged.
+    plots directly; returns the number of runs merged. A JSON file that is
+    not a run summary (no ``config`` object) or has no CSV beside it is
+    skipped; one that is not JSON at all fails, naming the file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -458,9 +460,14 @@ def merge_plotdata(run_dir, out_path) -> int:
     merged = 0
     rows = []
     for summary_path in sorted(run_dir.glob("*.json")):
-        with open(summary_path) as sh:
-            summary = json.load(sh)
-        config = summary.get("config", {})
+        try:
+            with open(summary_path) as sh:
+                summary = json.load(sh)
+        except ValueError as exc:
+            raise ValueError(f"{summary_path}: {exc}") from None
+        config = summary.get("config") if isinstance(summary, dict) else None
+        if not isinstance(config, dict):
+            continue
         name = config.get("name", summary_path.stem)
         csv_path = run_dir / f"{name}.csv"
         if not csv_path.exists():

@@ -35,18 +35,11 @@ __all__ = [
     "compute_alpha_beta",
     "gamma_of_polynomial",
     "cutting_preconditioner",
-    "chebyshev_polynomial",
     "inverse_preconditioner",
     "xi_tau",
     "parse_descriptor",
     "build_from_descriptor",
 ]
-
-# Monomial expansion of shifted Chebyshev polynomials loses roughly one bit
-# per degree; beyond this cap the coefficients are unusable in double
-# precision even though the recurrence-based application stays accurate.
-CHEBYSHEV_COEFF_DEGREE_CAP = 20
-
 
 class IndefinitePreconditionerError(ValueError):
     """Raised when the spectral lower bound alpha of a preconditioner is not positive."""
@@ -131,8 +124,8 @@ class ChebyshevPreconditioner(Preconditioner):
     """Chebyshev approximation of the inverse on a spectral interval.
 
     Stored as the interval endpoints plus the degree; application, and so the
-    scalar form, runs the stable three-term recurrence, so arbitrary degrees
-    are fine (unlike the monomial expansion).
+    scalar form, runs the stable three-term recurrence, which stays accurate
+    at any degree; no monomial coefficients are ever formed.
     """
 
     def __init__(self, lam_max: float, lam_min: float, tau: int):
@@ -284,38 +277,6 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
         raise ValueError("eigenvalues must be sorted descending")
     a = 2.0 / (spectrum[tau] + spectrum[-1])
     return PolynomialPreconditioner(-np.poly(np.append(1.0 / spectrum[:tau], a))[1:])
-
-
-def chebyshev_polynomial(lam1: float, lamn: float, tau: int) -> PolynomialPreconditioner:
-    """The Chebyshev inverse-approximation polynomial in monomial coefficients.
-
-    The shifted-argument recurrence is expanded in the monomial basis, which
-    loses about one bit of accuracy per degree; degrees above
-    ``CHEBYSHEV_COEFF_DEGREE_CAP`` raise instead of returning garbage (use
-    :class:`ChebyshevPreconditioner` there, whose recurrence form is stable).
-    """
-    if not lam1 > lamn > 0:
-        raise ValueError(
-            "need lam1 > lamn > 0; for lam1 == lamn use the constant 1/lam1"
-        )
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau > CHEBYSHEV_COEFF_DEGREE_CAP:
-        raise ValueError(
-            f"monomial expansion is inaccurate beyond degree "
-            f"{CHEBYSHEV_COEFF_DEGREE_CAP} (got {tau})"
-        )
-    width = lam1 - lamn
-    shifted = np.array([(lam1 + lamn) / width, -2.0 / width])
-    t_prev = np.array([1.0])
-    t_cur = shifted.copy()
-    for _ in range(tau):
-        t_next = 2.0 * np.convolve(shifted, t_cur)
-        t_next[: t_prev.size] -= t_prev
-        t_prev, t_cur = t_cur, t_next
-    # Constant term of t_cur equals T_{tau+1} at the shift point, so the
-    # numerator of (1 - Q)/s starts at exactly zero.
-    return PolynomialPreconditioner(-t_cur[1:] / t_cur[0])
 
 
 def inverse_preconditioner(op: SymmetricOperator) -> MatrixPreconditioner:

@@ -2,8 +2,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev, Polynomial
 
-from polyprec import DatasetMatrix, DenseOperator
+from polyprec import DatasetMatrix, DenseOperator, PolynomialPreconditioner
 from polyprec.datasets import _design_matrix
 
 
@@ -59,6 +60,26 @@ def convolve_cutting_coefficients(spectrum, tau: int) -> np.ndarray:
     r = np.convolve(q, np.array([-1.0, a]))
     r[0] += 1.0  # exactly zero
     return r[1:]
+
+
+def chebyshev_monomial(lam_max: float, lam_min: float, tau: int) -> PolynomialPreconditioner:
+    """Reference monomial form of ``ChebyshevPreconditioner(lam_max, lam_min, tau)``:
+    p(s) = (1 - r(s) / r(0)) / s, with r the degree-(tau + 1) Chebyshev
+    polynomial on [lam_min, lam_max]."""
+    r = Chebyshev.basis(tau + 1, domain=[lam_min, lam_max])
+    return PolynomialPreconditioner((1 - r / r(0.0)).convert(kind=Polynomial).coef[1:])
+
+
+def write_libsvm(path, dense_rows: np.ndarray, labels: np.ndarray):
+    """Write dense rows in the sparse text format (zeros are dropped)."""
+    dense_rows = np.asarray(dense_rows, dtype=float)
+    with open(path, "w") as handle:
+        for row, label in zip(dense_rows, labels):
+            fields = [f"{int(label):+d}"]
+            for j, value in enumerate(row):
+                if value != 0.0:
+                    fields.append(f"{j + 1}:{float(value)!r}")
+            handle.write(" ".join(fields) + "\n")
 
 
 def record_iterates(obj) -> list:

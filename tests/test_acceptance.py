@@ -41,10 +41,15 @@ from polyprec import (
     verify_lemma_spec,
     verify_sandwich,
     volume_sampling_expectation,
-    write_libsvm,
 )
 from polyprec.krylov import KrylovPreconditioner
-from conftest import random_spd, record_iterates, synth_classification_dataset, validate_bounds
+from conftest import (
+    random_spd,
+    record_iterates,
+    synth_classification_dataset,
+    validate_bounds,
+    write_libsvm,
+)
 
 
 def _report(num: str, ok: bool, detail: str) -> bool:

@@ -30,12 +30,11 @@ from polyprec import (
     spectral_decomposition,
     standardize_columns,
     synth_regression,
-    write_libsvm,
 )
 from polyprec.cli import main as cli_main
 from polyprec.experiments import build_problem, run_bench, write_run_csv
 from polyprec.solvers import ROUNDING_FLOOR, IterationRecord
-from conftest import synth_classification_dataset
+from conftest import synth_classification_dataset, write_libsvm
 
 
 def read_run_csv(path) -> dict:
@@ -1372,6 +1371,83 @@ class TestCLI:
             capsys.readouterr().err
         )
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "report",
+        [{"config": "x"}, {"config": None, "iterations": 3}, {"iterations": 3}, "text"],
+        ids=["config-string", "config-null", "no-config", "string"],
+    )
+    def test_plotdata_skips_json_that_is_not_a_run_summary(self, tmp_path, capsys, report):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "name = one\nmethod = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 4\n"
+        )
+        runs = tmp_path / "runs"
+        assert cli_main(["bench", str(cfg), "--out", str(runs)]) == 0
+        # Sorted before the run's summary, beside a CSV of its own stem.
+        (runs / "a.json").write_text(json.dumps(report))
+        (runs / "a.csv").write_text((runs / "one.csv").read_text())
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 0
+        assert "merged 1 runs" in capsys.readouterr().out
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"one"}
+
+    def test_plotdata_skips_a_verify_report(self, tmp_path, capsys, monkeypatch):
+        from polyprec.diagnostics import CheckReport
+
+        monkeypatch.setattr(
+            "polyprec.cli.run_verification_suite",
+            lambda seed=0: [CheckReport("stub", {}, True, 0.0)],
+        )
+        runs = tmp_path / "runs"
+        assert cli_main(["verify", "--out", str(runs / "report.json")]) == 0
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 0
+        assert "merged 0 runs" in capsys.readouterr().out
+        [header] = out.read_text().splitlines()
+        assert header.startswith("run,method,precond,iter")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "not json\n", '{"config": {', "\udcff"],
+        ids=["empty", "text", "truncated", "not-utf8"],
+    )
+    def test_plotdata_unreadable_json_is_exit_one(self, tmp_path, capsys, text):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        junk = runs / "junk.json"
+        junk.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"polyprec: error: {junk}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--dataset", "{tmp}/bad.txt"], 1, "bad.txt:2: bad label 'bad'"),
+            # The degree-15 monomial sympoly polynomial breaks on this gapped
+            # spectrum, so the adaptive search hits its doubling cap.
+            (
+                [
+                    "--synthetic", "1000,300,1,100", "--loss", "huber:0.1", "--seed", "204",
+                    "--method", "adaptive-gm", "--precond", "sympoly:15", "--max-iters", "200",
+                ],
+                3,
+                "adaptive search exceeded the doubling cap",
+            ),
+        ],
+        ids=["bad-dataset", "doubling-cap"],
+    )
+    def test_failed_solve_leaves_no_out_directory(self, tmp_path, capsys, argv, code, message):
+        (tmp_path / "bad.txt").write_text("+1 1:1\nbad\n")
+        out = tmp_path / "o"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli_main(["solve", *argv, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_validates_every_config_first(self, tmp_path):
         good = tmp_path / "good.cfg"

@@ -7,8 +7,7 @@ strings are not references), or when ``perfbench/`` mentions it. A public
 field, property or method of an exported class counts as used when the
 library reads an attribute of that name (``x.name``, on any object) or the
 benchmark mentions it. Test-only helpers belong in ``tests/conftest.py``
-instead of the public surface. The few exempt names each carry their reason,
-and an exempt name that gains a caller loses its exemption.
+instead of the public surface; no name is exempt.
 """
 
 import ast
@@ -19,13 +18,6 @@ from pathlib import Path
 import polyprec
 
 ROOT = Path(__file__).resolve().parent.parent
-
-EXEMPT = {
-    # ROADMAP "Settled": the tests write their sparse fixtures with it.
-    "write_libsvm",
-    # ROADMAP "Settled": the monomial reference of the recurrence test.
-    "chebyshev_polynomial",
-}
 
 
 def exported_names():
@@ -69,7 +61,7 @@ def benchmark_mentions(bench_dir) -> set:
 
 def unused(names, src_dir, bench_dir) -> list:
     used = library_references(src_dir) | benchmark_mentions(bench_dir)
-    return sorted(set(names) - used - EXEMPT)
+    return sorted(set(names) - used)
 
 
 def class_members(src_dir, classes) -> list:
@@ -125,16 +117,6 @@ def test_every_export_has_a_library_or_benchmark_caller():
 def test_every_member_of_an_exported_class_has_a_reader():
     classes = {name for name in exported_names() if isinstance(getattr(polyprec, name), type)}
     assert unread_members(classes, ROOT / "src" / "polyprec", ROOT / "perfbench") == []
-
-
-def test_exempt_names_are_still_exported():
-    assert EXEMPT <= exported_names()
-
-
-def test_exempt_names_still_lack_a_library_caller():
-    # An exemption ends with its reason: once a name has a caller, its entry goes.
-    used = library_references(ROOT / "src" / "polyprec") | benchmark_mentions(ROOT / "perfbench")
-    assert sorted(EXEMPT & used) == []
 
 
 def test_an_unused_exported_function_is_caught(tmp_path):
