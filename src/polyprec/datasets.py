@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -20,7 +21,7 @@ from .problems import CompositeObjective, HuberLoss, LogisticLoss, make_regressi
 
 __all__ = [
     "DatasetMatrix",
-    "SyntheticSpectrumSpec",
+    "planted_spectrum",
     "parse_libsvm",
     "standardize_columns",
     "logistic_from_dataset",
@@ -205,6 +206,31 @@ def _parse_block(lines):
     return labels, counts, *pairs
 
 
+@contextmanager
+def open_utf8(path):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises a
+    ValueError naming ``path`` and the line that holds it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            lineno = _undecodable_line(path)
+            raise ValueError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8, counting line
+    breaks as text mode does: a line feed, a carriage return or the pair."""
+    with open(path, "rb") as handle:
+        # Binary lines end at line feeds only; splitlines also splits at returns.
+        lines = (line for chunk in handle for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+
+
 # Bytes read at a time by the pass that sizes the output arrays.
 _SIZING_BYTES = 1 << 16
 
@@ -243,7 +269,7 @@ def parse_libsvm(path) -> DatasetMatrix:
     col = np.empty(entries, dtype=np.intp)
     val = np.empty(entries)
     n_rows, lineno = 0, 1
-    with open(path, "r") as handle:
+    with open_utf8(path) as handle:
         while block := list(islice(handle, _BLOCK_LINES)):
             parsed = _parse_block(block)
             if parsed is None:
@@ -302,31 +328,21 @@ def logistic_from_dataset(
     return make_regression(folded, np.zeros(dataset.n_rows), LogisticLoss())
 
 
-@dataclass
-class SyntheticSpectrumSpec:
-    """Requested curvature spectrum ``(lam1, lam2, tail value, n)``.
+def planted_spectrum(synthetic, rows: int | None = None) -> np.ndarray:
+    """The curvature spectrum a ``(lam1, lam2, tail, n)`` pattern plants, descending.
 
-    ``rows`` requests an overdetermined design with that many rows (defaults
-    to n, and may not be fewer); the planted spectrum is exact either way.
+    ``rows`` requests an overdetermined design with that many rows (n when
+    None, and may not be fewer); the planted spectrum is exact either way.
     """
-
-    lam1: float
-    lam2: float
-    tail: float
-    n: int
-    seed: int = 0
-    rows: int | None = None
-
-    def resolve(self) -> np.ndarray:
-        if self.n < 2:
-            raise ValueError("pattern spec needs n >= 2")
-        lam = np.concatenate([[self.lam1, self.lam2], np.full(self.n - 2, self.tail)], dtype=float)
-        lam = np.sort(lam)[::-1]
-        if not np.all(np.isfinite(lam) & (lam > 0)):
-            raise ValueError("spectrum must be finite and positive")
-        if self.rows is not None and self.rows < self.n:
-            raise ValueError(f"rows must be at least the dimension {self.n}, got {self.rows}")
-        return lam
+    lam1, lam2, tail, n = synthetic
+    if n < 2:
+        raise ValueError("pattern spec needs n >= 2")
+    lam = np.sort(np.concatenate([[lam1, lam2], np.full(n - 2, tail)], dtype=float))[::-1]
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("spectrum must be finite and positive")
+    if rows is not None and rows < n:
+        raise ValueError(f"rows must be at least the dimension {n}, got {rows}")
+    return lam
 
 
 def _orthonormal(rng, shape) -> np.ndarray:
@@ -335,35 +351,34 @@ def _orthonormal(rng, shape) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _design_matrix(spec: SyntheticSpectrumSpec, rng) -> tuple[np.ndarray, SpectralDecomposition]:
-    """A design whose Gram has the planted spectrum, and that Gram's decomposition.
+def _design_matrix(lam, rows, rng) -> tuple[np.ndarray, SpectralDecomposition]:
+    """A design whose Gram has the spectrum ``lam``, and that Gram's decomposition.
 
     The core ``diag(sqrt(lam)) @ Q.T`` has the Gram ``Q diag(lam) Q.T``. A lift
     with orthonormal columns (``rows > n``), or a sign per row, keeps it.
     """
-    lam = spec.resolve()
     n = lam.size
     q = _orthonormal(rng, (n, n))
     # Row scaling gives the bits and the row-major layout of diag(sqrt(lam)) @ Q.T
     # without its O(n^3) product; the layout fixes the bits of later products.
     core = np.multiply(np.sqrt(lam)[:, None], q.T, order="C")
     spectral = SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
-    m = spec.rows if spec.rows is not None else n
+    m = rows if rows is not None else n
     if m == n:
         return core, spectral
     return _orthonormal(rng, (m, n)) @ core, spectral
 
 
-def synth_regression(spec: SyntheticSpectrumSpec, loss) -> CompositeObjective:
-    """Generate a regression problem with the requested curvature spectrum.
+def synth_regression(synthetic, loss, seed: int = 0, rows: int | None = None) -> CompositeObjective:
+    """Generate a regression problem with the curvature spectrum ``synthetic`` plants.
 
     Huber targets come from the planted model plus unit noise; logistic
     targets are sign labels drawn from the planted margins with moderate
     noise, folded into the rows. The curvature operator keeps the planted
     eigendecomposition, so no spectral set-up on it decomposes the Gram.
     """
-    rng = np.random.default_rng(spec.seed)
-    design, spectral = _design_matrix(spec, rng)
+    rng = np.random.default_rng(seed)
+    design, spectral = _design_matrix(planted_spectrum(synthetic, rows), rows, rng)
     m, n = design.shape
     planted = rng.standard_normal(n)
     margins = design @ planted

@@ -20,9 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import (
-    SyntheticSpectrumSpec,
     logistic_from_dataset,
+    open_utf8,
     parse_libsvm,
+    planted_spectrum,
     synth_regression,
 )
 from .krylov import run_krylov_gm
@@ -94,7 +95,7 @@ def _check_fields(config: ExperimentConfig):
     A config file runs this after each line, so that the line that makes a
     field bad or two fields clash is the one an error names.
     """
-    if config.name in ("", ".", "..") or "/" in config.name or os.sep in config.name:
+    if not _is_plain_name(config.name):
         raise ValueError(f"name must be a plain file name, got {config.name!r}")
     _parse_loss(config.loss)
     kind, numbers = parse_descriptor(config.precond)
@@ -118,18 +119,18 @@ def _check_fields(config: ExperimentConfig):
         if value is not None and value < low:
             raise ValueError(f"{key} must be at least {low}, got {value}")
     if config.synthetic is not None:
-        n = _synthetic_spec(config).resolve().size
+        n = planted_spectrum(config.synthetic, config.rows).size
         # A dataset's n is known only once it is parsed; there the
         # preconditioner build rejects a degree above n - 1.
         if kind in ("sympoly", "sympoly:stochastic", "cutting") and numbers[0] > n - 1:
             raise ValueError(f"degree {numbers[0]} of {config.precond!r} exceeds n-1={n - 1}")
 
 
-def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpectrumSpec:
-    lam1, lam2, tail, n = config.synthetic
-    return SyntheticSpectrumSpec(
-        lam1=lam1, lam2=lam2, tail=tail, n=n, seed=config.seed, rows=config.rows
-    )
+def _is_plain_name(name) -> bool:
+    """Whether ``name`` is a string that names a file in its own directory."""
+    if not isinstance(name, str) or name in ("", ".", ".."):
+        return False
+    return "/" not in name and os.sep not in name
 
 
 def _parse_loss(text: str):
@@ -153,7 +154,7 @@ def parse_synthetic(text: str) -> tuple:
 def parse_config_file(path) -> ExperimentConfig:
     """Flat key=value lines with '#' comments; a bad value reports its line."""
     config = ExperimentConfig(name=Path(path).stem)
-    with open(path) as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -198,7 +199,7 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
             )
         except MemoryError as exc:
             raise ValueError(f"{config.dataset}: {exc}") from exc
-    return synth_regression(_synthetic_spec(config), _parse_loss(config.loss))
+    return synth_regression(config.synthetic, _parse_loss(config.loss), config.seed, config.rows)
 
 
 class Reference(NamedTuple):
@@ -212,6 +213,7 @@ class Reference(NamedTuple):
     data_passes: int
 
 
+REFERENCE_METHOD = "adaptive-fgm"
 REFERENCE_PRECOND = "inverse"
 
 logger = logging.getLogger("polyprec")
@@ -230,13 +232,8 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     names the config.
     """
     passes = obj.data_passes
-    prec = build_from_descriptor(REFERENCE_PRECOND, obj.curvature)
-    guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-    run = run_adaptive_fgm(
-        obj,
-        prec,
-        SolverConfig(max_iters=_reference_budget(config), step_constant=guess, tol=1e-12),
-    )
+    solver_config = SolverConfig(max_iters=_reference_budget(config), tol=1e-12)
+    run = _execute(obj, REFERENCE_METHOD, REFERENCE_PRECOND, 0, solver_config)
     f_star = float(min(r.f_value for r in run.records))
     if run.termination == "max_iters":
         logger.warning(
@@ -278,24 +275,23 @@ def _reference_key(config: ExperimentConfig) -> tuple:
     return _problem_key(config) + (_reference_budget(config),)
 
 
-def _execute(config: ExperimentConfig, obj: CompositeObjective, f_star: float) -> RunResult:
-    solver_config = SolverConfig(
-        max_iters=config.max_iters,
-        gap_target=config.tol,
-        f_star=f_star if config.tol is not None else None,
-    )
-    if config.method == "krylov":
-        return run_krylov_gm(obj, solver_config, config.tau)
-    prec = build_from_descriptor(config.precond, obj.curvature)
-    if config.method in ("gm", "fgm"):
+def _execute(
+    obj: CompositeObjective, method: str, precond: str, tau: int, solver_config: SolverConfig
+) -> RunResult:
+    """Run ``method`` on ``obj``, setting ``solver_config``'s step constant (and
+    fgm's rho) as the method needs; the one dispatch of runs and references."""
+    if method == "krylov":
+        return run_krylov_gm(obj, solver_config, tau)
+    prec = build_from_descriptor(precond, obj.curvature)
+    if method in ("gm", "fgm"):
         bounds = compute_alpha_beta(prec, obj.curvature)
         solver_config.step_constant = bounds.beta * obj.L
-        if config.method == "fgm":
+        if method == "fgm":
             solver_config.rho = bounds.alpha * obj.mu
             return run_fgm(obj, prec, solver_config)
         return run_gm(obj, prec, solver_config)
     solver_config.step_constant = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-    if config.method == "adaptive-gm":
+    if method == "adaptive-gm":
         return run_adaptive_gm(obj, prec, solver_config)
     return run_adaptive_fgm(obj, prec, solver_config)
 
@@ -370,7 +366,8 @@ def run_experiment(
     reference = references[key]
     f_star = reference.f_star
     passes = obj.data_passes
-    run = _execute(config, obj, f_star)
+    solver_config = SolverConfig(max_iters=config.max_iters, gap_target=config.tol, f_star=f_star)
+    run = _execute(obj, config.method, config.precond, config.tau, solver_config)
     data_passes = obj.data_passes - passes
 
     # Made only now, so a run that fails before its first file leaves no directory.
@@ -378,16 +375,10 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_run_csv(out_dir / f"{config.name}.csv", run, f_star)
 
-    iterations_to_tol = None
-    if config.tol is not None:
-        for r in run.records:
-            if r.f_value - f_star <= config.tol:
-                iterations_to_tol = r.k
-                break
     summary = {
         "config": asdict(config),
         "iterations": run.iterations,
-        "iterations_to_tolerance": iterations_to_tol,
+        "iterations_to_tolerance": run.iterations if run.termination == "gap_target" else None,
         "total_matvecs": run.total_matvecs(),
         "termination": run.termination,
         "f_star_reference": f_star,
@@ -396,7 +387,7 @@ def run_experiment(
         "grad_evals": run.records[-1].grad_evals,
         "data_passes": data_passes,
         "reference": {
-            "method": "adaptive-fgm",
+            "method": REFERENCE_METHOD,
             "precond": REFERENCE_PRECOND,
             "iterations": reference.iterations,
             "termination": reference.termination,
@@ -451,8 +442,9 @@ def merge_plotdata(run_dir, out_path) -> int:
 
     Adds run/method/precond columns from the JSON summaries so the result
     plots directly; returns the number of runs merged. A JSON file that is
-    not a run summary (no ``config`` object) or has no CSV beside it is
-    skipped; one that is not JSON at all fails, naming the file.
+    not a run summary (no ``config`` object), whose run name is not a plain
+    file name, or whose CSV is missing or has another header is skipped; one
+    that is not JSON at all fails, naming the file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -470,11 +462,12 @@ def merge_plotdata(run_dir, out_path) -> int:
             continue
         name = config.get("name", summary_path.stem)
         csv_path = run_dir / f"{name}.csv"
-        if not csv_path.exists():
+        if not _is_plain_name(name) or not csv_path.exists():
             continue
         with open(csv_path, newline="") as ch:
             reader = csv.reader(ch)
-            next(reader)
+            if next(reader, None) != CSV_HEADER:
+                continue
             labels = [name, config.get("method", ""), config.get("precond", "")]
             rows += [labels + row for row in reader]
         merged += 1

@@ -119,10 +119,11 @@ class RunResult:
 
 
 class Step(NamedTuple):
-    """One accepted iteration as a method reports it to :func:`drive`."""
+    """One accepted iteration as a method reports it to :func:`drive`: the new
+    state, the squared step norm in the inverse-preconditioner metric, and M."""
 
     state: np.ndarray | FGMState
-    grad_map: float
+    step_sq: float
     M_k: float
     ls_trials: int = 0
 
@@ -141,8 +142,11 @@ def drive(
     :class:`FGMState` whose prox center starts at the start point too. The
     start is recorded as iteration 0 with constant ``M_0``; then the loop
     steps until the gap target, the gradient-map tolerance, the rounding
-    floor or the iteration cap stops it. Counters in the records are relative
-    to the start of the run, and a non-finite objective raises.
+    floor or the iteration cap stops it. The gap target is checked at every
+    record, the one at the cap included, so a run that meets it there ends as
+    ``"gap_target"``. Each record's gradient-map norm is ``M_k`` times the
+    step norm. Counters in the records are relative to the start of the run,
+    and a non-finite objective raises.
     """
     op = obj.curvature
     mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
@@ -170,9 +174,11 @@ def drive(
     record(0, f_value, np.inf, 0, M_0, 0.0)
     gap_rule = config.gap_target is not None and config.f_star is not None
     termination = "max_iters"
-    for k in range(config.max_iters):
+    for k in range(config.max_iters + 1):
         if gap_rule and f_value - config.f_star <= config.gap_target:
             termination = "gap_target"
+            break
+        if k == config.max_iters:
             break
         out = step(state)
         state = out.state
@@ -183,12 +189,13 @@ def drive(
                 f"{method}: objective became non-finite (step constant too small "
                 "for a fixed-step run, or the problem is unbounded)"
             )
+        grad_map = out.M_k * np.sqrt(max(out.step_sq, 0.0))
         A_k = state.A if accelerated else 0.0
-        record(k + 1, f_value, out.grad_map, out.ls_trials, out.M_k, A_k)
-        if config.tol > 0 and out.grad_map <= config.tol:
+        record(k + 1, f_value, grad_map, out.ls_trials, out.M_k, A_k)
+        if config.tol > 0 and grad_map <= config.tol:
             termination = "grad_map_tol"
             break
-        if config.tol > 0 and out.grad_map**2 <= ROUNDING_FLOOR * out.M_k * abs(f_value):
+        if config.tol > 0 and grad_map**2 <= ROUNDING_FLOOR * out.M_k * abs(f_value):
             termination = "rounding_floor"
             break
     return RunResult(method, records, x, termination)
@@ -249,7 +256,7 @@ def _doubling_search(obj: CompositeObjective, guess: float):
             state, x, y, g, step_sq, f_x = trial(M)
             if quadratic_growth_predicate(M, x, y, obj, g, step_sq, f_x):
                 guess = M / SHRINK_FACTOR
-                return Step(state, M * np.sqrt(max(step_sq, 0.0)), M, trials)
+                return Step(state, step_sq, M, trials)
             M *= GROWTH_FACTOR
         raise RuntimeError(
             "adaptive search exceeded the doubling cap; the objective or "
@@ -304,7 +311,7 @@ def run_gm(
 
     def step(x):
         y, step_sq = gradient_step_with_norm(M, prec, op, x, obj.gradient(x), obj.psi)
-        return Step(y, M * np.sqrt(max(step_sq, 0.0)), M)
+        return Step(y, step_sq, M)
 
     return drive("gm", obj, config, step, M)
 
@@ -348,7 +355,7 @@ def run_fgm(
 
     def step(state):
         state, _, _, step_sq = fgm_step(obj, prec, M, config.rho, state)
-        return Step(state, M * np.sqrt(max(step_sq, 0.0)), M)
+        return Step(state, step_sq, M)
 
     return drive("fgm", obj, config, step, M, accelerated=True)
 

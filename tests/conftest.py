@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, Polynomial
 
-from polyprec import DatasetMatrix, DenseOperator, PolynomialPreconditioner
+from polyprec import DatasetMatrix, DenseOperator, PolynomialPreconditioner, planted_spectrum
 from polyprec.datasets import _design_matrix
 
 
@@ -160,15 +160,17 @@ def validate_bounds(obj, trials: int, seed: int) -> BoundsReport:
     )
 
 
-def synth_classification_dataset(spec, flip: float = 0.2) -> DatasetMatrix:
+def synth_classification_dataset(
+    synthetic, seed: int = 0, rows: int | None = None, flip: float = 0.2
+) -> DatasetMatrix:
     """Generate a sign-labeled dataset with the requested curvature spectrum.
 
     Labels follow the planted margins with a fraction flipped outright, which
     keeps overdetermined instances non-separable (an interior optimum is what
     makes iteration counts to a fixed gap meaningful).
     """
-    rng = np.random.default_rng(spec.seed)
-    design, _ = _design_matrix(spec, rng)
+    rng = np.random.default_rng(seed)
+    design, _ = _design_matrix(planted_spectrum(synthetic, rows), rows, rng)
     m, _ = design.shape
     planted = rng.standard_normal(design.shape[1])
     margins = design @ planted

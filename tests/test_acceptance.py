@@ -16,7 +16,6 @@ from polyprec import (
     IdentityPreconditioner,
     LogisticLoss,
     SolverConfig,
-    SyntheticSpectrumSpec,
     build_sympoly,
     compute_alpha_beta,
     cutting_preconditioner,
@@ -281,8 +280,8 @@ def test_criterion_06_cutting_chebyshev_bounds():
 def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     """Iterations of the adaptive gradient method per preconditioner degree."""
     n = 100
-    spec = SyntheticSpectrumSpec(lam1=lam1, lam2=lam2, tail=1.0, n=n, seed=seed)
-    reference_obj = synth_regression(spec, HuberLoss(0.1))
+    synthetic = (lam1, lam2, 1.0, n)
+    reference_obj = synth_regression(synthetic, HuberLoss(0.1), seed)
     ref_prec = build_sympoly(reference_obj.curvature, 2, "exact")
     guess = initial_guess_M(reference_obj, ref_prec, np.zeros(n), 1.0)
     ref = run_adaptive_fgm(
@@ -293,7 +292,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     f_star = float(min(r.f_value for r in ref.records))
     counts = {}
     for tau in taus:
-        obj = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression(synthetic, HuberLoss(0.1), seed)
         prec = (
             build_sympoly(obj.curvature, tau, "exact") if tau else IdentityPreconditioner()
         )
@@ -360,10 +359,7 @@ def test_criterion_07b_gap_insensitivity_of_preconditioned_gm(huber_scans):
 @pytest.fixture(scope="module")
 def logistic_dataset_runs(tmp_path_factory):
     start = time.perf_counter()
-    spec = SyntheticSpectrumSpec(
-        lam1=300.0, lam2=60.0, tail=1.0, n=120, seed=11, rows=480
-    )
-    dataset = synth_classification_dataset(spec, flip=0.2)
+    dataset = synth_classification_dataset((300.0, 60.0, 1.0, 120), seed=11, rows=480, flip=0.2)
     path = tmp_path_factory.mktemp("logreg") / "synthetic.libsvm"
     write_libsvm(path, dataset.to_dense(), dataset.labels)
     parsed = parse_libsvm(path)
@@ -465,9 +461,9 @@ def test_criterion_10_validators():
     objectives.append(
         ("logistic", make_regression(rows, np.zeros(40), LogisticLoss()))
     )
-    spec = SyntheticSpectrumSpec(lam1=40.0, lam2=4.0, tail=1.0, n=15, seed=2)
-    objectives.append(("synthetic-huber", synth_regression(spec, HuberLoss(0.1))))
-    objectives.append(("synthetic-logistic", synth_regression(spec, LogisticLoss())))
+    synthetic = (40.0, 4.0, 1.0, 15)
+    objectives.append(("synthetic-huber", synth_regression(synthetic, HuberLoss(0.1), 2)))
+    objectives.append(("synthetic-logistic", synth_regression(synthetic, LogisticLoss(), 2)))
     worst_grad = 0.0
     ok = True
     for name, obj in objectives:

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import os
@@ -7,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,20 +22,20 @@ from polyprec import (
     HuberLoss,
     LogisticLoss,
     RunResult,
-    SyntheticSpectrumSpec,
     inverse_preconditioner,
     logistic_from_dataset,
     merge_plotdata,
     parse_config_file,
     parse_libsvm,
+    planted_spectrum,
     reference_optimum,
     run_experiment,
     spectral_decomposition,
     standardize_columns,
     synth_regression,
 )
-from polyprec.cli import main as cli_main
-from polyprec.experiments import build_problem, run_bench, write_run_csv
+from polyprec.cli import build_parser, main as cli_main
+from polyprec.experiments import CSV_HEADER, build_problem, run_bench, write_run_csv
 from polyprec.solvers import ROUNDING_FLOOR, IterationRecord
 from conftest import synth_classification_dataset, write_libsvm
 
@@ -151,6 +154,23 @@ class TestParseLibsvm:
         path = tmp_path / "nonfinite.txt"
         path.write_text(f"+1 1:0.5\n{line}\n")
         with pytest.raises(ValueError, match=f":2: non-finite {field}"):
+            parse_libsvm(path)
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"+1 1:1\n\xff\xfe 2:1\n", 2),
+            (b"+1 1:1\r\n-1 2:1\r\n+1 \xe9:1\r\n", 3),
+            (b"+1 1:1\r-1 2:1\r\r-1 1:\x80\r", 4),
+            # Past the first block and the first read, after a valid multibyte comment.
+            (b"# caf\xc3\xa9\n" + b"+1 1:1\n" * 1000 + b"-1 1:\xc3\n", 1002),
+        ],
+        ids=["lf", "crlf", "cr", "late"],
+    )
+    def test_undecodable_bytes_report_their_line(self, tmp_path, data, lineno):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: not UTF-8"):
             parse_libsvm(path)
 
     def test_nonmonotone_indices_rejected(self, tmp_path):
@@ -325,18 +345,33 @@ class TestStandardize:
 class TestSynthetic:
     def test_spectrum_round_trip(self):
         for seed in range(10):
-            spec = SyntheticSpectrumSpec(lam1=50.0, lam2=5.0, tail=1.0, n=12, seed=seed)
-            obj = synth_regression(spec, HuberLoss(0.1))
+            synthetic = (50.0, 5.0, 1.0, 12)
+            obj = synth_regression(synthetic, HuberLoss(0.1), seed)
             got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
-            assert np.allclose(got, spec.resolve(), rtol=1e-9, atol=1e-9)
+            assert np.allclose(got, planted_spectrum(synthetic), rtol=1e-9, atol=1e-9)
+
+    def test_planted_spectrum_sorts_the_pattern(self):
+        assert planted_spectrum((2.0, 12.0, 1.0, 5), rows=5).tolist() == [12, 2, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "synthetic, rows, message",
+        [
+            ((1.0, 1.0, 1.0, 1), None, "pattern spec needs n >= 2"),
+            ((12.0, 2.0, 0.0, 6), None, "spectrum must be finite and positive"),
+            ((np.inf, 2.0, 1.0, 6), None, "spectrum must be finite and positive"),
+            ((12.0, 2.0, 1.0, 6), 5, "rows must be at least the dimension 6, got 5"),
+        ],
+    )
+    def test_planted_spectrum_rejects(self, synthetic, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            planted_spectrum(synthetic, rows)
 
     def test_same_seed_same_problem(self):
-        spec = SyntheticSpectrumSpec(lam1=9.0, lam2=2.0, tail=1.0, n=6, seed=4)
-        a = synth_regression(spec, HuberLoss(0.1))
-        b = synth_regression(spec, HuberLoss(0.1))
+        a = synth_regression((9.0, 2.0, 1.0, 6), HuberLoss(0.1), 4)
+        b = synth_regression((9.0, 2.0, 1.0, 6), HuberLoss(0.1), 4)
         assert np.array_equal(a.curvature.design, b.curvature.design)
         # The targets enter the value and the gradient at any point.
-        x = np.linspace(-1.0, 1.0, spec.n)
+        x = np.linspace(-1.0, 1.0, 6)
         assert a.value(x) == b.value(x)
         assert np.array_equal(a.gradient(x), b.gradient(x))
 
@@ -344,33 +379,33 @@ class TestSynthetic:
     def test_design_scaling_matches_the_dense_product(self, n, seed):
         from polyprec.datasets import _design_matrix, _orthonormal
 
-        spec = SyntheticSpectrumSpec(lam1=300.0, lam2=20.0, tail=1.0, n=n, seed=seed)
+        lam = planted_spectrum((300.0, 20.0, 1.0, n))
         q = _orthonormal(np.random.default_rng(seed), (n, n))
-        expected = np.diag(np.sqrt(spec.resolve())) @ q.T
-        got, _ = _design_matrix(spec, np.random.default_rng(seed))
+        expected = np.diag(np.sqrt(lam)) @ q.T
+        got, _ = _design_matrix(lam, None, np.random.default_rng(seed))
         # The layout too: products with a column-major design round differently.
         assert got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
 
     def test_overdetermined_rows_exact_spectrum(self):
-        spec = SyntheticSpectrumSpec(lam1=20.0, lam2=4.0, tail=1.0, n=8, seed=2, rows=40)
-        obj = synth_regression(spec, LogisticLoss())
+        synthetic = (20.0, 4.0, 1.0, 8)
+        obj = synth_regression(synthetic, LogisticLoss(), seed=2, rows=40)
         assert obj.curvature.design.shape == (40, 8)
         got = np.sort(np.linalg.eigvalsh(obj.curvature.to_dense()))[::-1]
-        assert np.allclose(got, spec.resolve(), rtol=1e-9, atol=1e-9)
+        assert np.allclose(got, planted_spectrum(synthetic), rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize(
         "rows, loss",
         [(rows, loss) for rows in (None, 300) for loss in (HuberLoss(0.1), LogisticLoss())],
     )
     def test_kept_decomposition_is_the_grams(self, monkeypatch, rows, loss):
-        spec = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, seed=204, rows=rows)
-        op = synth_regression(spec, loss).curvature
+        synthetic = (1000, 300, 1, 100)
+        op = synth_regression(synthetic, loss, seed=204, rows=rows).curvature
         gram = op.to_dense()
         expected = np.sort(np.linalg.eigvalsh(gram))[::-1]
         monkeypatch.setattr(np.linalg, "eigh", None)  # the kept decomposition needs none
         dec = spectral_decomposition(op)
-        assert dec.eigenvalues.tobytes() == spec.resolve().tobytes()
+        assert dec.eigenvalues.tobytes() == planted_spectrum(synthetic).tobytes()
         assert np.allclose(dec.eigenvalues, expected, rtol=1e-10, atol=0.0)
         q = dec.eigenvectors
         assert np.allclose(q @ np.diag(dec.eigenvalues) @ q.T, gram, rtol=0.0, atol=1e-12)
@@ -379,8 +414,7 @@ class TestSynthetic:
                 array[0] = 0.0
 
     def test_classification_dataset_not_separable_tag(self):
-        spec = SyntheticSpectrumSpec(lam1=30.0, lam2=6.0, tail=1.0, n=10, seed=3, rows=50)
-        ds = synth_classification_dataset(spec, flip=0.25)
+        ds = synth_classification_dataset((30.0, 6.0, 1.0, 10), seed=3, rows=50, flip=0.25)
         assert ds.n_rows == 50
         assert set(np.unique(ds.labels)) == {-1.0, 1.0}
 
@@ -406,6 +440,32 @@ class TestExperiments:
         assert list(data.keys()) == [
             "iter", "fval", "gap", "matvecs", "grad_evals", "ls_trials", "M_k", "time_ms",
         ]
+
+    def test_gap_met_at_the_cap_is_reached(self, tmp_path):
+        # A fixed reference budget keeps f* the same across the budgets.
+        config = ExperimentConfig(
+            name="cap", synthetic=(40.0, 4.0, 1.0, 10), rows=50, max_iters=500, tol=1e-6,
+            reference_iters=2000, out_dir=str(tmp_path),
+        )
+        k = run_experiment(config)["iterations_to_tolerance"]
+        config.max_iters = k
+        summary = run_experiment(config)
+        assert summary["termination"] == "gap_target"
+        assert summary["iterations"] == summary["iterations_to_tolerance"] == k
+        config.max_iters = k - 1
+        summary = run_experiment(config)
+        assert (summary["termination"], summary["iterations_to_tolerance"]) == ("max_iters", None)
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_unmet_gap_has_no_iterations_to_tolerance(self, tmp_path, tol):
+        config = ExperimentConfig(
+            name="short", synthetic=(40.0, 4.0, 1.0, 10), rows=50, max_iters=3, tol=tol,
+            out_dir=str(tmp_path),
+        )
+        summary = run_experiment(config)
+        assert summary["termination"] == "max_iters"
+        assert summary["iterations_to_tolerance"] is None
+        assert json.loads((tmp_path / "short.json").read_text())["iterations_to_tolerance"] is None
 
     def test_run_builds_its_problem_once(self, tmp_path, monkeypatch):
         import polyprec.experiments as experiments
@@ -485,6 +545,37 @@ class TestExperiments:
         assert config.name == "cfgdemo"
         assert config.method == "fgm"
         assert config.synthetic == (30.0, 3.0, 1.0, 10)
+
+    def test_every_config_field_is_a_solve_flag_and_a_config_key(self, tmp_path):
+        names = {field.name for field in fields(ExperimentConfig)}
+        actions = build_parser()._actions
+        [commands] = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {action.dest for action in commands.choices["solve"]._actions}
+        assert names - flags == {"reference_iters"}
+        # One valid value per field, none its default; dataset and synthetic
+        # exclude each other, so two files.
+        files = [
+            {
+                "name": "every", "method": "fgm", "precond": "sympoly:2", "tau": "1",
+                "synthetic": "12,2,1,6", "rows": "20", "loss": "huber:0.2", "max_iters": "7",
+                "tol": "0.001", "seed": "3", "out_dir": "o", "reference_iters": "9",
+            },
+            {"dataset": "x.txt", "standardize": "no"},
+        ]
+        assert {key for keys in files for key in keys} == names
+        default = ExperimentConfig()
+        for i, values in enumerate(files):
+            path = tmp_path / f"{i}.cfg"
+            path.write_text("".join(f"{key} = {raw}\n" for key, raw in values.items()))
+            config = parse_config_file(path)
+            for key in values:
+                assert getattr(config, key) != getattr(default, key), key
+
+    def test_parse_config_undecodable_bytes_report_their_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"method = gm\r\n# caf\xc3\xa9\r\n\xff=1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not UTF-8"):
+            parse_config_file(path)
 
     def test_parse_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -795,8 +886,8 @@ class TestReference:
         runs = []
         execute = experiments._execute
 
-        def captured(config, obj, f_star):
-            runs.append(execute(config, obj, f_star))
+        def captured(*args):
+            runs.append(execute(*args))
             return runs[-1]
 
         monkeypatch.setattr(experiments, "_execute", captured)
@@ -807,7 +898,8 @@ class TestReference:
         run_experiment(config)
         summary = json.loads((tmp_path / "counts.json").read_text())
         columns = read_run_csv(tmp_path / "counts.csv")
-        records = runs[0].records
+        assert [run.method for run in runs] == ["adaptive-fgm", "adaptive-gm"]
+        records = runs[-1].records  # the reference runs first
         assert summary["f_evals"] == records[-1].f_evals
         assert summary["grad_evals"] == records[-1].grad_evals == columns["grad_evals"][-1]
         negative = summary["reference"]["negative_gaps"]
@@ -971,6 +1063,38 @@ class TestCLI:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "name, data, argv",
+        [
+            ("bad.txt", b"+1 1:1\n\xff\xfe 2:1\n", ["solve", "--dataset"]),
+            ("bad.cfg", b"method = gm\nmax_iters = 3\n\xff=1\n", ["bench"]),
+        ],
+    )
+    def test_undecodable_file_is_exit_one_with_its_line(self, tmp_path, capsys, name, data, argv):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli_main([*argv, str(path), "--out", str(tmp_path / "o")]) == 1
+        lineno = 2 if name == "bad.txt" else 3
+        assert capsys.readouterr().err.startswith(f"polyprec: error: {path}:{lineno}: not UTF-8")
+
+    def test_a9a_shaped_run_meets_its_gap_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's seed-1 file reaches a 1e-6 gap at iteration 51.
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", source)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        data = tmp_path / "a9a.txt"
+        workloads.write_a9a_like(data, 1)
+        argv = [
+            "solve", "--method", "adaptive-gm", "--precond", "sympoly:2", "--dataset", str(data),
+            "--max-iters", "51", "--tol", "1e-6", "--out", str(tmp_path),
+        ]
+        assert cli_main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["termination"] == "gap_target"
+        assert summary["iterations"] == summary["iterations_to_tolerance"] == 51
 
     def test_usage_error_is_exit_one(self):
         assert cli_main(["solve", "--method", "nope"]) == 1
@@ -1259,7 +1383,7 @@ class TestCLI:
         assert eig[0] == "index,eigenvalue"
         assert len(eig) == 11
         # The planted spectrum, bit for bit: no eigh rounds it.
-        planted = SyntheticSpectrumSpec(lam1=40, lam2=4, tail=1, n=10, seed=3).resolve()
+        planted = planted_spectrum((40, 4, 1, 10))
         got = read_run_csv(tmp_path / "eigenvalues.csv")["eigenvalue"]
         assert got.tobytes() == planted.tobytes()
         xi = (tmp_path / "xi_table.csv").read_text().splitlines()
@@ -1387,6 +1511,35 @@ class TestCLI:
         # Sorted before the run's summary, beside a CSV of its own stem.
         (runs / "a.json").write_text(json.dumps(report))
         (runs / "a.csv").write_text((runs / "one.csv").read_text())
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 0
+        assert "merged 1 runs" in capsys.readouterr().out
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"one"}
+
+    @pytest.mark.parametrize("name", ["../other", "..", "", "sub/other", 7, None])
+    def test_plotdata_skips_a_name_outside_the_directory(self, tmp_path, capsys, name):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "x.json").write_text(json.dumps({"config": {"name": name, "method": "gm"}}))
+        # A run CSV where the name points, so only the name rule skips it.
+        target = runs / f"{name}.csv"
+        target.parent.mkdir(exist_ok=True)
+        target.write_text(",".join(CSV_HEADER) + "\n0,1.0,0.5,0,0,0,1.0,0.1\n")
+        out = tmp_path / "m.csv"
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 0
+        assert "merged 0 runs" in capsys.readouterr().out
+        assert out.read_text().splitlines() == [",".join(["run", "method", "precond", *CSV_HEADER])]
+
+    @pytest.mark.parametrize("text", ["iter,fval\n0,1.0\n", "", "\n0,1.0\n"])
+    def test_plotdata_skips_a_csv_with_another_header(self, tmp_path, capsys, text):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "name = one\nmethod = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 4\n"
+        )
+        runs = tmp_path / "runs"
+        assert cli_main(["bench", str(cfg), "--out", str(runs)]) == 0
+        (runs / "a.json").write_text(json.dumps({"config": {"name": "a", "method": "gm"}}))
+        (runs / "a.csv").write_text(text)
         out = tmp_path / "m.csv"
         assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 0
         assert "merged 1 runs" in capsys.readouterr().out

@@ -10,7 +10,6 @@ from polyprec import (
     DenseOperator,
     HuberLoss,
     SolverConfig,
-    SyntheticSpectrumSpec,
     build_gram,
     build_sympoly,
     compute_alpha_beta,
@@ -187,8 +186,7 @@ class TestRunKrylovGM:
     def test_matvecs_follow_effective_degree(self):
         # On the gapped problem the gradient soon lies in the 98-fold tail
         # eigenspace, so most iterations need fewer than tau + 1 matvecs.
-        spec = SyntheticSpectrumSpec(1000.0, 300.0, 1.0, 100, seed=204)
-        obj = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression((1000.0, 300.0, 1.0, 100), HuberLoss(0.1), seed=204)
         run = run_krylov_gm(obj, SolverConfig(max_iters=200), 3)
         # An iteration of effective degree d spends d + 1 Lanczos products.
         degrees = np.diff([r.matvecs for r in run.records]) - 1

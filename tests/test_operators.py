@@ -11,7 +11,6 @@ from polyprec import (
     HuberLoss,
     MatvecOperator,
     PolynomialPreconditioner,
-    SyntheticSpectrumSpec,
     build_from_descriptor,
     compute_alpha_beta,
     elementary_symmetric,
@@ -386,8 +385,8 @@ class TestSpectralDecomposition:
             random_spd(rng, int(rng.integers(2, 30)), lam_low=0.1, lam_high=100.0)
             for _ in range(10)
         ]
-        gapped = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=100, rows=300, seed=204)
-        cases.append(synth_regression(gapped, HuberLoss(0.1)).curvature)
+        gapped = synth_regression((1000, 300, 1, 100), HuberLoss(0.1), seed=204, rows=300)
+        cases.append(gapped.curvature)
         for op in cases:
             dec = spectral_decomposition(op)
             q = dec.eigenvectors

@@ -7,7 +7,6 @@ from polyprec import (
     DenseOperator,
     IdentityPreconditioner,
     SolverConfig,
-    SyntheticSpectrumSpec,
     build_from_descriptor,
     build_sympoly,
     compute_alpha_beta,
@@ -295,8 +294,7 @@ class TestAdaptiveGM:
         # At the rounding floor the trial step y equals x while <g, Pg>/(2M)
         # has not yet underflowed; the general model must still accept it
         # instead of doubling M towards the cap.
-        spec = SyntheticSpectrumSpec(lam1=1000, lam2=300, tail=1, n=10, seed=0)
-        obj = synth_regression(spec, HuberLoss(0.1))
+        obj = synth_regression((1000, 300, 1, 10), HuberLoss(0.1), seed=0)
         prec = build_from_descriptor("cutting:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, step_constant=guess))
@@ -414,6 +412,16 @@ class TestLoopContract:
         assert gaps[-1] <= 1e-6
         assert np.all(gaps[:-1] > 1e-6)
 
+    def test_gap_target_met_at_the_cap(self, method):
+        # The record at the cap is checked too: a budget that ends on the
+        # iteration that meets the target reports the target.
+        _, free = self.run(method, max_iters=10_000, gap_target=1e-6)
+        k = free.iterations
+        _, capped = self.run(method, max_iters=k, gap_target=1e-6)
+        assert (capped.termination, capped.iterations) == ("gap_target", k)
+        _, short = self.run(method, max_iters=k - 1, gap_target=1e-6)
+        assert (short.termination, short.iterations) == ("max_iters", k - 1)
+
     def test_grad_map_tol_stops(self, method):
         _, run = self.run(method, max_iters=10_000, tol=1e-6)
         assert run.termination == "grad_map_tol"
@@ -426,8 +434,7 @@ class TestRoundingFloor:
     """A run with a tolerance stops once no step can lower f in floating point."""
 
     def run(self, tol):
-        spec = SyntheticSpectrumSpec(lam1=40, lam2=4, tail=1, n=10, rows=50, seed=0)
-        obj = synth_regression(spec, LogisticLoss())
+        obj = synth_regression((40, 4, 1, 10), LogisticLoss(), seed=0, rows=50)
         prec = build_from_descriptor("inverse", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         config = SolverConfig(max_iters=500, step_constant=guess, tol=tol)
