@@ -207,10 +207,11 @@ def _parse_block(lines):
 
 
 @contextmanager
-def open_utf8(path):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises a
-    ValueError naming ``path`` and the line that holds it."""
-    with open(path, encoding="utf-8") as handle:
+def open_utf8(path, newline=None):
+    """``path`` opened as UTF-8 text (``newline`` as :func:`open` takes it); a
+    byte that is not UTF-8 raises a ValueError naming ``path`` and the line
+    that holds it."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import _orthonormal
-from .krylov import run_krylov_gm
+from .experiments import _execute
 from .operators import DenseOperator, elementary_symmetric, spectral_decomposition
 from .preconditioners import (
     ChebyshevPreconditioner,
@@ -30,7 +30,7 @@ from .preconditioners import (
     xi_tau,
 )
 from .problems import make_quadratic
-from .solvers import RunResult, SolverConfig, run_fgm, run_gm
+from .solvers import RunResult, SolverConfig
 
 __all__ = [
     "CheckReport",
@@ -405,7 +405,8 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         _batch("chebyshev-bound-batch", {"trials": 10, "tol": 1e-10}, 1e-10, 10, chebyshev),
     ]
 
-    # Rate envelopes on one quadratic benchmark per preconditioner degree.
+    # Rate envelopes on one quadratic benchmark per preconditioner degree; the
+    # run dispatch steps at the beta L and alpha mu the envelopes assume.
     n = 20
     spectrum = np.logspace(0, 3, n)[::-1]
     B = _random_spd(rng, n, spectrum=spectrum)
@@ -413,21 +414,17 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     x0 = rng.standard_normal(n)
     R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
     for tau in (0, 1, 2):
-        prec = build_sympoly(B, tau, "exact")
-        bounds = compute_alpha_beta(prec, B)
-        for method, runner, envelopes, rho in (
-            ("gm", run_gm, gm_envelopes, 0.0),
-            ("fgm", run_fgm, fgm_envelopes, bounds.alpha * obj.mu),
-        ):
-            config = SolverConfig(max_iters=200, step_constant=bounds.beta * obj.L, rho=rho, x0=x0)
-            run = runner(obj, prec, config)
+        bounds = compute_alpha_beta(build_sympoly(B, tau, "exact"), B)
+        for method, envelopes in (("gm", gm_envelopes), ("fgm", fgm_envelopes)):
+            config = SolverConfig(max_iters=200, x0=x0)
+            run = _execute(obj, method, f"sympoly:{tau}", 0, config)
             checks = envelopes(run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star)
             for check in checks:
                 check.params = {"tau": tau, "method": method}
                 reports.append(check)
     # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
     for tau in (0, 1, 2):
-        run = run_krylov_gm(obj, SolverConfig(max_iters=200, x0=x0), tau)
+        run = _execute(obj, "krylov", "identity", tau, SolverConfig(max_iters=200, x0=x0))
         check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
         check.params = {"tau": tau, "method": "krylov"}
         reports.append(check)

@@ -278,22 +278,22 @@ def _reference_key(config: ExperimentConfig) -> tuple:
 def _execute(
     obj: CompositeObjective, method: str, precond: str, tau: int, solver_config: SolverConfig
 ) -> RunResult:
-    """Run ``method`` on ``obj``, setting ``solver_config``'s step constant (and
-    fgm's rho) as the method needs; the one dispatch of runs and references."""
+    """Run ``method`` on ``obj`` at the constants it needs; the one dispatch of
+    runs, references and the verify suite's envelope runs. gm and fgm take
+    M = beta L and fgm rho = alpha mu from the preconditioner's bounds; the
+    adaptive methods start from :func:`initial_guess_M` at the origin."""
     if method == "krylov":
         return run_krylov_gm(obj, solver_config, tau)
     prec = build_from_descriptor(precond, obj.curvature)
     if method in ("gm", "fgm"):
         bounds = compute_alpha_beta(prec, obj.curvature)
-        solver_config.step_constant = bounds.beta * obj.L
         if method == "fgm":
-            solver_config.rho = bounds.alpha * obj.mu
-            return run_fgm(obj, prec, solver_config)
-        return run_gm(obj, prec, solver_config)
-    solver_config.step_constant = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+            return run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu)
+        return run_gm(obj, prec, solver_config, bounds.beta * obj.L)
+    guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     if method == "adaptive-gm":
-        return run_adaptive_gm(obj, prec, solver_config)
-    return run_adaptive_fgm(obj, prec, solver_config)
+        return run_adaptive_gm(obj, prec, solver_config, guess)
+    return run_adaptive_fgm(obj, prec, solver_config, guess)
 
 
 def _write_atomic(path, fill):
@@ -444,7 +444,8 @@ def merge_plotdata(run_dir, out_path) -> int:
     plots directly; returns the number of runs merged. A JSON file that is
     not a run summary (no ``config`` object), whose run name is not a plain
     file name, or whose CSV is missing or has another header is skipped; one
-    that is not JSON at all fails, naming the file.
+    that is not JSON at all fails, naming the file. Both files are read as
+    UTF-8, and a byte that is not fails, naming the file and its line.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -452,11 +453,11 @@ def merge_plotdata(run_dir, out_path) -> int:
     merged = 0
     rows = []
     for summary_path in sorted(run_dir.glob("*.json")):
-        try:
-            with open(summary_path) as sh:
+        with open_utf8(summary_path) as sh:
+            try:
                 summary = json.load(sh)
-        except ValueError as exc:
-            raise ValueError(f"{summary_path}: {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{summary_path}: {exc}") from None
         config = summary.get("config") if isinstance(summary, dict) else None
         if not isinstance(config, dict):
             continue
@@ -464,7 +465,7 @@ def merge_plotdata(run_dir, out_path) -> int:
         csv_path = run_dir / f"{name}.csv"
         if not _is_plain_name(name) or not csv_path.exists():
             continue
-        with open(csv_path, newline="") as ch:
+        with open_utf8(csv_path, newline="") as ch:
             reader = csv.reader(ch)
             if next(reader, None) != CSV_HEADER:
                 continue

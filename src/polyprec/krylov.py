@@ -10,7 +10,7 @@ tau + 1 matvecs and gives a small, well-conditioned projected system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,4 +71,4 @@ def run_krylov_gm(obj: CompositeObjective, config: SolverConfig, tau: int) -> Ru
     """
     if obj.psi is not None:
         raise ValueError("krylov preconditioning handles the smooth case only")
-    return run_gm(obj, KrylovPreconditioner(tau), replace(config, step_constant=obj.L))
+    return run_gm(obj, KrylovPreconditioner(tau), config, obj.L)

@@ -104,10 +104,15 @@ class GramOperator(SymmetricOperator):
     """The Gram matrix of a data matrix, applied as two products with the data.
 
     A tall design (more rows than columns) is applied through its n x n Gram
-    matrix instead, formed once by :meth:`to_dense`; that matrix has fewer
-    entries than the design, so memory cannot grow. Either way one
-    application counts as a single matvec: the Gram matrix is the curvature
-    operator and its products are the unit of cost.
+    matrix instead, formed once by :meth:`to_dense`. A square or wide design
+    keeps the two products, which round alike at any BLAS thread count where
+    the formed Gram does not (on the planted n = 100 design of seed 204,
+    ``design.T @ design`` differs bitwise between one and two OpenBLAS
+    threads), so a synthetic run's CSV is the same at any count. Not forming
+    the Gram keeps memory from growing only for library callers: every
+    dataset run's reference forms it for its ``inverse`` preconditioner.
+    Either way one application counts as a single matvec: the Gram matrix is
+    the curvature operator and its products are the unit of cost.
 
     ``spectral``, when given, is the Gram's known eigendecomposition (a
     generator that planted the spectrum has it); the operator keeps it in

@@ -100,7 +100,6 @@ class CompositeObjective:
 
     def __init__(
         self,
-        n: int,
         value: Callable[[np.ndarray], float],
         gradient: Callable[[np.ndarray], np.ndarray],
         curvature: SymmetricOperator,
@@ -110,11 +109,8 @@ class CompositeObjective:
         f_star: float | None = None,
         x_star: np.ndarray | None = None,
     ):
-        if curvature.dim != n:
-            raise ValueError("curvature operator dimension does not match n")
         if not L > 0 or mu < 0 or mu > L:
             raise ValueError(f"need 0 <= mu <= L with L > 0, got mu={mu}, L={L}")
-        self.n = n
         self._value = value
         self._gradient = gradient
         self.curvature = curvature
@@ -126,6 +122,11 @@ class CompositeObjective:
         self.f_evals = 0
         self.grad_evals = 0
         self.data_passes = 0
+
+    @property
+    def n(self) -> int:
+        """The dimension, the curvature operator's."""
+        return self.curvature.dim
 
     def value(self, x: np.ndarray) -> float:
         self.f_evals += 1
@@ -208,7 +209,6 @@ def make_regression(
         return rows.T @ deriv
 
     obj = CompositeObjective(
-        n=rows.shape[1],
         value=value,
         gradient=gradient,
         curvature=curvature,
@@ -236,7 +236,6 @@ def make_quadratic(B: SymmetricOperator, b: np.ndarray) -> CompositeObjective:
         x_star = np.linalg.solve(B.to_dense(), b)
         f_star = -0.5 * float(b @ x_star)
     return CompositeObjective(
-        n=B.dim,
         value=value,
         gradient=gradient,
         curvature=B,

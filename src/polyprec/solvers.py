@@ -46,20 +46,16 @@ ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by all runs.
+    """A run's stopping rules and start point; each runner takes its constants.
 
-    ``step_constant`` is the fixed M of gm/fgm and the first guess of the
-    adaptive methods' doubling search. Stopping: optimality gap
-    against a known ``f_star``, gradient-map norm below ``tol``, or the
-    iteration cap; the first satisfied rule wins. A run with ``tol > 0``
-    also stops as ``"rounding_floor"`` once
+    Stopping: optimality gap against a known ``f_star``, gradient-map norm
+    below ``tol``, or the iteration cap; the first satisfied rule wins. A
+    run with ``tol > 0`` also stops as ``"rounding_floor"`` once
     ``grad_map**2 <= ROUNDING_FLOOR * M_k * |f|``: no further step can lower
     f in floating point.
     """
 
     max_iters: int = 1000
-    step_constant: float | None = None
-    rho: float = 0.0
     tol: float = 0.0
     gap_target: float | None = None
     f_star: float | None = None
@@ -140,7 +136,8 @@ def drive(
 
     The state is the iterate, or for ``accelerated`` methods an
     :class:`FGMState` whose prox center starts at the start point too. The
-    start is recorded as iteration 0 with constant ``M_0``; then the loop
+    start is recorded as iteration 0 with the run's constant ``M_0`` (gm/fgm's
+    M or the search's first guess), which must be positive; then the loop
     steps until the gap target, the gradient-map tolerance, the rounding
     floor or the iteration cap stops it. The gap target is checked at every
     record, the one at the cap included, so a run that meets it there ends as
@@ -148,6 +145,8 @@ def drive(
     step norm. Counters in the records are relative to the start of the run,
     and a non-finite objective raises.
     """
+    if not M_0 > 0:
+        raise ValueError(f"run requires a positive step constant, got {M_0}")
     op = obj.curvature
     mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
     records: list[IterationRecord] = []
@@ -266,13 +265,6 @@ def _doubling_search(obj: CompositeObjective, guess: float):
     return search
 
 
-def _step_constant(config: SolverConfig) -> float:
-    """The run's M: gm/fgm's fixed constant, or the adaptive search's first guess."""
-    if config.step_constant is None or config.step_constant <= 0:
-        raise ValueError("run requires a positive step_constant")
-    return config.step_constant
-
-
 def initial_guess_M(
     obj: CompositeObjective,
     prec: Preconditioner,
@@ -303,10 +295,9 @@ def initial_guess_M(
 
 
 def run_gm(
-    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
+    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M: float
 ) -> RunResult:
-    """Fixed-step preconditioned gradient method."""
-    M = _step_constant(config)
+    """Fixed-step preconditioned gradient method with step constant M."""
     op = obj.curvature
 
     def step(x):
@@ -348,31 +339,29 @@ def fgm_step(
 
 
 def run_fgm(
-    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
+    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M: float, rho: float = 0.0
 ) -> RunResult:
-    """Fixed-step preconditioned fast gradient method."""
-    M = _step_constant(config)
+    """Fixed-step preconditioned fast gradient method with constants M and rho."""
 
     def step(state):
-        state, _, _, step_sq = fgm_step(obj, prec, M, config.rho, state)
+        state, _, _, step_sq = fgm_step(obj, prec, M, rho, state)
         return Step(state, step_sq, M)
 
     return drive("fgm", obj, config, step, M, accelerated=True)
 
 
 def run_adaptive_gm(
-    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
+    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M0: float
 ) -> RunResult:
-    """Gradient method with doubling search on the step constant.
+    """Gradient method with doubling search on the step constant, from guess M0.
 
     Each iteration doubles the working constant until the quadratic-growth
     predicate accepts, then halves the starting guess for the next iteration.
     With no composite part the preconditioned gradient is computed once per
     iteration, so rejected trials cost one objective evaluation each.
     """
-    guess = _step_constant(config)
     op = obj.curvature
-    search = _doubling_search(obj, guess)
+    search = _doubling_search(obj, M0)
 
     def step(x):
         f_x = obj.value(x)
@@ -388,26 +377,25 @@ def run_adaptive_gm(
 
         return search(trial)
 
-    return drive("adaptive-gm", obj, config, step, guess)
+    return drive("adaptive-gm", obj, config, step, M0)
 
 
 def run_adaptive_fgm(
-    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig
+    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M0: float, rho: float = 0.0
 ) -> RunResult:
-    """Fast gradient method with doubling search on the step constant.
+    """Fast gradient method with doubling search on the step constant, from guess M0.
 
     A trial recomputes the entire step (the accumulation weight depends on
     the working constant), tests the predicate at the interpolation point,
     and only an accepted trial advances the state.
     """
-    guess = _step_constant(config)
-    search = _doubling_search(obj, guess)
+    search = _doubling_search(obj, M0)
 
     def step(state):
         def trial(M):
-            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, config.rho, state)
+            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, rho, state)
             return candidate, y, candidate.x, g_y, step_sq, None
 
         return search(trial)
 
-    return drive("adaptive-fgm", obj, config, step, guess, accelerated=True)
+    return drive("adaptive-fgm", obj, config, step, M0, accelerated=True)

@@ -117,9 +117,7 @@ def test_criterion_03_rate_envelopes():
             prec = build_sympoly(B, tau, "exact") if tau else IdentityPreconditioner()
             bounds = compute_alpha_beta(prec, B)
             obj = make_quadratic(B, B.matvec(obj_template.x_star))
-            gm_run = run_gm(
-                obj, prec, SolverConfig(max_iters=500, step_constant=bounds.beta, x0=x0)
-            )
+            gm_run = run_gm(obj, prec, SolverConfig(max_iters=500, x0=x0), bounds.beta)
             for check in gm_envelopes(
                 gm_run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
             ):
@@ -129,12 +127,9 @@ def test_criterion_03_rate_envelopes():
             fgm_run = run_fgm(
                 obj,
                 prec,
-                SolverConfig(
-                    max_iters=500,
-                    step_constant=bounds.beta,
-                    rho=bounds.alpha * obj.mu,
-                    x0=x0,
-                ),
+                SolverConfig(max_iters=500, x0=x0),
+                bounds.beta,
+                bounds.alpha * obj.mu,
             )
             for check in fgm_envelopes(
                 fgm_run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
@@ -162,7 +157,9 @@ def test_criterion_04_fgm_internals():
         run = run_fgm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=400, step_constant=M, rho=rho, x0=np.ones(n)),
+            SolverConfig(max_iters=400, x0=np.ones(n)),
+            M,
+            rho,
         )
         prev_A = 0.0
         for record in run.records[1:]:
@@ -287,7 +284,8 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     ref = run_adaptive_fgm(
         reference_obj,
         ref_prec,
-        SolverConfig(max_iters=6000, step_constant=guess, tol=1e-13),
+        SolverConfig(max_iters=6000, tol=1e-13),
+        guess,
     )
     f_star = float(min(r.f_value for r in ref.records))
     counts = {}
@@ -300,12 +298,8 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
         run = run_adaptive_gm(
             obj,
             prec,
-            SolverConfig(
-                max_iters=40_000,
-                step_constant=guess,
-                gap_target=gap,
-                f_star=f_star,
-            ),
+            SolverConfig(max_iters=40_000, gap_target=gap, f_star=f_star),
+            guess,
         )
         assert run.termination == "gap_target"
         counts[tau] = run.iterations
@@ -372,7 +366,8 @@ def logistic_dataset_runs(tmp_path_factory):
     ref = run_adaptive_fgm(
         ref_obj,
         ref_prec,
-        SolverConfig(max_iters=15_000, step_constant=guess, tol=1e-13),
+        SolverConfig(max_iters=15_000, tol=1e-13),
+        guess,
     )
     f_star = float(min(r.f_value for r in ref.records))
 
@@ -383,24 +378,14 @@ def logistic_dataset_runs(tmp_path_factory):
         prec = build_sympoly(obj.curvature, tau, "exact") if tau else IdentityPreconditioner()
         bounds = compute_alpha_beta(prec, obj.curvature)
         bounds_by_tau[tau] = bounds
-        config = SolverConfig(
-            max_iters=40_000,
-            step_constant=bounds.beta * obj.L,
-            gap_target=1e-6,
-            f_star=f_star,
-        )
-        run = run_gm(obj, prec, config)
+        config = SolverConfig(max_iters=40_000, gap_target=1e-6, f_star=f_star)
+        run = run_gm(obj, prec, config, bounds.beta * obj.L)
         assert run.termination == "gap_target"
         iters[f"gm-{tau}"] = run.iterations
 
         obj = make_obj()
-        config = SolverConfig(
-            max_iters=40_000,
-            step_constant=bounds.beta * obj.L,
-            gap_target=1e-6,
-            f_star=f_star,
-        )
-        run = run_fgm(obj, prec, config)
+        config = SolverConfig(max_iters=40_000, gap_target=1e-6, f_star=f_star)
+        run = run_fgm(obj, prec, config, bounds.beta * obj.L)
         assert run.termination == "gap_target"
         iters[f"fgm-{tau}"] = run.iterations
 
@@ -438,7 +423,7 @@ def test_criterion_09_adaptive_efficiency(logistic_dataset_runs):
     beta_L = bounds_by_tau[0].beta * obj.L
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
     assert guess <= beta_L * (1.0 + 1e-9)
-    run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=200, step_constant=guess))
+    run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=200), guess)
     avg_trials = run.total_ls_trials() / run.iterations
     max_M = max(r.M_k for r in run.records[1:])
     ok = avg_trials <= 2.5 and max_M <= 2.0 * beta_L * (1.0 + 1e-12)

@@ -184,9 +184,7 @@ class TestEnvelopes:
         for tau in (0, 1):
             prec = build_sympoly(B, tau, "exact") if tau else IdentityPreconditioner()
             bounds = compute_alpha_beta(prec, B)
-            run = run_gm(
-                obj, prec, SolverConfig(max_iters=300, step_constant=bounds.beta, x0=x0)
-            )
+            run = run_gm(obj, prec, SolverConfig(max_iters=300, x0=x0), bounds.beta)
             R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
             checks = gm_envelopes(
                 run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star
@@ -214,7 +212,8 @@ class TestEnvelopes:
         run = run_gm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=3, step_constant=bounds.beta, x0=obj.x_star.copy()),
+            SolverConfig(max_iters=3, x0=obj.x_star.copy()),
+            bounds.beta,
         )
         checks = gm_envelopes(run, bounds.alpha, bounds.beta, 1.0, 1.0, 0.0, obj.f_star)
         assert all(c.passed for c in checks)
@@ -226,12 +225,9 @@ class TestEnvelopes:
         run = run_fgm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(
-                max_iters=300,
-                step_constant=bounds.beta,
-                rho=bounds.alpha,
-                x0=x0,
-            ),
+            SolverConfig(max_iters=300, x0=x0),
+            bounds.beta,
+            bounds.alpha,
         )
         R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
         checks = fgm_envelopes(
@@ -252,7 +248,9 @@ class TestEnvelopes:
         run = run_fgm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=100, step_constant=bounds.beta, rho=0.0, x0=x0),
+            SolverConfig(max_iters=100, x0=x0),
+            bounds.beta,
+            0.0,
         )
         checks = fgm_envelopes(run, bounds.alpha, bounds.beta, 1.0, 0.0, 1.0, obj.f_star)
         assert {c.check for c in checks} == {"fgm-convex", "fgm-weight-growth"}
@@ -272,7 +270,8 @@ class TestEnvelopes:
         run = run_gm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=20, step_constant=bounds.beta, x0=x0),
+            SolverConfig(max_iters=20, x0=x0),
+            bounds.beta,
         )
         before = [r.f_value for r in run.records]
         gm_envelopes(run, bounds.alpha, bounds.beta, 1.0, 1.0, 1.0, obj.f_star)

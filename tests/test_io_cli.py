@@ -1448,6 +1448,20 @@ class TestCLI:
         assert [entry["params"]["tau"] for entry in krylov] == [0, 1, 2]
         assert all(entry["advisory"] and entry["pass"] for entry in krylov)
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "95e6234fe01f2adff1ce7a22eb39607bd56580924a7fd6902361cacc2dad24ef"),
+            (7, "a11ddff150549337b6244256beae410053e60db462cfefbdee9162c16ee44c07"),
+        ],
+    )
+    def test_verify_report_pinned(self, tmp_path, seed, digest):
+        # The whole report, bit for bit: every slack of the identity batches
+        # and every envelope run's gaps feed it, at one and two BLAS threads.
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_verify_negative_seed_is_exit_one(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert cli_main(["verify", "--seed", "-1", "--out", str(out)]) == 1
@@ -1530,6 +1544,24 @@ class TestCLI:
         assert "merged 0 runs" in capsys.readouterr().out
         assert out.read_text().splitlines() == [",".join(["run", "method", "precond", *CSV_HEADER])]
 
+    def test_plotdata_undecodable_csv_reports_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "name = one\nmethod = gm\nsynthetic = 12,2,1,6\nloss = huber:0.1\nmax_iters = 4\n"
+        )
+        runs = tmp_path / "runs"
+        assert cli_main(["bench", str(cfg), "--out", str(runs)]) == 0
+        (runs / "two.json").write_text(json.dumps({"config": {"name": "two", "method": "gm"}}))
+        two = runs / "two.csv"
+        two.write_bytes(",".join(CSV_HEADER).encode() + b"\r\n0,1.0,0.5,0,0,0,\xff,0.1\r\n")
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"polyprec: error: {two}:2: not UTF-8 (invalid start byte)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["iter,fval\n0,1.0\n", "", "\n0,1.0\n"])
     def test_plotdata_skips_a_csv_with_another_header(self, tmp_path, capsys, text):
         cfg = tmp_path / "one.cfg"
@@ -1561,11 +1593,11 @@ class TestCLI:
         assert header.startswith("run,method,precond,iter")
 
     @pytest.mark.parametrize(
-        "text",
-        ["", "not json\n", '{"config": {', "\udcff"],
+        "text, after",
+        [("", ": "), ("not json\n", ": "), ('{"config": {', ": "), ("\udcff", ":1: not UTF-8 (")],
         ids=["empty", "text", "truncated", "not-utf8"],
     )
-    def test_plotdata_unreadable_json_is_exit_one(self, tmp_path, capsys, text):
+    def test_plotdata_unreadable_json_is_exit_one(self, tmp_path, capsys, text, after):
         runs = tmp_path / "runs"
         runs.mkdir()
         junk = runs / "junk.json"
@@ -1573,7 +1605,7 @@ class TestCLI:
         out = tmp_path / "m.csv"
         assert cli_main(["plotdata", str(runs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"polyprec: error: {junk}: ")
+        assert err.startswith(f"polyprec: error: {junk}{after}")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -218,7 +218,7 @@ class TestMakeRegression:
         prec = build_from_descriptor("sympoly:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         loss.calls = 0
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20, step_constant=guess))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=20), guess)
         assert run.iterations == 20
         # The start point once, then one evaluation per line-search trial: the
         # accepted trial's value and gradient serve the telemetry and next step.

@@ -82,9 +82,9 @@ class TestRunGM:
     def test_descent_and_contraction(self, rng):
         B = DenseOperator(np.diag([3.0, 2.0, 1.0]))
         obj = make_quadratic(B, np.zeros(3))
-        config = SolverConfig(max_iters=60, step_constant=3.0, x0=np.ones(3))
+        config = SolverConfig(max_iters=60, x0=np.ones(3))
         iterates = record_iterates(obj)
-        run = run_gm(obj, IdentityPreconditioner(), config)
+        run = run_gm(obj, IdentityPreconditioner(), config, 3.0)
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-14)
         dists = [np.linalg.norm(x) for x in iterates]  # x* = 0
@@ -93,32 +93,27 @@ class TestRunGM:
     def test_stationary_start(self, rng):
         B = random_spd(rng, 4)
         obj = make_quadratic(B, rng.standard_normal(4))
-        config = SolverConfig(max_iters=5, step_constant=2.0, x0=obj.x_star.copy())
-        run = run_gm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=5, x0=obj.x_star.copy())
+        run = run_gm(obj, IdentityPreconditioner(), config, 2.0)
         assert np.allclose(run.x, obj.x_star, atol=1e-12)
 
     def test_gap_target_stops(self, rng):
         obj = gapped_quadratic(rng, n=6, cond=10)
         config = SolverConfig(
             max_iters=10_000,
-            step_constant=compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta,
             gap_target=1e-6,
             f_star=obj.f_star,
             x0=np.ones(6),
         )
-        run = run_gm(obj, IdentityPreconditioner(), config)
+        M = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta
+        run = run_gm(obj, IdentityPreconditioner(), config, M)
         assert run.termination == "gap_target"
         assert run.records[-1].f_value - obj.f_star <= 1e-6
 
-    def test_requires_step_constant(self, rng):
-        obj = gapped_quadratic(rng, n=4, cond=10)
-        with pytest.raises(ValueError, match="step_constant"):
-            run_gm(obj, IdentityPreconditioner(), SolverConfig())
-
     def test_record_budget(self, rng):
         obj = gapped_quadratic(rng, n=4, cond=10)
-        config = SolverConfig(max_iters=17, step_constant=50.0)
-        run = run_gm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=17)
+        run = run_gm(obj, IdentityPreconditioner(), config, 50.0)
         assert len(run.records) <= config.max_iters + 1
 
 
@@ -126,8 +121,8 @@ class TestRunFGM:
     def test_weight_growth_convex(self, rng):
         obj = gapped_quadratic(rng)
         M = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta
-        config = SolverConfig(max_iters=150, step_constant=M, x0=np.ones(10))
-        run = run_fgm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=150, x0=np.ones(10))
+        run = run_fgm(obj, IdentityPreconditioner(), config, M)
         for record in run.records[1:]:
             assert record.A_k >= record.k**2 / (4.0 * M) * (1.0 - 1e-12)
 
@@ -136,8 +131,8 @@ class TestRunFGM:
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         M = bounds.beta
         rho = bounds.alpha  # mu = 1
-        config = SolverConfig(max_iters=150, step_constant=M, rho=rho, x0=np.ones(10))
-        run = run_fgm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=150, x0=np.ones(10))
+        run = run_fgm(obj, IdentityPreconditioner(), config, M, rho)
         q = np.sqrt(rho / M)
         for record in run.records[1:]:
             floor = 1.0 / (M * (1.0 - q) ** (record.k - 1))
@@ -146,10 +141,8 @@ class TestRunFGM:
     def test_coefficient_identity_every_iteration(self, rng):
         obj = gapped_quadratic(rng)
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
-        config = SolverConfig(
-            max_iters=100, step_constant=bounds.beta, rho=bounds.alpha, x0=np.ones(10)
-        )
-        run = run_fgm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=100, x0=np.ones(10))
+        run = run_fgm(obj, IdentityPreconditioner(), config, bounds.beta, bounds.alpha)
         M = bounds.beta
         rho = bounds.alpha
         prev_A = 0.0
@@ -167,9 +160,9 @@ class TestRunFGM:
         bounds = compute_alpha_beta(prec, obj.curvature)
         M = bounds.beta
         rho = bounds.alpha
-        config = SolverConfig(max_iters=80, step_constant=M, rho=rho, x0=np.ones(8))
+        config = SolverConfig(max_iters=80, x0=np.ones(8))
         iterates = record_iterates(obj)
-        run = run_fgm(obj, prec, config)
+        run = run_fgm(obj, prec, config, M, rho)
         # Prox centres from the records: x_k = (1 - theta_k) x_{k-1} + theta_k v_k
         # with theta_k = (A_k - A_{k-1}) / A_k, and v_0 = x_0.
         centres = [iterates[0]]
@@ -218,13 +211,11 @@ class TestRunFGM:
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         config = SolverConfig(
             max_iters=2000,
-            step_constant=bounds.beta,
-            rho=bounds.alpha,
             gap_target=1e-9,
             f_star=obj.f_star,
             x0=np.ones(10),
         )
-        run = run_fgm(obj, IdentityPreconditioner(), config)
+        run = run_fgm(obj, IdentityPreconditioner(), config, bounds.beta, bounds.alpha)
         assert run.termination == "gap_target"
 
 
@@ -260,33 +251,31 @@ class TestAdaptiveGM:
         obj = gapped_quadratic(rng, n=8, cond=100)
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
         beta_L = bounds.beta * obj.L
-        config = SolverConfig(max_iters=100, step_constant=beta_L / 8, x0=np.ones(8))
-        run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=100, x0=np.ones(8))
+        run = run_adaptive_gm(obj, IdentityPreconditioner(), config, beta_L / 8)
         assert all(r.M_k <= 2.0 * beta_L * (1.0 + 1e-12) for r in run.records[1:])
 
     def test_exact_guess_accepts_immediately(self, rng):
         obj = gapped_quadratic(rng, n=6, cond=50)
         bounds = compute_alpha_beta(IdentityPreconditioner(), obj.curvature)
-        config = SolverConfig(
-            max_iters=1, step_constant=bounds.beta * obj.L, x0=np.ones(6)
-        )
-        run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=1, x0=np.ones(6))
+        run = run_adaptive_gm(obj, IdentityPreconditioner(), config, bounds.beta * obj.L)
         assert run.records[1].ls_trials == 1  # zero doublings
 
     def test_average_trials_small_logistic(self, rng):
         obj = logistic_bench(rng)
         prec = IdentityPreconditioner()
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=200, step_constant=guess)
-        run = run_adaptive_gm(obj, prec, config)
+        config = SolverConfig(max_iters=200)
+        run = run_adaptive_gm(obj, prec, config, guess)
         avg = run.total_ls_trials() / run.iterations
         assert avg <= 2.5
 
     def test_descent(self, rng):
         obj = logistic_bench(rng)
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=50, step_constant=guess)
-        run = run_adaptive_gm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=50)
+        run = run_adaptive_gm(obj, IdentityPreconditioner(), config, guess)
         values = run.f_values()
         assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
 
@@ -297,7 +286,7 @@ class TestAdaptiveGM:
         obj = synth_regression((1000, 300, 1, 10), HuberLoss(0.1), seed=0)
         prec = build_from_descriptor("cutting:2", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600, step_constant=guess))
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600), guess)
         assert max(r.ls_trials for r in run.records) <= 10
 
 
@@ -311,15 +300,9 @@ class TestAdaptiveFGM:
         x0 = np.full(5, 3.0)
         fixed_iterates = record_iterates(obj_fixed)
         adapt_iterates = record_iterates(obj_adapt)
-        run_fgm(
-            obj_fixed,
-            IdentityPreconditioner(),
-            SolverConfig(max_iters=30, step_constant=2.0, x0=x0),
-        )
+        run_fgm(obj_fixed, IdentityPreconditioner(), SolverConfig(max_iters=30, x0=x0), 2.0)
         run_adaptive_fgm(
-            obj_adapt,
-            IdentityPreconditioner(),
-            SolverConfig(max_iters=30, step_constant=2.0, x0=x0),
+            obj_adapt, IdentityPreconditioner(), SolverConfig(max_iters=30, x0=x0), 2.0
         )
         assert len(fixed_iterates) == len(adapt_iterates) == 31
         for xf, xa in zip(fixed_iterates, adapt_iterates):
@@ -343,33 +326,44 @@ class TestAdaptiveFGM:
         beta_L = bounds.beta * obj.L
         guess = initial_guess_M(obj, IdentityPreconditioner(), np.zeros(obj.n), 1.0)
         assert guess <= beta_L * (1.0 + 1e-9)
-        config = SolverConfig(max_iters=100, step_constant=guess)
-        run = run_adaptive_fgm(obj, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=100)
+        run = run_adaptive_fgm(obj, IdentityPreconditioner(), config, guess)
         for record in run.records[1:]:
             assert record.A_k >= record.k**2 / (16.0 * beta_L) * (1.0 - 1e-12)
 
     def test_determinism(self, rng):
         obj_a = logistic_bench(np.random.default_rng(5))
         obj_b = logistic_bench(np.random.default_rng(5))
-        config = SolverConfig(max_iters=40, step_constant=1.0)
-        run_a = run_adaptive_fgm(obj_a, IdentityPreconditioner(), config)
-        run_b = run_adaptive_fgm(obj_b, IdentityPreconditioner(), config)
+        config = SolverConfig(max_iters=40)
+        run_a = run_adaptive_fgm(obj_a, IdentityPreconditioner(), config, 1.0)
+        run_b = run_adaptive_fgm(obj_b, IdentityPreconditioner(), config, 1.0)
         for ra, rb in zip(run_a.records, run_b.records):
             assert ra.f_value == rb.f_value
             assert ra.M_k == rb.M_k
             assert ra.matvecs == rb.matvecs
 
 
-def run_method(method, obj, config):
+RUNNERS = {
+    "gm": run_gm,
+    "fgm": run_fgm,
+    "adaptive-gm": run_adaptive_gm,
+    "adaptive-fgm": run_adaptive_fgm,
+}
+
+
+def run_method(method, obj, config, M):
+    """Run ``method`` at constant ``M``; krylov picks its own, L."""
     if method == "krylov":
         return run_krylov_gm(obj, config, 2)
-    runner = {
-        "gm": run_gm,
-        "fgm": run_fgm,
-        "adaptive-gm": run_adaptive_gm,
-        "adaptive-fgm": run_adaptive_fgm,
-    }[method]
-    return runner(obj, IdentityPreconditioner(), config)
+    return RUNNERS[method](obj, IdentityPreconditioner(), config, M)
+
+
+@pytest.mark.parametrize("method", list(RUNNERS))
+@pytest.mark.parametrize("M", [0, -1])
+def test_runners_reject_a_non_positive_constant(method, M):
+    obj = gapped_quadratic(np.random.default_rng(7), n=4, cond=10)
+    with pytest.raises(ValueError, match=f"^run requires a positive step constant, got {M}$"):
+        RUNNERS[method](obj, IdentityPreconditioner(), SolverConfig(max_iters=3), M)
 
 
 @pytest.mark.parametrize("method", ["gm", "fgm", "adaptive-gm", "adaptive-fgm", "krylov"])
@@ -381,13 +375,13 @@ class TestLoopContract:
         beta_L = compute_alpha_beta(IdentityPreconditioner(), obj.curvature).beta * obj.L
         # gm/fgm step with the fixed beta*L; the adaptive searches start below it.
         M = beta_L if method in ("gm", "fgm") else beta_L / 4
-        options = dict(step_constant=M, x0=np.ones(6), f_star=obj.f_star)
+        options = dict(x0=np.ones(6), f_star=obj.f_star)
         options.update(overrides)
-        return obj, SolverConfig(**options)
+        return obj, SolverConfig(**options), M
 
     def run(self, method, **overrides):
-        obj, config = self.problem(method, **overrides)
-        return obj, run_method(method, obj, config)
+        obj, config, M = self.problem(method, **overrides)
+        return obj, run_method(method, obj, config, M)
 
     def test_start_record(self, method):
         _, run = self.run(method, max_iters=3)
@@ -398,9 +392,9 @@ class TestLoopContract:
 
     def test_one_readout_per_record(self, method):
         # record_iterates (conftest) relies on one objective readout per record.
-        obj, config = self.problem(method, max_iters=5)
+        obj, config, M = self.problem(method, max_iters=5)
         iterates = record_iterates(obj)
-        run = run_method(method, obj, config)
+        run = run_method(method, obj, config, M)
         assert len(iterates) == len(run.records)
         assert np.array_equal(iterates[0], np.ones(6))
         assert np.array_equal(iterates[-1], run.x)
@@ -437,8 +431,8 @@ class TestRoundingFloor:
         obj = synth_regression((40, 4, 1, 10), LogisticLoss(), seed=0, rows=50)
         prec = build_from_descriptor("inverse", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        config = SolverConfig(max_iters=500, step_constant=guess, tol=tol)
-        return run_adaptive_fgm(obj, prec, config)
+        config = SolverConfig(max_iters=500, tol=tol)
+        return run_adaptive_fgm(obj, prec, config, guess)
 
     def test_unreachable_tolerance_stops_at_floor(self):
         run = self.run(tol=1e-300)
@@ -459,7 +453,7 @@ class TestCostAccounting:
         B = obj.curvature
         prec = build_sympoly(B, 2, "exact")
         beta = compute_alpha_beta(prec, B).beta
-        run = run_gm(obj, prec, SolverConfig(max_iters=10, step_constant=beta * obj.L))
+        run = run_gm(obj, prec, SolverConfig(max_iters=10), beta * obj.L)
         # One gradient and a degree-2 apply per iteration.
         assert run.total_matvecs() == 10 * 3
 
@@ -494,7 +488,8 @@ class TestCompositeRuns:
         run = run_gm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=4000, step_constant=bounds.beta, x0=np.ones(5)),
+            SolverConfig(max_iters=4000, x0=np.ones(5)),
+            bounds.beta,
         )
         assert np.allclose(run.x, target, atol=1e-8)
 
@@ -504,7 +499,8 @@ class TestCompositeRuns:
         run = run_adaptive_fgm(
             obj,
             IdentityPreconditioner(),
-            SolverConfig(max_iters=600, step_constant=0.5, x0=np.ones(5)),
+            SolverConfig(max_iters=600, x0=np.ones(5)),
+            0.5,
         )
         assert np.allclose(run.x, target, atol=1e-8)
 
@@ -520,7 +516,6 @@ class TestInitialGuess:
         op = random_spd(rng, 3)
         c = rng.standard_normal(3)
         obj = CompositeObjective(
-            n=3,
             value=lambda x: float(c @ x),
             gradient=lambda x: c,
             curvature=op,
