@@ -143,9 +143,10 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--precond",
         help="identity | sympoly:T | sympoly:T:stochastic[:S[:SEED]] | chebyshev:T | "
-        "cutting:T | inverse",
+        "cutting:T | inverse; stochastic traces use S=256 probe vectors and SEED=0 "
+        "unless given",
     )
-    solve.add_argument("--tau", type=int, help="krylov subspace degree")
+    solve.add_argument("--tau", type=int, help="krylov subspace degree (krylov method only)")
     _add_problem_flags(solve)
     solve.add_argument("--max-iters", type=int)
     solve.add_argument("--tol", type=float, help="optimality-gap target")

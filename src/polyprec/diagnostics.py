@@ -23,7 +23,7 @@ from .operators import DenseOperator, elementary_symmetric, spectral_decompositi
 from .preconditioners import (
     ChebyshevPreconditioner,
     PolynomialPreconditioner,
-    build_sympoly,
+    build_from_descriptor,
     compute_alpha_beta,
     cutting_preconditioner,
     gamma_of_polynomial,
@@ -97,7 +97,7 @@ def verify_lemma_spec(B: DenseOperator, tau: int) -> float:
         raise ValueError("verifier is desk-scale; need n <= 64")
     dec = spectral_decomposition(B)
     lam = dec.eigenvalues
-    prec = build_sympoly(B, tau, "exact")
+    prec = build_from_descriptor(f"sympoly:{tau}", B)
     worst = 0.0
     for i, q_i in enumerate(dec.eigenvectors.T):
         sigma = _sigma_removed(lam, i, tau)
@@ -112,7 +112,7 @@ def verify_adjugate(B: DenseOperator) -> float:
     if n > 10:
         raise ValueError("verifier is desk-scale; need n <= 10")
     mat = B.to_dense()
-    built = _dense_polynomial(build_sympoly(B, n - 1, "exact"), B)
+    built = _dense_polynomial(build_from_descriptor(f"sympoly:{n - 1}", B), B)
     target = np.linalg.det(mat) * np.linalg.inv(mat)
     return float(np.linalg.norm(built - target) / np.linalg.norm(target))
 
@@ -126,7 +126,7 @@ def verify_sandwich(B: DenseOperator, tau: int) -> float:
     """
     dec = spectral_decomposition(B)
     lam = dec.eigenvalues
-    prec = build_sympoly(B, tau, "exact")
+    prec = build_from_descriptor(f"sympoly:{tau}", B)
     vals = lam * prec.eval_at(lam) * prec.scale
     lower = lam[-1] * _sigma_removed(lam, lam.size - 1, tau)
     upper = lam[0] * _sigma_removed(lam, 0, tau)
@@ -164,7 +164,7 @@ def volume_sampling_expectation(B: DenseOperator, m: int) -> float:
     if not 1 <= m <= B.dim:
         raise ValueError(f"need 1 <= m <= n, got m={m}")
     expectation = _volume_expectation(B.to_dense(), m)
-    reference = _dense_polynomial(build_sympoly(B, m - 1, "exact"), B)
+    reference = _dense_polynomial(build_from_descriptor(f"sympoly:{m - 1}", B), B)
     constant = float(np.sum(expectation * reference) / np.sum(reference * reference))
     scaled = constant * reference
     return float(np.max(np.abs(expectation - scaled)) / np.max(np.abs(scaled)))
@@ -414,7 +414,7 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     x0 = rng.standard_normal(n)
     R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
     for tau in (0, 1, 2):
-        bounds = compute_alpha_beta(build_sympoly(B, tau, "exact"), B)
+        bounds = compute_alpha_beta(build_from_descriptor(f"sympoly:{tau}", B), B)
         for method, envelopes in (("gm", gm_envelopes), ("fgm", fgm_envelopes)):
             config = SolverConfig(max_iters=200, x0=x0)
             run = _execute(obj, method, f"sympoly:{tau}", 0, config)

@@ -87,6 +87,13 @@ class ExperimentConfig:
         _check_fields(self)
         if self.dataset is None and self.synthetic is None:
             raise ValueError("exactly one of dataset or synthetic must be given")
+        # Checked once the whole config is known: a config file may set tau
+        # before it sets the method.
+        if self.tau != 0 and self.method != "krylov":
+            raise ValueError(
+                f"tau is the degree of the krylov method; the {self.method} method "
+                "ignores it, so drop --tau, or tau = in a config file"
+            )
 
 
 def _check_fields(config: ExperimentConfig):
@@ -101,7 +108,7 @@ def _check_fields(config: ExperimentConfig):
     kind, numbers = parse_descriptor(config.precond)
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}; choose from {METHODS}")
-    if config.method == "krylov" and config.precond != "identity":
+    if config.method == "krylov" and kind != "identity":
         raise ValueError(
             "the krylov method chooses its own polynomial; drop --precond, "
             "or precond = in a config file"

@@ -31,7 +31,6 @@ __all__ = [
     "QualityBounds",
     "IndefinitePreconditionerError",
     "sympoly_coefficients",
-    "build_sympoly",
     "compute_alpha_beta",
     "gamma_of_polynomial",
     "cutting_preconditioner",
@@ -207,29 +206,6 @@ def sympoly_coefficients(traces, tau: int) -> PolynomialPreconditioner:
     return PolynomialPreconditioner(raw / scale, scale)
 
 
-def build_sympoly(
-    op: SymmetricOperator,
-    tau: int,
-    trace_mode: str = "exact",
-    samples: int = 256,
-    seed: int = 0,
-) -> PolynomialPreconditioner:
-    """Construct the degree-tau trace-recursion preconditioner for an operator."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau > op.dim - 1:
-        raise ValueError(
-            f"tau={tau} exceeds dim-1={op.dim - 1}; higher degrees are redundant"
-        )
-    if trace_mode == "exact":
-        traces = exact_traces(op, tau) if tau >= 1 else np.empty(0)
-    elif trace_mode == "stochastic":
-        traces = stochastic_traces(op, tau, samples, seed) if tau >= 1 else np.empty(0)
-    else:
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
-    return sympoly_coefficients(traces, tau)
-
-
 def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBounds:
     """Tightest two-sided spectral bounds of a preconditioner on a dense operator.
 
@@ -311,14 +287,15 @@ def xi_tau(spectrum, tau: int) -> float:
     return float(top_removed[tau] / bottom_removed[tau] * base**tau)
 
 
-# Integer fields of each descriptor form: (required, optional).
+# Integer fields of each descriptor form: how many are required, and the
+# defaults of the optional ones after them (stochastic traces: S and SEED).
 _DESCRIPTOR_FIELDS = {
-    "identity": (0, 0),
-    "inverse": (0, 0),
-    "chebyshev": (1, 0),
-    "cutting": (1, 0),
-    "sympoly": (1, 0),
-    "sympoly:stochastic": (1, 2),
+    "identity": (0, ()),
+    "inverse": (0, ()),
+    "chebyshev": (1, ()),
+    "cutting": (1, ()),
+    "sympoly": (1, ()),
+    "sympoly:stochastic": (1, (256, 0)),
 }
 
 # Name and smallest allowed value of each integer field, in descriptor order.
@@ -329,10 +306,11 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
     """Check a preconditioner descriptor and split it into its form and integers.
 
     Understood forms: ``identity``, ``inverse``, ``sympoly:T``,
-    ``sympoly:T:stochastic[:S[:SEED]]`` (form ``sympoly:stochastic``),
-    ``chebyshev:T`` and ``cutting:T``. Anything else, a trailing field or a
-    negative degree, sample count below 1 or negative seed included, raises a
-    ValueError naming the text.
+    ``sympoly:T:stochastic[:S[:SEED]]`` (form ``sympoly:stochastic``: traces
+    estimated from S probe vectors drawn from seed SEED, 256 and 0 when left
+    out), ``chebyshev:T`` and ``cutting:T``. The integers are those the text
+    holds. Anything else, a trailing field or a negative degree, sample count
+    below 1 or negative seed included, raises a ValueError naming the text.
     """
     kind, *fields = text.strip().split(":")
     if kind == "sympoly" and fields[1:2] == ["stochastic"]:
@@ -340,10 +318,10 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
         del fields[1]
     if kind not in _DESCRIPTOR_FIELDS:
         raise ValueError(f"unknown preconditioner descriptor {text!r}")
-    required, optional = _DESCRIPTOR_FIELDS[kind]
+    required, defaults = _DESCRIPTOR_FIELDS[kind]
     if len(fields) < required:
         raise ValueError(f"descriptor {text!r} is missing a degree")
-    if len(fields) > required + optional:
+    if len(fields) > required + len(defaults):
         raise ValueError(f"unexpected fields in descriptor {text!r}")
     try:
         numbers = [int(field) for field in fields]
@@ -358,19 +336,27 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
 def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
     """Build a preconditioner from its serialized text form (see :func:`parse_descriptor`).
 
-    The spectral constructions require a dense-capable operator.
+    A ``sympoly`` form runs the trace recursion, of degree at most
+    ``op.dim - 1``, on exact or estimated traces. The spectral constructions,
+    exact traces included, require a dense-capable operator.
     """
     kind, numbers = parse_descriptor(text)
     if kind == "identity":
         return IdentityPreconditioner()
     if kind == "inverse":
         return inverse_preconditioner(op)
-    tau = numbers[0]
-    if kind == "sympoly":
-        return build_sympoly(op, tau, "exact")
-    if kind == "sympoly:stochastic":
-        # Optional sample count and seed; build_sympoly holds their defaults.
-        return build_sympoly(op, tau, "stochastic", *numbers[1:])
+    required, defaults = _DESCRIPTOR_FIELDS[kind]
+    tau, *options = numbers + list(defaults[len(numbers) - required :])
+    if kind.startswith("sympoly"):
+        if tau > op.dim - 1:
+            raise ValueError(f"tau={tau} exceeds dim-1={op.dim - 1}; higher degrees are redundant")
+        if tau == 0:
+            traces = np.empty(0)
+        elif kind == "sympoly":
+            traces = exact_traces(op, tau)
+        else:
+            traces = stochastic_traces(op, tau, *options)
+        return sympoly_coefficients(traces, tau)
     dec = spectral_decomposition(op)
     if kind == "chebyshev":
         return ChebyshevPreconditioner(dec.lam_max, dec.lam_min, tau)

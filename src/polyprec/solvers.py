@@ -381,7 +381,7 @@ def run_adaptive_gm(
 
 
 def run_adaptive_fgm(
-    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M0: float, rho: float = 0.0
+    obj: CompositeObjective, prec: Preconditioner, config: SolverConfig, M0: float
 ) -> RunResult:
     """Fast gradient method with doubling search on the step constant, from guess M0.
 
@@ -393,7 +393,7 @@ def run_adaptive_fgm(
 
     def step(state):
         def trial(M):
-            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, rho, state)
+            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, 0.0, state)
             return candidate, y, candidate.x, g_y, step_sq, None
 
         return search(trial)

@@ -16,7 +16,7 @@ from polyprec import (
     IdentityPreconditioner,
     LogisticLoss,
     SolverConfig,
-    build_sympoly,
+    build_from_descriptor,
     compute_alpha_beta,
     cutting_preconditioner,
     fgm_envelopes,
@@ -114,7 +114,7 @@ def test_criterion_03_rate_envelopes():
         x0 = rng.standard_normal(n)
         R2 = float((x0 - obj_template.x_star) @ B.matvec(x0 - obj_template.x_star))
         for tau in (0, 1, 2):
-            prec = build_sympoly(B, tau, "exact") if tau else IdentityPreconditioner()
+            prec = build_from_descriptor(f"sympoly:{tau}", B) if tau else IdentityPreconditioner()
             bounds = compute_alpha_beta(prec, B)
             obj = make_quadratic(B, B.matvec(obj_template.x_star))
             gm_run = run_gm(obj, prec, SolverConfig(max_iters=500, x0=x0), bounds.beta)
@@ -222,7 +222,7 @@ def test_criterion_05_krylov_optimality():
 
         for tau in range(4):
             krylov_h = -KrylovPreconditioner(tau).apply(obj.curvature, g) / obj.L
-            sympoly = build_sympoly(B, tau, "exact")
+            sympoly = build_from_descriptor(f"sympoly:{tau}", B)
             beta = compute_alpha_beta(sympoly, B).beta
             h_sym = -sympoly.apply(B, g) / (beta * obj.L)
             cheb = ChebyshevPreconditioner(dec.lam_max, dec.lam_min, tau)
@@ -279,7 +279,7 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     n = 100
     synthetic = (lam1, lam2, 1.0, n)
     reference_obj = synth_regression(synthetic, HuberLoss(0.1), seed)
-    ref_prec = build_sympoly(reference_obj.curvature, 2, "exact")
+    ref_prec = build_from_descriptor("sympoly:2", reference_obj.curvature)
     guess = initial_guess_M(reference_obj, ref_prec, np.zeros(n), 1.0)
     ref = run_adaptive_fgm(
         reference_obj,
@@ -292,7 +292,9 @@ def _huber_iterations(lam1, lam2, taus, seed=3, gap=1e-6):
     for tau in taus:
         obj = synth_regression(synthetic, HuberLoss(0.1), seed)
         prec = (
-            build_sympoly(obj.curvature, tau, "exact") if tau else IdentityPreconditioner()
+            build_from_descriptor(f"sympoly:{tau}", obj.curvature)
+            if tau
+            else IdentityPreconditioner()
         )
         guess = initial_guess_M(obj, prec, np.zeros(n), 1.0)
         run = run_adaptive_gm(
@@ -361,7 +363,7 @@ def logistic_dataset_runs(tmp_path_factory):
     make_obj = lambda: logistic_from_dataset(parsed, standardize=False)
 
     ref_obj = make_obj()
-    ref_prec = build_sympoly(ref_obj.curvature, 2, "exact")
+    ref_prec = build_from_descriptor("sympoly:2", ref_obj.curvature)
     guess = initial_guess_M(ref_obj, ref_prec, np.zeros(ref_obj.n), 1.0)
     ref = run_adaptive_fgm(
         ref_obj,
@@ -375,7 +377,11 @@ def logistic_dataset_runs(tmp_path_factory):
     bounds_by_tau = {}
     for tau in (0, 1, 2):
         obj = make_obj()
-        prec = build_sympoly(obj.curvature, tau, "exact") if tau else IdentityPreconditioner()
+        prec = (
+            build_from_descriptor(f"sympoly:{tau}", obj.curvature)
+            if tau
+            else IdentityPreconditioner()
+        )
         bounds = compute_alpha_beta(prec, obj.curvature)
         bounds_by_tau[tau] = bounds
         config = SolverConfig(max_iters=40_000, gap_target=1e-6, f_star=f_star)

@@ -9,7 +9,7 @@ from polyprec import (
     IdentityPreconditioner,
     PolynomialPreconditioner,
     SolverConfig,
-    build_sympoly,
+    build_from_descriptor,
     compute_alpha_beta,
     fgm_envelopes,
     gm_envelopes,
@@ -85,7 +85,7 @@ class TestVolumeSampling:
         expectation = _volume_expectation(B.to_dense(), 2)
         assert np.allclose(expectation, np.diag([1.0, 0.5]))
         # The proportionality constant to the unnormalized degree-1 member is 1/2.
-        reference = _dense_polynomial(build_sympoly(B, 1, "exact"), B)
+        reference = _dense_polynomial(build_from_descriptor("sympoly:1", B), B)
         assert np.allclose(expectation, 0.5 * reference)
         assert volume_sampling_expectation(B, 2) <= 1e-12
 
@@ -108,13 +108,13 @@ class TestWrongConstructionCaught:
 
     @pytest.fixture(autouse=True)
     def doubled_constant(self, monkeypatch):
-        def wrong(op, tau, *args, **kwargs):
-            right = build_sympoly(op, tau, *args, **kwargs)
+        def wrong(text, op):
+            right = build_from_descriptor(text, op)
             coeffs = right.coeffs.copy()
             coeffs[0] *= 2.0
             return PolynomialPreconditioner(coeffs, right.scale)
 
-        monkeypatch.setattr(polyprec.diagnostics, "build_sympoly", wrong)
+        monkeypatch.setattr(polyprec.diagnostics, "build_from_descriptor", wrong)
 
     def test_lemma_spec(self, rng):
         assert verify_lemma_spec(random_spd(rng, 5), 2) > 1e-8
@@ -182,7 +182,7 @@ class TestEnvelopes:
         obj, x0 = _bench(rng)
         B = obj.curvature
         for tau in (0, 1):
-            prec = build_sympoly(B, tau, "exact") if tau else IdentityPreconditioner()
+            prec = build_from_descriptor(f"sympoly:{tau}", B) if tau else IdentityPreconditioner()
             bounds = compute_alpha_beta(prec, B)
             run = run_gm(obj, prec, SolverConfig(max_iters=300, x0=x0), bounds.beta)
             R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
@@ -199,7 +199,7 @@ class TestEnvelopes:
         B = random_spd(rng, n, spectrum=spectrum)
         obj = make_quadratic(B, rng.standard_normal(n))
         bounds_id = compute_alpha_beta(IdentityPreconditioner(), B)
-        prec = build_sympoly(B, 1, "exact")
+        prec = build_from_descriptor("sympoly:1", B)
         bounds_p1 = compute_alpha_beta(prec, B)
         from polyprec import xi_tau
 

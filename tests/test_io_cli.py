@@ -525,6 +525,19 @@ class TestExperiments:
         with pytest.raises(ValueError, match="krylov"):
             config.validate()
 
+    @pytest.mark.parametrize("method", ["gm", "fgm", "adaptive-gm", "adaptive-fgm"])
+    def test_tau_needs_the_krylov_method(self, tmp_path, method):
+        config = ExperimentConfig(method=method, tau=2, synthetic=(10.0, 2.0, 1.0, 8))
+        with pytest.raises(ValueError, match=f"the {method} method ignores it"):
+            config.validate()
+        # A file may set tau before its method; only the whole file is judged.
+        path = tmp_path / "late.cfg"
+        path.write_text("tau = 3\nmethod = krylov\nsynthetic = 10,2,1,8\n")
+        assert parse_config_file(path).tau == 3
+        path.write_text(f"tau = 3\nmethod = {method}\nsynthetic = 10,2,1,8\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tau is the degree"):
+            parse_config_file(path)
+
     def test_config_needs_exactly_one_problem(self):
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentConfig(method="gm", dataset="x.txt", synthetic=(1, 1, 1, 4)).validate()
@@ -556,11 +569,11 @@ class TestExperiments:
         # exclude each other, so two files.
         files = [
             {
-                "name": "every", "method": "fgm", "precond": "sympoly:2", "tau": "1",
+                "name": "every", "method": "krylov", "tau": "1",
                 "synthetic": "12,2,1,6", "rows": "20", "loss": "huber:0.2", "max_iters": "7",
                 "tol": "0.001", "seed": "3", "out_dir": "o", "reference_iters": "9",
             },
-            {"dataset": "x.txt", "standardize": "no"},
+            {"dataset": "x.txt", "standardize": "no", "precond": "sympoly:2"},
         ]
         assert {key for keys in files for key in keys} == names
         default = ExperimentConfig()
@@ -1142,6 +1155,19 @@ class TestCLI:
         assert cli_main(argv + ["--out", str(tmp_path)]) == 1
         assert repr(text) in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_tau_without_krylov_is_exit_one(self, tmp_path, capsys):
+        argv = ["solve", "--method", "gm", "--precond", "sympoly:2", "--tau", "5"]
+        argv += ["--synthetic", "40,4,1,12", "--loss", "huber:0.1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
+        assert "polyprec: error: tau is the degree of the krylov method" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_krylov_accepts_a_padded_identity(self, tmp_path):
+        argv = ["solve", "--method", "krylov", "--precond", " identity", "--tau", "2"]
+        argv += ["--synthetic", "10,2,1,8", "--loss", "huber:0.1", "--max-iters", "3"]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -10,8 +10,8 @@ from polyprec import (
     DenseOperator,
     HuberLoss,
     SolverConfig,
+    build_from_descriptor,
     build_gram,
-    build_sympoly,
     compute_alpha_beta,
     make_quadratic,
     make_regression,
@@ -224,7 +224,7 @@ class TestProjectionOptimality:
             for tau in range(4):
                 krylov_h = krylov_step(obj, x, tau) - x
 
-                sympoly = build_sympoly(B, tau, "exact")
+                sympoly = build_from_descriptor(f"sympoly:{tau}", B)
                 beta = compute_alpha_beta(sympoly, B).beta
                 sympoly_h = -sympoly.apply(B, g) / (beta * obj.L)
                 slack = 1e-10 * max(1.0, abs(model(sympoly_h)))

@@ -13,13 +13,14 @@ from polyprec import (
     MatvecOperator,
     PolynomialPreconditioner,
     build_from_descriptor,
-    build_sympoly,
     compute_alpha_beta,
     cutting_preconditioner,
+    exact_traces,
     gamma_of_polynomial,
     inverse_preconditioner,
     parse_descriptor,
     spectral_decomposition,
+    stochastic_traces,
     sympoly_coefficients,
     xi_tau,
 )
@@ -57,47 +58,76 @@ class TestSympolyCoefficients:
 
 
 class TestBuildSympoly:
+    """The sympoly descriptor forms: the trace recursion on exact or estimated traces."""
+
+    @staticmethod
+    def assert_same(built, expected):
+        assert np.array_equal(built.coeffs, expected.coeffs)
+        assert built.scale == expected.scale
+
+    def test_exact_form_is_the_recursion_of_exact_traces(self, rng):
+        op = random_spd(rng, 5)
+        for tau in range(op.dim):
+            traces = exact_traces(op, tau) if tau else np.empty(0)
+            expected = sympoly_coefficients(traces, tau)
+            self.assert_same(build_from_descriptor(f"sympoly:{tau}", op), expected)
+
+    def test_stochastic_form_defaults_to_256_samples_from_seed_0(self, rng):
+        op = random_spd(rng, 5)
+        for tau in range(1, op.dim):
+            expected = sympoly_coefficients(stochastic_traces(op, tau, 256, 0), tau)
+            for text in (f"sympoly:{tau}:stochastic", f"sympoly:{tau}:stochastic:256"):
+                self.assert_same(build_from_descriptor(text, op), expected)
+            expected = sympoly_coefficients(stochastic_traces(op, tau, 8, 0), tau)
+            self.assert_same(build_from_descriptor(f"sympoly:{tau}:stochastic:8", op), expected)
+
+    def test_degree_zero_takes_no_traces(self, rng):
+        op = random_spd(rng, 4)
+        for text in ("sympoly:0", "sympoly:0:stochastic:8:3"):
+            self.assert_same(build_from_descriptor(text, op), sympoly_coefficients([], 0))
+        assert op.matvecs == 0
+
     def test_action_matches_complement_sums(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        prec = build_sympoly(op, 2, "exact")
+        prec = build_from_descriptor("sympoly:2", op)
         got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, [2.0, 3.0, 6.0])
 
     def test_identity_operator(self):
         op = DenseOperator(np.eye(3))
-        prec = build_sympoly(op, 1, "exact")
+        prec = build_from_descriptor("sympoly:1", op)
         got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, 2.0 * np.ones(3))
 
     def test_top_degree_is_scaled_inverse(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        prec = build_sympoly(op, 2, "exact")
+        prec = build_from_descriptor("sympoly:2", op)
         got = prec.apply(op, np.ones(3)) * prec.scale
         assert np.allclose(got, [2.0, 3.0, 6.0])  # det(B) * inv(B) @ 1
 
     def test_tau_beyond_dim_rejected(self):
         op = DenseOperator(np.eye(3))
         with pytest.raises(ValueError, match="redundant"):
-            build_sympoly(op, 3, "exact")
+            build_from_descriptor("sympoly:3", op)
 
     def test_exact_mode_needs_dense(self):
         op = MatvecOperator(3, lambda v: v)
         with pytest.raises(ValueError, match="dense"):
-            build_sympoly(op, 1, "exact")
+            build_from_descriptor("sympoly:1", op)
 
     def test_stochastic_mode_is_seeded(self, rng):
         op = random_spd(rng, 4)
-        prec = build_sympoly(op, 2, "stochastic", samples=64, seed=5)
-        again = build_sympoly(op, 2, "stochastic", samples=64, seed=5)
+        prec = build_from_descriptor("sympoly:2:stochastic:64:5", op)
+        again = build_from_descriptor("sympoly:2:stochastic:64:5", op)
         assert np.array_equal(prec.coeffs, again.coeffs)
-        other = build_sympoly(op, 2, "stochastic", samples=64, seed=6)
+        other = build_from_descriptor("sympoly:2:stochastic:64:6", op)
         assert not np.array_equal(prec.coeffs, other.coeffs)
 
     def test_stochastic_mode_works_matrix_free(self, rng):
         dense = random_spd(rng, 5)
         free = MatvecOperator(5, lambda v: dense.to_dense() @ v)
-        prec = build_sympoly(free, 1, "stochastic", samples=4096, seed=9)
-        exact = build_sympoly(dense, 1, "exact")
+        prec = build_from_descriptor("sympoly:1:stochastic:4096:9", free)
+        exact = build_from_descriptor("sympoly:1", dense)
         # Trace estimate within a few percent puts the coefficients close.
         assert np.allclose(
             prec.coeffs * prec.scale,
@@ -110,7 +140,7 @@ class TestBuildSympoly:
             n = int(rng.integers(2, 7))
             op = random_spd(rng, n)
             for tau in range(n):
-                prec = build_sympoly(op, tau, "exact")
+                prec = build_from_descriptor(f"sympoly:{tau}", op)
                 v = rng.standard_normal(n)
                 assert float(prec.apply(op, v) @ v) > 0
 
@@ -122,19 +152,19 @@ class TestApply:
         got = IdentityPreconditioner().apply(op, v)
         assert np.array_equal(got, v)
         # The degree-0 sympoly member is the same constant polynomial 1.
-        degree_zero = build_sympoly(op, 0, "exact").apply(op, v)
+        degree_zero = build_from_descriptor("sympoly:0", op).apply(op, v)
         assert np.array_equal(degree_zero, got)
         assert op.matvecs == 0
 
     def test_sympoly_on_basis_vector(self):
         op = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        prec = build_sympoly(op, 1, "exact")
+        prec = build_from_descriptor("sympoly:1", op)
         got = prec.apply(op, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(got * prec.scale, [3.0, 0.0, 0.0])
 
     def test_zero_vector(self, rng):
         op = random_spd(rng, 4)
-        prec = build_sympoly(op, 2, "exact")
+        prec = build_from_descriptor("sympoly:2", op)
         assert np.allclose(prec.apply(op, np.zeros(4)), 0.0)
 
 
@@ -407,7 +437,7 @@ class TestAdjugateIdentity:
             n = int(rng.integers(2, 7))
             op = random_spd(rng, n, lam_low=0.5, lam_high=20.0)
             mat = op.to_dense()
-            prec = build_sympoly(op, n - 1, "exact")
+            prec = build_from_descriptor(f"sympoly:{n - 1}", op)
             built = np.zeros((n, n))
             power = np.eye(n)
             for c in prec.coeffs * prec.scale:
@@ -425,7 +455,7 @@ class TestSandwich:
             op = random_spd(rng, n)
             lam = np.sort(np.linalg.eigvalsh(op.to_dense()))[::-1]
             tau = int(rng.integers(0, n))
-            prec = build_sympoly(op, tau, "exact")
+            prec = build_from_descriptor(f"sympoly:{tau}", op)
             vals = lam * prec.eval_at(lam) * prec.scale
             lower = lam[-1] * sum(
                 float(np.prod(c)) for c in itertools.combinations(lam[:-1], tau)

@@ -324,10 +324,8 @@ class TestGradientStep:
 
     def test_step_optimality_identity(self, rng):
         # P g = M (x - y) must hold without inverting the preconditioner.
-        from polyprec import build_sympoly
-
         op = random_spd(rng, 5)
-        prec = build_sympoly(op, 2, "exact")
+        prec = build_from_descriptor("sympoly:2", op)
         x = rng.standard_normal(5)
         g = rng.standard_normal(5)
         M = 3.0

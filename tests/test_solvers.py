@@ -8,7 +8,6 @@ from polyprec import (
     IdentityPreconditioner,
     SolverConfig,
     build_from_descriptor,
-    build_sympoly,
     compute_alpha_beta,
     initial_guess_M,
     make_quadratic,
@@ -156,7 +155,7 @@ class TestRunFGM:
     def test_potential_nonincreasing(self, rng):
         # Lyapunov combination of gap and prox-center distance on a quadratic.
         obj = gapped_quadratic(rng, n=8, cond=100)
-        prec = build_sympoly(obj.curvature, 1, "exact")
+        prec = build_from_descriptor("sympoly:1", obj.curvature)
         bounds = compute_alpha_beta(prec, obj.curvature)
         M = bounds.beta
         rho = bounds.alpha
@@ -451,7 +450,7 @@ class TestCostAccounting:
     def test_quadratic_runs_count_method_matvecs_only(self):
         obj = gapped_quadratic(np.random.default_rng(11), n=8, cond=100)
         B = obj.curvature
-        prec = build_sympoly(B, 2, "exact")
+        prec = build_from_descriptor("sympoly:2", B)
         beta = compute_alpha_beta(prec, B).beta
         run = run_gm(obj, prec, SolverConfig(max_iters=10), beta * obj.L)
         # One gradient and a degree-2 apply per iteration.
