@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import _orthonormal
-from .experiments import _execute
+from .experiments import _build, _run
 from .operators import DenseOperator, elementary_symmetric, spectral_decomposition
 from .preconditioners import (
     ChebyshevPreconditioner,
     PolynomialPreconditioner,
     build_from_descriptor,
-    compute_alpha_beta,
     cutting_preconditioner,
     gamma_of_polynomial,
     xi_tau,
@@ -405,8 +404,8 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         _batch("chebyshev-bound-batch", {"trials": 10, "tol": 1e-10}, 1e-10, 10, chebyshev),
     ]
 
-    # Rate envelopes on one quadratic benchmark per preconditioner degree; the
-    # run dispatch steps at the beta L and alpha mu the envelopes assume.
+    # Rate envelopes on one quadratic benchmark per preconditioner degree, built
+    # once; its gm and fgm runs step at the beta L and alpha mu the envelopes assume.
     n = 20
     spectrum = np.logspace(0, 3, n)[::-1]
     B = _random_spd(rng, n, spectrum=spectrum)
@@ -414,17 +413,16 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     x0 = rng.standard_normal(n)
     R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
     for tau in (0, 1, 2):
-        bounds = compute_alpha_beta(build_from_descriptor(f"sympoly:{tau}", B), B)
+        prec, bounds, _ = _build(obj, "gm", f"sympoly:{tau}")
         for method, envelopes in (("gm", gm_envelopes), ("fgm", fgm_envelopes)):
-            config = SolverConfig(max_iters=200, x0=x0)
-            run = _execute(obj, method, f"sympoly:{tau}", 0, config)
+            run, _ = _run(obj, method, 0, prec, bounds, SolverConfig(max_iters=200, x0=x0))
             checks = envelopes(run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star)
             for check in checks:
                 check.params = {"tau": tau, "method": method}
                 reports.append(check)
     # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
     for tau in (0, 1, 2):
-        run = _execute(obj, "krylov", "identity", tau, SolverConfig(max_iters=200, x0=x0))
+        run, _ = _run(obj, "krylov", tau, None, None, SolverConfig(max_iters=200, x0=x0))
         check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
         check.params = {"tau": tau, "method": "krylov"}
         reports.append(check)

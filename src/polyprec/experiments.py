@@ -240,7 +240,8 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     """
     passes = obj.data_passes
     solver_config = SolverConfig(max_iters=_reference_budget(config), tol=1e-12)
-    run = _execute(obj, REFERENCE_METHOD, REFERENCE_PRECOND, 0, solver_config)
+    prec, bounds, _ = _build(obj, REFERENCE_METHOD, REFERENCE_PRECOND)
+    run, _ = _run(obj, REFERENCE_METHOD, 0, prec, bounds, solver_config)
     f_star = float(min(r.f_value for r in run.records))
     if run.termination == "max_iters":
         logger.warning(
@@ -282,25 +283,37 @@ def _reference_key(config: ExperimentConfig) -> tuple:
     return _problem_key(config) + (_reference_budget(config),)
 
 
-def _execute(
-    obj: CompositeObjective, method: str, precond: str, tau: int, solver_config: SolverConfig
-) -> RunResult:
-    """Run ``method`` on ``obj`` at the constants it needs; the one dispatch of
-    runs, references and the verify suite's envelope runs. gm and fgm take
-    M = beta L and fgm rho = alpha mu from the preconditioner's bounds; the
-    adaptive methods start from :func:`initial_guess_M` at the origin."""
+def _build(obj: CompositeObjective, method: str, precond: str) -> tuple:
+    """The preconditioner ``method`` runs with, its bounds (gm and fgm only, so
+    an indefinite one fails here) and the curvature matvecs the build spent;
+    krylov chooses its own polynomial at every step and builds nothing."""
     if method == "krylov":
-        return run_krylov_gm(obj, solver_config, tau)
+        return None, None, 0
+    before = obj.curvature.matvecs
     prec = build_from_descriptor(precond, obj.curvature)
-    if method in ("gm", "fgm"):
-        bounds = compute_alpha_beta(prec, obj.curvature)
-        if method == "fgm":
-            return run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu)
-        return run_gm(obj, prec, solver_config, bounds.beta * obj.L)
+    bounds = compute_alpha_beta(prec, obj.curvature) if method in ("gm", "fgm") else None
+    return prec, bounds, obj.curvature.matvecs - before
+
+
+def _run(
+    obj: CompositeObjective, method: str, tau: int, prec, bounds, solver_config: SolverConfig
+) -> tuple[RunResult, int]:
+    """Run ``method`` on ``obj`` from what :func:`_build` returned; the one
+    dispatch of runs, references and the verify suite's envelope runs. gm and
+    fgm take M = beta L and fgm rho = alpha mu from the bounds; the adaptive
+    methods start from :func:`initial_guess_M` at the origin. Returns the run
+    and the curvature matvecs its initial guess spent."""
+    if method == "krylov":
+        return run_krylov_gm(obj, solver_config, tau), 0
+    if method == "fgm":
+        return run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu), 0
+    if method == "gm":
+        return run_gm(obj, prec, solver_config, bounds.beta * obj.L), 0
+    before = obj.curvature.matvecs
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-    if method == "adaptive-gm":
-        return run_adaptive_gm(obj, prec, solver_config, guess)
-    return run_adaptive_fgm(obj, prec, solver_config, guess)
+    guess_matvecs = obj.curvature.matvecs - before
+    runner = run_adaptive_gm if method == "adaptive-gm" else run_adaptive_fgm
+    return runner(obj, prec, solver_config, guess), guess_matvecs
 
 
 def _write_atomic(path, fill):
@@ -366,6 +379,8 @@ def run_experiment(
     """
     config.validate()
     obj = build_problem(config) if problem is None else problem
+    # Built before the reference, so a failing build costs no reference run.
+    prec, bounds, setup = _build(obj, config.method, config.precond)
     references = {} if references is None else references
     key = _reference_key(config)
     if key not in references:
@@ -374,7 +389,7 @@ def run_experiment(
     f_star = reference.f_star
     passes = obj.data_passes
     solver_config = SolverConfig(max_iters=config.max_iters, gap_target=config.tol, f_star=f_star)
-    run = _execute(obj, config.method, config.precond, config.tau, solver_config)
+    run, guess = _run(obj, config.method, config.tau, prec, bounds, solver_config)
     data_passes = obj.data_passes - passes
 
     # Made only now, so a run that fails before its first file leaves no directory.
@@ -393,6 +408,11 @@ def run_experiment(
         "f_evals": run.records[-1].f_evals,
         "grad_evals": run.records[-1].grad_evals,
         "data_passes": data_passes,
+        "precond": {
+            "setup_matvecs": setup,
+            "guess_matvecs": guess,
+            **(asdict(bounds) if bounds else dict.fromkeys(("alpha", "beta"))),
+        },
         "reference": {
             "method": REFERENCE_METHOD,
             "precond": REFERENCE_PRECOND,

@@ -289,6 +289,31 @@ class TestSuite:
         b = [r.to_dict() for r in run_verification_suite(seed=5)]
         assert a == b
 
+    def test_each_envelope_member_is_built_once(self, monkeypatch):
+        # On the n = 20 benchmark, sympoly:0, :1 and :2 are each built and
+        # bounded once; their gm and fgm runs share that build.
+        import polyprec.experiments as experiments
+
+        calls = {"build_from_descriptor": [], "compute_alpha_beta": []}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def spied(first, op):
+                if op.dim == 20:
+                    calls[name].append(first)
+                return original(first, op)
+
+            monkeypatch.setattr(module, name, spied)
+
+        for module in (experiments, polyprec.diagnostics):
+            for name in calls:
+                if hasattr(module, name):
+                    spy(module, name)
+        run_verification_suite(seed=0)
+        assert calls["build_from_descriptor"] == ["sympoly:0", "sympoly:1", "sympoly:2"]
+        assert len(calls["compute_alpha_beta"]) == 3
+
     def test_report_list_pinned(self):
         # A batch dropped, added or reordered changes the verify JSON.
         batches = [

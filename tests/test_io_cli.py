@@ -890,6 +890,38 @@ class TestReference:
         assert (tmp_path / "short.csv").exists() and (tmp_path / "short.json").exists()
         assert any("'short'" in r.getMessage() for r in caplog.records if r.name == "polyprec")
 
+    def test_indefinite_preconditioner_fails_before_the_reference(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        import polyprec.experiments as experiments
+
+        references = []
+        monkeypatch.setattr(experiments, "reference_optimum", lambda *a: references.append(a))
+        argv = [
+            "solve", "--synthetic", "1000,300,1,100", "--loss", "huber:0.1", "--seed", "204",
+            "--method", "gm", "--precond", "sympoly:3:stochastic:64", "--max-iters", "5",
+            "--out", str(tmp_path / "out"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="polyprec"):
+            assert cli_main(argv) == 1
+        assert "preconditioner is indefinite" in capsys.readouterr().err
+        assert [r for r in caplog.records if r.name == "polyprec"] == []
+        assert references == []
+
+    def test_dataset_degree_above_n_fails_before_the_reference(
+        self, tmp_path, capsys, monkeypatch, rng
+    ):
+        import polyprec.experiments as experiments
+
+        references = []
+        monkeypatch.setattr(experiments, "reference_optimum", lambda *a: references.append(a))
+        data = tmp_path / "d.txt"
+        write_libsvm(data, rng.standard_normal((30, 4)), np.where(rng.random(30) < 0.5, 1, -1))
+        argv = ["solve", "--dataset", str(data), "--precond", "cutting:10", "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
+        assert "exceeds n-1=3" in capsys.readouterr().err
+        assert references == []
+
     @pytest.mark.parametrize("reference_iters", [None, 1])
     def test_summary_reports_oracle_counts_and_negative_gaps(
         self, tmp_path, monkeypatch, reference_iters
@@ -897,13 +929,14 @@ class TestReference:
         import polyprec.experiments as experiments
 
         runs = []
-        execute = experiments._execute
+        run_step = experiments._run
 
         def captured(*args):
-            runs.append(execute(*args))
-            return runs[-1]
+            result = run_step(*args)
+            runs.append(result[0])
+            return result
 
-        monkeypatch.setattr(experiments, "_execute", captured)
+        monkeypatch.setattr(experiments, "_run", captured)
         config = ExperimentConfig(
             name="counts", synthetic=(40, 4, 1, 10), rows=50, max_iters=20,
             reference_iters=reference_iters, out_dir=str(tmp_path),
@@ -1417,8 +1450,11 @@ class TestCLI:
         assert len(xi) == 6
 
     def test_spectrum_xi_table_pinned(self, tmp_path):
-        # The shrink table of the gapped benchmark problem, bit for bit: the
-        # symmetric sums behind every xi must round as the prefix recurrence does.
+        """The shrink table of the gapped benchmark problem, bit for bit: the
+        symmetric sums behind every xi must round as the prefix recurrence does.
+
+        Digest taken with numpy 2.4.6 on scipy-openblas 0.3.31.
+        """
         argv = [
             "spectrum", "--synthetic", "1000,300,1,100", "--loss", "huber:0.1",
             "--seed", "204", "--tau-max", "99", "--out", str(tmp_path),
@@ -1482,8 +1518,11 @@ class TestCLI:
         ],
     )
     def test_verify_report_pinned(self, tmp_path, seed, digest):
-        # The whole report, bit for bit: every slack of the identity batches
-        # and every envelope run's gaps feed it, at one and two BLAS threads.
+        """The whole report, bit for bit: every slack of the identity batches
+        and every envelope run's gaps feed it, at one and two BLAS threads.
+
+        Digests taken with numpy 2.4.6 on scipy-openblas 0.3.31.
+        """
         out = tmp_path / "report.json"
         assert cli_main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
