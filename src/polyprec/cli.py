@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on usage errors, on files that cannot be read or
 written and on a problem too large for memory, 2 when verification
 hard-fails, 3 when a run fails numerically (non-finite objective, doubling
-cap).
+cap). A ``bench`` batch runs on past a config that fails, and exits with the
+code its first failure would have had alone.
 """
 
 from __future__ import annotations
@@ -70,15 +71,24 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _exit_code(exc: Exception) -> int:
+    """3 for a numerical failure of a run, 1 for any other error."""
+    return 3 if isinstance(exc, RuntimeError) else 1
+
+
 def _cmd_bench(args) -> int:
-    summaries = run_bench(args.configs, out_dir=args.out)
-    for summary in summaries:
-        name = summary["config"]["name"]
+    code = 0
+    for outcome in run_bench(args.configs, out_dir=args.out):
+        name = outcome["config"]["name"]
+        if "error" in outcome:
+            print(f"polyprec: error: {name}: failed: {outcome['error']}", file=sys.stderr)
+            code = code or _exit_code(outcome["error"])
+            continue
         print(
-            f"{name}: {summary['iterations']} iters, "
-            f"{summary['total_matvecs']} matvecs, {summary['termination']}"
+            f"{name}: {outcome['iterations']} iters, "
+            f"{outcome['total_matvecs']} matvecs, {outcome['termination']}"
         )
-    return 0
+    return code
 
 
 def _cmd_spectrum(args) -> int:
@@ -187,12 +197,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
         print(f"polyprec: error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"polyprec: error: {exc}", file=sys.stderr)
-        return 3
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,16 @@ import numpy as np
 
 from .datasets import _orthonormal
 from .experiments import _build, _run
-from .operators import DenseOperator, elementary_symmetric, spectral_decomposition
+from .operators import DenseOperator, spectral_decomposition
 from .preconditioners import (
     ChebyshevPreconditioner,
     PolynomialPreconditioner,
+    _sigma_removed,
     build_from_descriptor,
+    cutting_excess,
     cutting_preconditioner,
     gamma_of_polynomial,
+    sandwich_slack,
     xi_tau,
 )
 from .problems import make_quadratic
@@ -72,14 +75,6 @@ class CheckReport:
         }
 
 
-def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
-    """Elementary symmetric polynomial of the spectrum with one entry removed."""
-    reduced = np.delete(lam, remove)
-    sigma, scale = elementary_symmetric(reduced, tau)
-    # numpy's array power: Python's float power rounds some powers differently.
-    return float((sigma * scale ** np.arange(sigma.size))[tau])
-
-
 def _dense_polynomial(p: PolynomialPreconditioner, B: DenseOperator) -> np.ndarray:
     """The unnormalized p(B) as a matrix, one column per ``apply`` to a unit vector."""
     return np.column_stack([p.apply(B, e) * p.scale for e in np.eye(B.dim)])
@@ -119,20 +114,11 @@ def verify_adjugate(B: DenseOperator) -> float:
 def verify_sandwich(B: DenseOperator, tau: int) -> float:
     """Slack of the two-sided eigenvalue bounds of the preconditioned operator.
 
-    All products lam_i * p(lam_i) must lie between the extreme eigenvalues
-    times the matching complementary symmetric polynomials; the slack is the
-    worst excursion beyond either bound, relative to the upper one.
+    The :func:`sandwich_slack` of the degree-tau member, the check every
+    exact ``sympoly`` build of a run passes too.
     """
-    dec = spectral_decomposition(B)
-    lam = dec.eigenvalues
     prec = build_from_descriptor(f"sympoly:{tau}", B)
-    vals = lam * prec.eval_at(lam) * prec.scale
-    lower = lam[-1] * _sigma_removed(lam, lam.size - 1, tau)
-    upper = lam[0] * _sigma_removed(lam, 0, tau)
-    return max(
-        float(np.max((lower - vals) / upper, initial=0.0)),
-        float(np.max((vals - upper) / upper, initial=0.0)),
-    )
+    return sandwich_slack(spectral_decomposition(B).eigenvalues, prec, tau)
 
 
 def _volume_expectation(mat: np.ndarray, m: int) -> np.ndarray:
@@ -373,10 +359,7 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
         n = int(rng.integers(3, 10))
         spectrum = np.sort(rng.uniform(0.5, 40.0, n))[::-1]
         tau = int(rng.integers(0, n))
-        prec = cutting_preconditioner(spectrum, tau)
-        measured = gamma_of_polynomial(prec, spectrum)
-        cond, _ = proposition_bounds(spectrum, tau)
-        return measured - (cond - 1.0) / (cond + 1.0)
+        return cutting_excess(spectrum, cutting_preconditioner(spectrum, tau), tau)
 
     def chebyshev():
         lam1 = float(rng.uniform(5.0, 500.0))

@@ -4,7 +4,9 @@ A run writes one CSV of per-iteration telemetry (`iter,fval,gap,matvecs,
 grad_evals,ls_trials,M_k,time_ms`) plus a JSON summary, each through a
 temporary file renamed into place. Gaps are measured against a reference
 optimum computed once per problem, so identical seeds give identical CSVs
-apart from the wall-clock column.
+apart from the wall-clock column: for synthetic problems at any BLAS thread
+count, for dataset problems only at a fixed one (their Gram products and
+eigendecomposition round differently by thread count).
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ from .datasets import (
     synth_regression,
 )
 from .krylov import run_krylov_gm
-from .preconditioners import build_from_descriptor, compute_alpha_beta, parse_descriptor
-from .problems import CompositeObjective, HuberLoss, LogisticLoss
+from .preconditioners import (
+    build_from_descriptor,
+    check_exact_build,
+    compute_alpha_beta,
+    parse_descriptor,
+)
+from .problems import CompositeObjective, Costs, HuberLoss, LogisticLoss
 from .solvers import (
     RunResult,
     SolverConfig,
@@ -211,13 +218,13 @@ def build_problem(config: ExperimentConfig) -> CompositeObjective:
 
 class Reference(NamedTuple):
     """A reference optimum, what certifies it (the run's length, end and
-    residual) and the data passes it spent."""
+    residual) and the :class:`Costs` it spent, its build included."""
 
     f_star: float
     iterations: int
     termination: str
     grad_map: float
-    data_passes: int
+    costs: Costs
 
 
 REFERENCE_METHOD = "adaptive-fgm"
@@ -233,12 +240,12 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     loss curvature conditions it) for at most ten times the experiment
     budget, until its gradient map falls below 1e-12 or reaches the rounding
     floor, and keeps the best value seen (the accelerated method is not
-    monotone). The run spends the objective's counters, but records count
-    from their own start. A run that ends at its iteration cap has no
+    monotone). The run spends the objective's counters, and the reference
+    reports what it spent. A run that ends at its iteration cap has no
     certificate; it is still used, and a warning on the ``polyprec`` logger
     names the config.
     """
-    passes = obj.data_passes
+    start = obj.costs()
     solver_config = SolverConfig(max_iters=_reference_budget(config), tol=1e-12)
     prec, bounds, _ = _build(obj, REFERENCE_METHOD, REFERENCE_PRECOND)
     run, _ = _run(obj, REFERENCE_METHOD, 0, prec, bounds, solver_config)
@@ -257,7 +264,7 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
         run.iterations,
         run.termination,
         float(run.records[-1].grad_map),
-        obj.data_passes - passes,
+        obj.costs() - start,
     )
 
 
@@ -285,14 +292,17 @@ def _reference_key(config: ExperimentConfig) -> tuple:
 
 def _build(obj: CompositeObjective, method: str, precond: str) -> tuple:
     """The preconditioner ``method`` runs with, its bounds (gm and fgm only, so
-    an indefinite one fails here) and the curvature matvecs the build spent;
-    krylov chooses its own polynomial at every step and builds nothing."""
+    an indefinite one fails here) and the :class:`Costs` the build spent;
+    krylov chooses its own polynomial at every step and builds nothing. An
+    exact ``sympoly`` or ``cutting`` build that misses its guarantee fails
+    here too (see :func:`check_exact_build`)."""
     if method == "krylov":
-        return None, None, 0
-    before = obj.curvature.matvecs
+        return None, None, Costs()
+    start = obj.costs()
     prec = build_from_descriptor(precond, obj.curvature)
+    check_exact_build(precond, prec, obj.curvature)
     bounds = compute_alpha_beta(prec, obj.curvature) if method in ("gm", "fgm") else None
-    return prec, bounds, obj.curvature.matvecs - before
+    return prec, bounds, obj.costs() - start
 
 
 def _run(
@@ -302,18 +312,20 @@ def _run(
     dispatch of runs, references and the verify suite's envelope runs. gm and
     fgm take M = beta L and fgm rho = alpha mu from the bounds; the adaptive
     methods start from :func:`initial_guess_M` at the origin. Returns the run
-    and the curvature matvecs its initial guess spent."""
+    and the :class:`Costs` its initial guess spent; the run's own are in its
+    records."""
     if method == "krylov":
-        return run_krylov_gm(obj, solver_config, tau), 0
+        return run_krylov_gm(obj, solver_config, tau), Costs()
     if method == "fgm":
-        return run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu), 0
+        run = run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu)
+        return run, Costs()
     if method == "gm":
-        return run_gm(obj, prec, solver_config, bounds.beta * obj.L), 0
-    before = obj.curvature.matvecs
+        return run_gm(obj, prec, solver_config, bounds.beta * obj.L), Costs()
+    start = obj.costs()
     guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-    guess_matvecs = obj.curvature.matvecs - before
+    spent = obj.costs() - start
     runner = run_adaptive_gm if method == "adaptive-gm" else run_adaptive_fgm
-    return runner(obj, prec, solver_config, guess), guess_matvecs
+    return runner(obj, prec, solver_config, guess), spent
 
 
 def _write_atomic(path, fill):
@@ -376,6 +388,14 @@ def run_experiment(
     config with the same problem fields (see :func:`_problem_key`); the run
     uses it instead of building its own. Every count a run reports starts
     from the run's own start, so sharing a problem changes no output.
+
+    The summary reports four costs (:class:`Costs`) for each span of the
+    run: the build (``precond.setup``), the initial guess
+    (``precond.guess``), the iterations (top-level ``total_matvecs``,
+    ``f_evals``, ``grad_evals`` and ``data_passes``, what the CSV's last row
+    counts) and the reference (``reference``). Over a run, the objective's
+    counters move by the sum of the first three, plus the fourth when the
+    run computed its reference rather than reusing one.
     """
     config.validate()
     obj = build_problem(config) if problem is None else problem
@@ -387,10 +407,9 @@ def run_experiment(
         references[key] = reference_optimum(config, obj)
     reference = references[key]
     f_star = reference.f_star
-    passes = obj.data_passes
     solver_config = SolverConfig(max_iters=config.max_iters, gap_target=config.tol, f_star=f_star)
     run, guess = _run(obj, config.method, config.tau, prec, bounds, solver_config)
-    data_passes = obj.data_passes - passes
+    last = run.records[-1]
 
     # Made only now, so a run that fails before its first file leaves no directory.
     out_dir = Path(config.out_dir)
@@ -404,13 +423,13 @@ def run_experiment(
         "total_matvecs": run.total_matvecs(),
         "termination": run.termination,
         "f_star_reference": f_star,
-        "final_fval": run.records[-1].f_value,
-        "f_evals": run.records[-1].f_evals,
-        "grad_evals": run.records[-1].grad_evals,
-        "data_passes": data_passes,
+        "final_fval": last.f_value,
+        "f_evals": last.f_evals,
+        "grad_evals": last.grad_evals,
+        "data_passes": last.data_passes,
         "precond": {
-            "setup_matvecs": setup,
-            "guess_matvecs": guess,
+            "setup": setup._asdict(),
+            "guess": guess._asdict(),
             **(asdict(bounds) if bounds else dict.fromkeys(("alpha", "beta"))),
         },
         "reference": {
@@ -420,15 +439,29 @@ def run_experiment(
             "termination": reference.termination,
             "grad_map": reference.grad_map,
             "negative_gaps": sum(r.f_value < f_star for r in run.records),
-            "data_passes": reference.data_passes,
+            **reference.costs._asdict(),
         },
-        "environment": {
-            "numpy": np.__version__,
-            **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
-        },
+        "environment": _environment(),
     }
     write_json(out_dir / f"{config.name}.json", summary)
     return summary
+
+
+def _environment() -> dict:
+    """What a run's numbers depend on besides its config: numpy, its BLAS, the
+    cores this process may use and the BLAS thread variables as set, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):  # a numpy before 1.26 takes no mode
+        blas = "unknown"
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "cores": len(affinity(0)) if affinity else os.cpu_count(),
+        **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
 
 
 def run_bench(config_paths, out_dir=None) -> list[dict]:
@@ -440,6 +473,11 @@ def run_bench(config_paths, out_dir=None) -> list[dict]:
     any output. A config with the same problem fields as the one before it
     runs on the problem already built, and configs that share a problem and
     reference budget share one reference optimum.
+
+    A config that fails once its runs start (a build that fails, a doubling
+    cap, an unreadable dataset) writes no file, and the batch goes on. Returns
+    one entry per config, in order: the run's summary, or for a failed config
+    ``{"config": ..., "error": exc}`` with the exception that stopped it.
     """
     configs = [parse_config_file(path) for path in config_paths]
     writers = {}
@@ -454,14 +492,17 @@ def run_bench(config_paths, out_dir=None) -> list[dict]:
             )
         writers[target] = path
     references: dict = {}
-    summaries = []
+    outcomes = []
     built_key, problem = None, None
     for config in configs:
-        if _problem_key(config) != built_key:
-            problem = None  # let the previous problem go before the next is built
-            built_key, problem = _problem_key(config), build_problem(config)
-        summaries.append(run_experiment(config, references, problem))
-    return summaries
+        try:
+            if _problem_key(config) != built_key:
+                problem = None  # let the previous problem go before the next is built
+                built_key, problem = _problem_key(config), build_problem(config)
+            outcomes.append(run_experiment(config, references, problem))
+        except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+            outcomes.append({"config": asdict(config), "error": exc})
+    return outcomes
 
 
 def merge_plotdata(run_dir, out_path) -> int:

@@ -9,7 +9,7 @@ Huber/logistic regression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,19 @@ class CompositePart:
                 raise ValueError(f"a composite part requires a callable {name} oracle")
 
 
+class Costs(NamedTuple):
+    """An objective's four cost counters, as :meth:`CompositeObjective.costs`
+    reads them; the difference of two readings is what was spent between them."""
+
+    matvecs: int = 0
+    f_evals: int = 0
+    grad_evals: int = 0
+    data_passes: int = 0
+
+    def __sub__(self, other: Costs) -> Costs:
+        return Costs(*(now - then for now, then in zip(self, other)))
+
+
 class CompositeObjective:
     """Smooth convex function plus optional composite part, under one curvature operator.
 
@@ -95,7 +108,8 @@ class CompositeObjective:
     a value callable may reuse work across calls at the same point, as the
     regression objectives of :func:`make_regression` do. ``data_passes``
     counts the products with a regression objective's design that the
-    oracles and readouts spend (zero for other objectives).
+    oracles and readouts spend (zero for other objectives). :meth:`costs`
+    reads these three counters and the operator's matvecs in one snapshot.
     """
 
     def __init__(
@@ -127,6 +141,10 @@ class CompositeObjective:
     def n(self) -> int:
         """The dimension, the curvature operator's."""
         return self.curvature.dim
+
+    def costs(self) -> Costs:
+        """The counters now: curvature matvecs, value calls, gradient calls, data passes."""
+        return Costs(self.curvature.matvecs, self.f_evals, self.grad_evals, self.data_passes)
 
     def value(self, x: np.ndarray) -> float:
         self.f_evals += 1

@@ -87,6 +87,7 @@ class IterationRecord:
     matvecs: int
     f_evals: int
     grad_evals: int
+    data_passes: int
     ls_trials: int
     M_k: float
     A_k: float
@@ -142,30 +143,19 @@ def drive(
     floor or the iteration cap stops it. The gap target is checked at every
     record, the one at the cap included, so a run that meets it there ends as
     ``"gap_target"``. Each record's gradient-map norm is ``M_k`` times the
-    step norm. Counters in the records are relative to the start of the run,
-    and a non-finite objective raises.
+    step norm. Each record's four cost counts (see :meth:`CompositeObjective.costs`)
+    are those spent since the start of the run, readouts included, so the
+    last record's are the run's; a non-finite objective raises.
     """
     if not M_0 > 0:
         raise ValueError(f"run requires a positive step constant, got {M_0}")
-    op = obj.curvature
-    mv0, f0, g0, t0 = op.matvecs, obj.f_evals, obj.grad_evals, time.perf_counter()
+    start, t0 = obj.costs(), time.perf_counter()
     records: list[IterationRecord] = []
 
     def record(k, f_value, grad_map, ls_trials, M_k, A_k):
-        records.append(
-            IterationRecord(
-                k=k,
-                f_value=f_value,
-                grad_map=grad_map,
-                matvecs=op.matvecs - mv0,
-                f_evals=obj.f_evals - f0,
-                grad_evals=obj.grad_evals - g0,
-                ls_trials=ls_trials,
-                M_k=M_k,
-                A_k=A_k,
-                time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        spent = obj.costs() - start  # the record's fields after grad_map, in order
+        time_ms = (time.perf_counter() - t0) * 1e3
+        records.append(IterationRecord(k, f_value, grad_map, *spent, ls_trials, M_k, A_k, time_ms))
 
     x = config.start_point(obj.n)
     state = FGMState(x=x, v=x.copy(), A=0.0) if accelerated else x

@@ -8,11 +8,12 @@ host (``config.out_dir``, ``config.dataset``, ``environment``). The
 a9a-shaped run's CSV is not pinned: its ``fval`` column moves with the BLAS
 thread count, so only its counts and f* are.
 
-The same runs check the matvec ledger: the products a run spends on the
-problem's curvature operator are the build's (``precond.setup_matvecs``), the
-initial guess's (``precond.guess_matvecs``) and the iterations'
-(``total_matvecs``), and no others. The reference, in the exact inverse
-metric, spends none.
+The same runs check the cost ledger in all four units (curvature matvecs,
+values, gradients and data passes): what a run spends on the problem is the
+build's (``precond.setup``), the initial guess's (``precond.guess``), the
+iterations' (top-level ``total_matvecs``, ``f_evals``, ``grad_evals`` and
+``data_passes``) and, for the run that computes a reference, the
+reference's (``reference``), and no more.
 
 A PR that moves a pin changes its digest here and lists the move in
 ``CHANGES.md`` as a behaviour change. The digests were taken with numpy 2.4.6
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from polyprec.experiments import build_problem, parse_config_file, run_experiment
+from polyprec.problems import Costs
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -45,14 +47,14 @@ GAPPED_CSV = {
 }
 
 GAPPED_JSON = {
-    "gm-identity": "5fcd974bd69b092e8ebdb3249ad8825bd181aa12f723db9ef8a04bb58227c3b0",
-    "gm-sympoly2": "06952afdd45045cc0e0ab082f83b33109c5cce24f89dbe27e90ffcbd4e357fb4",
-    "fgm-sympoly3": "c099361d4c3746f4158722f52da874dd6794a91b10fb6433fdcb6923a94e4f36",
-    "fgm-chebyshev4": "98355a5c95a217a2a20a26596f936044b666830c8aa648597cea1efc99f0b8c0",
-    "agm-stochastic3": "dcc8c0d0be046efcd25b0d90ed98ff24eb2a8831658f5ba3143eb1e6ea8ba98a",
-    "agm-cutting2": "4ea36cc0efb3a97a8a82a92a218b3dd5b30e449461544892dad761e76aa7818d",
-    "afgm-sympoly2": "fa00739055232e333780f42d7e4f3d1d4996d323c71c242c1ca36fd77c2c0d08",
-    "krylov3": "7aa1df5dccd3597285de4156c4ecd2df4698008a6c7e52a09dd38165e2864002",
+    "gm-identity": "9f5b5e74d8fa0ef0e3a8f1d7cc65cb81cb4fa1836077be6cf198eb7aeb09ff43",
+    "gm-sympoly2": "144502913e115fe243c0c38cdd29ccb544d73aa8c2f7e9360429f2dd39b041b5",
+    "fgm-sympoly3": "b92a725644c9c95e44516e65e2f18c70c50498285469c6be197b1ebd9012b50a",
+    "fgm-chebyshev4": "b8f21a1aa0be8da35b9023183cfef0f42791c0f62ec4e2e4e0e5e3e4fe5df98f",
+    "agm-stochastic3": "a3e81777068b2a3000dd5bfd9a30eb0c514681a8caa98d0608c746d9eaf90ca5",
+    "agm-cutting2": "6069195029a6913b666459a713711e17e72b8ec266b7c60e6c00e43de21b754d",
+    "afgm-sympoly2": "2927c1fab422bef29e78d295fdab892de04faecbd78df9abebf2cea31904da52",
+    "krylov3": "1fb7af20dbbf5eae15334928e028300bfd4cd34c7092e535446b7c05dc6637dc",
 }
 
 
@@ -69,8 +71,9 @@ def workloads():
 def _run_configs(config_paths, out):
     """Run configs as ``bench`` does, on one problem and one reference table.
 
-    Returns the problem and, by run name, each run's summary and the
-    curvature matvecs the problem's operator spent on it.
+    Returns the problem and, by run name, each run's summary, the
+    :class:`Costs` the problem's counters moved by over the run and whether
+    the run computed its reference.
     """
     configs = [parse_config_file(path) for path in config_paths]
     problem = build_problem(configs[0])
@@ -78,9 +81,9 @@ def _run_configs(config_paths, out):
     runs = {}
     for config in configs:
         config.out_dir = str(out)
-        before = problem.curvature.matvecs
+        start, known = problem.costs(), len(references)
         summary = run_experiment(config, references, problem)
-        runs[config.name] = (summary, problem.curvature.matvecs - before)
+        runs[config.name] = (summary, problem.costs() - start, len(references) > known)
     return problem, runs
 
 
@@ -126,7 +129,7 @@ def test_gapped_bench_outputs_pinned(gapped, name):
 
 def test_a9a_solve_summary_pinned(a9a):
     out, _, runs = a9a
-    summary, _ = runs["a9a"]
+    summary, _, _ = runs["a9a"]
     trials = sum(int(t) for t in _column(out / "a9a.csv", "ls_trials"))
     assert (
         summary["iterations"],
@@ -135,37 +138,71 @@ def test_a9a_solve_summary_pinned(a9a):
         trials,
         summary["termination"],
         summary["data_passes"],
-    ) == (51, 102, 51, 103, "gap_target", 157)
+    ) == (51, 102, 51, 103, "gap_target", 154)
     assert summary["f_star_reference"] == 5427.233443353216
 
 
-def _ledger(summary) -> tuple:
-    """Matvecs a run's summary reports: build, initial guess and iterations."""
-    precond = summary["precond"]
-    return precond["setup_matvecs"], precond["guess_matvecs"], summary["total_matvecs"]
+def _spans(summary) -> dict:
+    """The costs a run's summary reports, by span."""
+    iterations = ("total_matvecs", "f_evals", "grad_evals", "data_passes")
+    return {
+        "setup": Costs(**summary["precond"]["setup"]),
+        "guess": Costs(**summary["precond"]["guess"]),
+        "iterations": Costs(*(summary[key] for key in iterations)),
+        "reference": Costs(*(summary["reference"][unit] for unit in Costs._fields)),
+    }
+
+
+def _total(costs) -> Costs:
+    return Costs(*map(sum, zip(*costs)))
+
+
+def _accounted(summary, computed_reference: bool) -> Costs:
+    """What the summary says the run spent: build, guess and iterations, and the
+    reference when the run computed it."""
+    spans = _spans(summary)
+    if not computed_reference:
+        del spans["reference"]
+    return _total(spans.values())
 
 
 def test_gapped_bench_summaries_account_for_every_matvec(gapped):
+    # Every matvec, and every value, gradient and data pass as well.
     _, _, runs = gapped
-    for name, (summary, spent) in runs.items():
-        assert sum(_ledger(summary)) == spent, name
-    totals = [sum(column) for column in zip(*(_ledger(s) for s, _ in runs.values()))]
-    assert totals == [192, 7, 3902]
-    assert sum(spent for _, spent in runs.values()) == 4101
+    for name, (summary, spent, computed) in runs.items():
+        assert _accounted(summary, computed) == spent, name
+    assert [computed for _, _, computed in runs.values()].count(True) == 1
+    totals = {
+        span: _total(_spans(summary)[span] for summary, _, _ in runs.values())
+        for span in ("setup", "guess", "iterations")
+    }
+    assert totals == {
+        "setup": Costs(192, 0, 0, 0),
+        "guess": Costs(7, 6, 3, 9),
+        "iterations": Costs(3902, 2082, 1807, 4891),
+    }
+    assert _total(spent for _, spent, _ in runs.values()) == Costs(4101, 2554, 2043, 5598)
 
 
 def test_a9a_solve_summary_accounts_for_every_matvec(a9a):
+    # Every matvec, and every value, gradient and data pass as well.
     _, _, runs = a9a
-    summary, spent = runs["a9a"]
-    assert _ledger(summary) == (0, 2, 102)
-    assert spent == 104
+    summary, spent, computed = runs["a9a"]
+    assert computed
+    assert _spans(summary) == {
+        "setup": Costs(0, 0, 0, 0),
+        "guess": Costs(2, 2, 1, 3),
+        "iterations": Costs(102, 154, 51, 154),
+        "reference": Costs(0, 40, 20, 59),
+    }
+    assert spent == Costs(104, 196, 72, 216)
 
 
 def test_fixed_step_runs_step_at_beta_L(gapped):
     # gm and fgm step at M = beta L from the bounds their summary reports;
     # the other methods have no bounds to report.
     out, problem, runs = gapped
-    for name, (summary, _) in runs.items():
+    for name, (summary, _, _) in runs.items():
         precond = summary["precond"]
         if summary["config"]["method"] in ("gm", "fgm"):
             M = precond["beta"] * problem.L

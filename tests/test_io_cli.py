@@ -18,6 +18,7 @@ import pytest
 import polyprec
 from polyprec import (
     DatasetMatrix,
+    DenseOperator,
     ExperimentConfig,
     HuberLoss,
     LogisticLoss,
@@ -819,8 +820,8 @@ class TestExperiments:
             def __float__(self):
                 raise RuntimeError("disk full")
 
-        good = IterationRecord(0, 1.0, np.inf, 0, 0, 0, 0, 1.0, 0.0, 0.0)
-        bad = IterationRecord(1, Unwritable(), 0.5, 1, 1, 1, 1, 1.0, 0.0, 0.1)
+        good = IterationRecord(0, 1.0, np.inf, 0, 0, 0, 0, 0, 1.0, 0.0, 0.0)
+        bad = IterationRecord(1, Unwritable(), 0.5, 1, 1, 1, 1, 1, 1.0, 0.0, 0.1)
         run = RunResult("gm", [good, bad], np.zeros(2), "max_iters")
         with pytest.raises(RuntimeError, match="disk full"):
             write_run_csv(tmp_path / "broken.csv", run, 0.0)
@@ -852,7 +853,7 @@ class TestReference:
         reference = summary["reference"]
         assert set(reference) == {
             "method", "precond", "iterations", "termination", "grad_map", "negative_gaps",
-            "data_passes",
+            "matvecs", "f_evals", "grad_evals", "data_passes",
         }
         assert reference["method"] == "adaptive-fgm"
         assert reference["precond"] == "inverse"
@@ -976,26 +977,38 @@ class TestReference:
             products[0] += 1
             return gradient(self, x)
 
-        spent = []
-        reference = experiments.reference_optimum
+        spent = {"reference_optimum": [], "initial_guess_M": []}
 
-        def spied_reference(config, obj):
-            before = products[0]
-            out = reference(config, obj)
-            spent.append(products[0] - before)
-            return out
+        def spy(name):
+            original = getattr(experiments, name)
+
+            def spied(*args):
+                before = products[0]
+                out = original(*args)
+                spent[name].append(products[0] - before)
+                return out
+
+            monkeypatch.setattr(experiments, name, spied)
 
         monkeypatch.setattr(problems.LogisticLoss, "__call__", forward)
         monkeypatch.setattr(problems.CompositeObjective, "gradient", adjoint)
-        monkeypatch.setattr(experiments, "reference_optimum", spied_reference)
+        spy("reference_optimum")
+        spy("initial_guess_M")
         config = ExperimentConfig(
             name="passes", dataset=str(path), method=method, precond="sympoly:1",
             max_iters=15, out_dir=str(tmp_path),
         )
         summary = run_experiment(config)
         assert json.loads((tmp_path / "passes.json").read_text()) == summary
-        assert summary["reference"]["data_passes"] == spent[0] > 0
-        assert summary["data_passes"] == products[0] - spent[0] > summary["grad_evals"]
+        (reference,) = spent["reference_optimum"]
+        # The reference's adaptive run makes the first guess, an adaptive run the second.
+        guesses = spent["initial_guess_M"][1:]
+        assert len(guesses) == (method != "gm")
+        assert summary["reference"]["data_passes"] == reference > 0
+        assert summary["precond"]["guess"]["data_passes"] == sum(guesses)
+        # The rest is the iterations', readouts included.
+        assert summary["data_passes"] == products[0] - reference - sum(guesses)
+        assert summary["data_passes"] > summary["grad_evals"]
 
     def test_singular_gram_from_unused_feature(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -1417,7 +1430,11 @@ class TestCLI:
         done = _run_fresh(script, argv)
         assert done.returncode == 0, done.stderr
         summary = json.loads((tmp_path / "env.json").read_text())
-        assert summary["environment"] == {
+        environment = summary["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert environment.pop("blas") == f"{blas['name']} {blas['version']}"
+        assert environment.pop("cores") == len(os.sched_getaffinity(0))
+        assert environment == {
             "numpy": np.__version__,
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": None,
@@ -1678,12 +1695,14 @@ class TestCLI:
         "argv, code, message",
         [
             (["--dataset", "{tmp}/bad.txt"], 1, "bad.txt:2: bad label 'bad'"),
-            # The degree-15 monomial sympoly polynomial breaks on this gapped
-            # spectrum, so the adaptive search hits its doubling cap.
+            # Traces estimated from one probe give an indefinite sympoly:3 on
+            # this gapped spectrum (no build check covers the stochastic form),
+            # so the adaptive search hits its doubling cap.
             (
                 [
                     "--synthetic", "1000,300,1,100", "--loss", "huber:0.1", "--seed", "204",
-                    "--method", "adaptive-gm", "--precond", "sympoly:15", "--max-iters", "200",
+                    "--method", "adaptive-gm", "--precond", "sympoly:3:stochastic:1:2",
+                    "--max-iters", "200",
                 ],
                 3,
                 "adaptive search exceeded the doubling cap",
@@ -1735,3 +1754,119 @@ class TestCLI:
         assert cli_main(["bench", str(good), str(bad), "--out", str(out)]) == 1
         assert f"{bad}:5:" in capsys.readouterr().err
         assert not out.exists()
+
+
+GAPPED_FLAGS = ["--synthetic", "1000,300,1,100", "--loss", "huber:0.1", "--seed", "204"]
+
+
+class TestBuildGuard:
+    """An exact sympoly or cutting build that misses its guarantee exits 1 before
+    the reference; the check is the one the verify suite judges."""
+
+    @pytest.mark.parametrize("method", ["gm", "adaptive-gm"])
+    def test_gapped_degrees(self, tmp_path, capsys, monkeypatch, method):
+        import polyprec.experiments as experiments
+
+        obj = build_problem(ExperimentConfig(**GAPPED))
+        for precond in [f"sympoly:{tau}" for tau in range(9)] + [
+            f"cutting:{tau}" for tau in range(1, 5)
+        ]:
+            experiments._build(obj, method, precond)
+        references = []
+        monkeypatch.setattr(experiments, "reference_optimum", lambda *a: references.append(a))
+        out = tmp_path / "out"
+        for precond in (
+            "sympoly:10", "sympoly:12", "sympoly:15", "sympoly:20",
+            "cutting:5", "cutting:8", "cutting:10",
+        ):
+            argv = ["solve", *GAPPED_FLAGS, "--method", method, "--precond", precond,
+                    "--max-iters", "5", "--out", str(out)]
+            assert cli_main(argv) == 1, precond
+            err = capsys.readouterr().err
+            pattern = (
+                rf"polyprec: error: '{precond}' misses its spectral guarantee on this "
+                r"operator by \d\.\d{3}e[+-]\d+ \(tolerance 1e-06\)"
+            )
+            assert re.match(pattern, err), err
+        assert references == []
+        assert not out.exists()
+
+    def test_sympoly_above_the_rank_fails(self, tmp_path, capsys):
+        # Feature 3 is never used, so the Gram of the five columns has rank 4.
+        rng = np.random.default_rng(8)
+        rows = np.zeros((60, 5))
+        for row in rows:
+            row[rng.choice([0, 1, 3, 4], size=2, replace=False)] = rng.uniform(0.5, 2.0, 2)
+        path = tmp_path / "rank4.txt"
+        write_libsvm(path, rows, np.where(rng.random(60) < 0.5, 1, -1))
+        argv = ["solve", "--dataset", str(path), "--max-iters", "5", "--out", str(tmp_path)]
+        assert cli_main([*argv, "--precond", "sympoly:3"]) == 0
+        assert cli_main([*argv, "--precond", "sympoly:4"]) == 1
+        err = capsys.readouterr().err
+        assert "'sympoly:4' is singular on the operator's range: degree 4 exceeds rank-1=3" in err
+
+    @pytest.mark.parametrize(
+        "check, precond", [("sandwich_slack", "sympoly:2"), ("cutting_excess", "cutting:2")]
+    )
+    def test_verify_and_builds_share_the_check(self, tmp_path, capsys, monkeypatch, check, precond):
+        import polyprec.diagnostics as diagnostics
+        import polyprec.preconditioners as preconditioners
+
+        for module in (preconditioners, diagnostics):
+            monkeypatch.setattr(module, check, lambda spectrum, prec, tau: 0.5)
+        if check == "sandwich_slack":
+            # The suite's envelope runs build sympoly too, so judge the member alone.
+            assert diagnostics.verify_sandwich(DenseOperator(np.diag([3.0, 2.0, 1.0])), 1) == 0.5
+        else:
+            reports = {r.check: r for r in diagnostics.run_verification_suite(seed=0)}
+            assert not reports["cutting-bound-batch"].passed
+            assert reports["cutting-bound-batch"].max_slack == 0.5
+        argv = ["solve", *GAPPED_FLAGS, "--precond", precond, "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
+        assert f"'{precond}' misses its spectral guarantee on this operator by 5.000e-01" in (
+            capsys.readouterr().err
+        )
+
+
+class TestBenchFailures:
+    """A config that fails once the runs start leaves no file; the batch goes on."""
+
+    PROBLEM = (
+        "synthetic = 1000,300,1,100\nloss = huber:0.1\nseed = 204\nmax_iters = 5\n"
+        "reference_iters = 20\n"
+    )
+
+    def _configs(self, tmp_path, runs):
+        paths = []
+        for name, method, precond in runs:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(self.PROBLEM + f"method = {method}\nprecond = {precond}\n")
+            paths.append(str(path))
+        return paths
+
+    def test_bench_runs_on_past_a_failed_config(self, tmp_path, capsys):
+        paths = self._configs(
+            tmp_path,
+            [("a", "gm", "sympoly:2"), ("b", "gm", "sympoly:20"), ("c", "adaptive-gm", "identity")],
+        )
+        out = tmp_path / "runs"
+        assert cli_main(["bench", *paths, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "a.json", "c.csv", "c.json"]
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["a", "c"]
+        (line,) = captured.err.splitlines()
+        assert line.startswith("polyprec: error: b: failed: 'sympoly:20' misses its spectral")
+
+    @pytest.mark.parametrize("numerical_first, code", [(True, 3), (False, 1)])
+    def test_bench_exits_with_the_first_failure_code(self, tmp_path, capsys, numerical_first, code):
+        # A one-probe trace estimate makes sympoly:3 indefinite: doubling cap.
+        failures = [("cap", "adaptive-gm", "sympoly:3:stochastic:1:2"), ("bad", "gm", "cutting:8")]
+        if not numerical_first:
+            failures.reverse()
+        paths = self._configs(tmp_path, [*failures, ("good", "gm", "identity")])
+        out = tmp_path / "runs"
+        assert cli_main(["bench", *paths, "--out", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[2].strip() for line in err] == [name for name, _, _ in failures]
+        assert any("doubling cap" in line for line in err)
