@@ -33,7 +33,8 @@ class SymmetricOperator:
     and is the cost unit reported by all solvers. Operators are otherwise
     immutable, so one keeps its eigendecomposition once computed (see
     :func:`spectral_decomposition`). Runs may share an operator, since each
-    counts from its own start: ``bench`` builds each problem once per batch.
+    counts from its own start: ``bench`` builds a problem once for each run of
+    consecutive configs with the same problem fields.
     """
 
     def __init__(self, dim: int):

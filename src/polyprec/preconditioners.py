@@ -243,10 +243,8 @@ def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     constant term 1 cancels exactly, so p is minus the others.
     """
     spectrum = np.asarray(spectrum, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau > spectrum.size - 1:
-        raise ValueError(f"tau={tau} exceeds n-1={spectrum.size - 1}")
+    if not 0 <= tau < spectrum.size:
+        raise ValueError(f"tau={tau} out of range for spectrum of size {spectrum.size}")
     if np.min(spectrum) <= 0:
         raise ValueError("eigenvalues must be positive")
     if np.any(np.diff(spectrum) > 0):
@@ -340,15 +338,8 @@ def check_exact_build(text: str, prec: Preconditioner, op: SymmetricOperator):
     kind, numbers = parse_descriptor(text)
     if kind not in ("sympoly", "cutting"):
         return
-    tau = numbers[0]
-    spectrum = spectral_decomposition(op).range_eigenvalues
-    if tau > spectrum.size - 1:
-        raise ValueError(
-            f"{text!r} is singular on the operator's range: degree {tau} exceeds "
-            f"rank-1={spectrum.size - 1}"
-        )
     check = sandwich_slack if kind == "sympoly" else cutting_excess
-    deviation = check(spectrum, prec, tau)
+    deviation = check(spectral_decomposition(op).range_eigenvalues, prec, numbers[0])
     if not deviation <= BUILD_TOLERANCE:
         raise ValueError(
             f"{text!r} misses its spectral guarantee on this operator by {deviation:.3e} "
@@ -357,30 +348,34 @@ def check_exact_build(text: str, prec: Preconditioner, op: SymmetricOperator):
         )
 
 
-# Integer fields of each descriptor form: how many are required, and the
-# defaults of the optional ones after them (stochastic traces: S and SEED).
+# Integer fields of each descriptor form: how many are required, the
+# defaults of the optional ones after them (stochastic traces: S and SEED),
+# and whether the first is a degree capped at n - 1 (the adjugate's).
 _DESCRIPTOR_FIELDS = {
-    "identity": (0, ()),
-    "inverse": (0, ()),
-    "chebyshev": (1, ()),
-    "cutting": (1, ()),
-    "sympoly": (1, ()),
-    "sympoly:stochastic": (1, (256, 0)),
+    "identity": (0, (), False),
+    "inverse": (0, (), False),
+    "chebyshev": (1, (), False),
+    "cutting": (1, (), True),
+    "sympoly": (1, (), True),
+    "sympoly:stochastic": (1, (256, 0), True),
 }
 
 # Name and smallest allowed value of each integer field, in descriptor order.
 _FIELD_MINIMUM = (("degree", 0), ("sample count", 1), ("seed", 0))
 
 
-def parse_descriptor(text: str) -> tuple[str, list[int]]:
+def parse_descriptor(text: str, n: int | None = None) -> tuple[str, list[int]]:
     """Check a preconditioner descriptor and split it into its form and integers.
 
     Understood forms: ``identity``, ``inverse``, ``sympoly:T``,
     ``sympoly:T:stochastic[:S[:SEED]]`` (form ``sympoly:stochastic``: traces
     estimated from S probe vectors drawn from seed SEED, 256 and 0 when left
-    out), ``chebyshev:T`` and ``cutting:T``. The integers are those the text
-    holds. Anything else, a trailing field or a negative degree, sample count
-    below 1 or negative seed included, raises a ValueError naming the text.
+    out), ``chebyshev:T`` and ``cutting:T``. The integers are the form's
+    fields with the defaults of those the text leaves out filled in. Anything
+    else, a trailing field or a negative degree, sample count below 1 or
+    negative seed included, raises a ValueError naming the text; so does, for
+    an operator of size ``n`` when it is given, a ``sympoly`` or ``cutting``
+    degree above n - 1.
     """
     kind, *fields = text.strip().split(":")
     if kind == "sympoly" and fields[1:2] == ["stochastic"]:
@@ -388,7 +383,7 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
         del fields[1]
     if kind not in _DESCRIPTOR_FIELDS:
         raise ValueError(f"unknown preconditioner descriptor {text!r}")
-    required, defaults = _DESCRIPTOR_FIELDS[kind]
+    required, defaults, capped = _DESCRIPTOR_FIELDS[kind]
     if len(fields) < required:
         raise ValueError(f"descriptor {text!r} is missing a degree")
     if len(fields) > required + len(defaults):
@@ -400,34 +395,38 @@ def parse_descriptor(text: str) -> tuple[str, list[int]]:
     for number, (name, low) in zip(numbers, _FIELD_MINIMUM):
         if number < low:
             raise ValueError(f"{name} must be at least {low} in descriptor {text!r}")
-    return kind, numbers
+    if capped and n is not None and numbers[0] > n - 1:
+        raise ValueError(f"degree {numbers[0]} of {text!r} exceeds n-1={n - 1}")
+    return kind, numbers + list(defaults[len(numbers) - required :])
 
 
 def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
     """Build a preconditioner from its serialized text form (see :func:`parse_descriptor`).
 
-    A ``sympoly`` form runs the trace recursion, of degree at most
-    ``op.dim - 1``, on exact or estimated traces. The spectral constructions,
-    exact traces included, require a dense-capable operator.
+    A ``sympoly`` form runs the trace recursion on exact or estimated traces.
+    Its degree, and ``cutting``'s, is at most ``op.dim - 1``, and an exact
+    form's at most the rank minus one, checked before any trace or root is
+    formed: above it the polynomial is singular on the operator's range. The
+    spectral constructions, exact traces included, require a dense-capable
+    operator.
     """
-    kind, numbers = parse_descriptor(text)
+    kind, numbers = parse_descriptor(text, op.dim)
     if kind == "identity":
         return IdentityPreconditioner()
     if kind == "inverse":
         return inverse_preconditioner(op)
-    required, defaults = _DESCRIPTOR_FIELDS[kind]
-    tau, *options = numbers + list(defaults[len(numbers) - required :])
-    if kind.startswith("sympoly"):
-        if tau > op.dim - 1:
-            raise ValueError(f"tau={tau} exceeds dim-1={op.dim - 1}; higher degrees are redundant")
-        if tau == 0:
-            traces = np.empty(0)
-        elif kind == "sympoly":
-            traces = exact_traces(op, tau)
-        else:
-            traces = stochastic_traces(op, tau, *options)
-        return sympoly_coefficients(traces, tau)
+    tau, *options = numbers
+    if kind == "sympoly:stochastic":
+        return sympoly_coefficients(stochastic_traces(op, tau, *options) if tau else [], tau)
     dec = spectral_decomposition(op)
     if kind == "chebyshev":
         return ChebyshevPreconditioner(dec.lam_max, dec.lam_min, tau)
-    return cutting_preconditioner(dec.range_eigenvalues, tau)
+    spectrum = dec.range_eigenvalues
+    if tau > spectrum.size - 1:
+        raise ValueError(
+            f"{text!r} is singular on the operator's range: degree {tau} exceeds "
+            f"rank-1={spectrum.size - 1}"
+        )
+    if kind == "sympoly":
+        return sympoly_coefficients(exact_traces(op, tau) if tau else [], tau)
+    return cutting_preconditioner(spectrum, tau)

@@ -1791,19 +1791,50 @@ class TestBuildGuard:
         assert references == []
         assert not out.exists()
 
-    def test_sympoly_above_the_rank_fails(self, tmp_path, capsys):
-        # Feature 3 is never used, so the Gram of the five columns has rank 4.
+    @staticmethod
+    def _rank4_solve(tmp_path):
+        """``solve`` argv on a 5-feature dataset whose Gram has rank 4: feature 3
+        is never used."""
         rng = np.random.default_rng(8)
         rows = np.zeros((60, 5))
         for row in rows:
             row[rng.choice([0, 1, 3, 4], size=2, replace=False)] = rng.uniform(0.5, 2.0, 2)
         path = tmp_path / "rank4.txt"
         write_libsvm(path, rows, np.where(rng.random(60) < 0.5, 1, -1))
-        argv = ["solve", "--dataset", str(path), "--max-iters", "5", "--out", str(tmp_path)]
+        return ["solve", "--dataset", str(path), "--max-iters", "5", "--out", str(tmp_path)]
+
+    def test_sympoly_above_the_rank_fails(self, tmp_path, capsys):
+        argv = self._rank4_solve(tmp_path)
         assert cli_main([*argv, "--precond", "sympoly:3"]) == 0
         assert cli_main([*argv, "--precond", "sympoly:4"]) == 1
         err = capsys.readouterr().err
         assert "'sympoly:4' is singular on the operator's range: degree 4 exceeds rank-1=3" in err
+
+    def test_degree_limits_on_a_singular_dataset(self, tmp_path, capsys, monkeypatch):
+        # One wording per limit: n - 1 for every capped form, rank - 1 for the
+        # exact ones, checked before any trace or cutting polynomial is formed.
+        import polyprec.preconditioners as preconditioners
+
+        formed = []
+        for name in ("exact_traces", "cutting_preconditioner"):
+            original = getattr(preconditioners, name)
+            monkeypatch.setattr(
+                preconditioners, name, lambda *a, f=original: formed.append(a) or f(*a)
+            )
+        argv = self._rank4_solve(tmp_path)
+        expected = {
+            "sympoly:4": "'sympoly:4' is singular on the operator's range: degree 4 exceeds rank-1=3",
+            "cutting:4": "'cutting:4' is singular on the operator's range: degree 4 exceeds rank-1=3",
+            "sympoly:5": "degree 5 of 'sympoly:5' exceeds n-1=4",
+            "cutting:5": "degree 5 of 'cutting:5' exceeds n-1=4",
+            "sympoly:5:stochastic": "degree 5 of 'sympoly:5:stochastic' exceeds n-1=4",
+        }
+        for precond, message in expected.items():
+            assert cli_main([*argv, "--precond", precond]) == 1, precond
+            assert capsys.readouterr().err == f"polyprec: error: {message}\n"
+        assert formed == []
+        # The stochastic form has no rank limit.
+        assert cli_main([*argv, "--precond", "sympoly:4:stochastic"]) == 0
 
     @pytest.mark.parametrize(
         "check, precond", [("sandwich_slack", "sympoly:2"), ("cutting_excess", "cutting:2")]

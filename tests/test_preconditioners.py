@@ -107,7 +107,7 @@ class TestBuildSympoly:
 
     def test_tau_beyond_dim_rejected(self):
         op = DenseOperator(np.eye(3))
-        with pytest.raises(ValueError, match="redundant"):
+        with pytest.raises(ValueError, match="^degree 3 of 'sympoly:3' exceeds n-1=2$"):
             build_from_descriptor("sympoly:3", op)
 
     def test_exact_mode_needs_dense(self):
@@ -504,6 +504,15 @@ class TestDescriptors:
             build_from_descriptor("ssor:2", op)
 
     def test_stochastic_sample_count_and_seed(self):
-        assert parse_descriptor("sympoly:2:stochastic") == ("sympoly:stochastic", [2])
+        assert parse_descriptor("sympoly:2:stochastic") == ("sympoly:stochastic", [2, 256, 0])
         assert parse_descriptor(" sympoly:2:stochastic:8:5 ") == ("sympoly:stochastic", [2, 8, 5])
         assert parse_descriptor("cutting:3") == ("cutting", [3])
+
+    def test_degree_cap_belongs_to_the_form(self):
+        # Given n, sympoly and cutting cap their degree at n - 1; chebyshev does not.
+        assert parse_descriptor("sympoly:2:stochastic:8", 3) == ("sympoly:stochastic", [2, 8, 0])
+        assert parse_descriptor("chebyshev:9", 3) == ("chebyshev", [9])
+        for text in ("sympoly:3", "sympoly:3:stochastic", "cutting:3"):
+            with pytest.raises(ValueError, match=f"^degree 3 of '{text}' exceeds n-1=2$"):
+                parse_descriptor(text, 3)
+            assert parse_descriptor(text)[1][0] == 3

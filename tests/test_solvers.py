@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -502,6 +504,41 @@ class TestCompositeRuns:
             0.5,
         )
         assert np.allclose(run.x, target, atol=1e-8)
+
+    @pytest.mark.parametrize("precond, composite_matvecs", [("sympoly:2", 252), ("cutting:2", 240)])
+    def test_adaptive_gm_zero_part_matches_the_smooth_run(self, precond, composite_matvecs):
+        # A zero part whose prox is the closed-form step sends every trial
+        # through the prox: the same run bit for bit, but the preconditioner
+        # is applied at each trial (tau matvecs) instead of once per iteration.
+        from polyprec import CompositePart
+
+        def prox(M, prec, op, x, g):
+            pg = prec.apply(op, g)
+            return x - pg / M, float(g @ pg) / (M * M)
+
+        runs = []
+        for psi in (None, CompositePart(lambda y: 0.0, prox)):
+            obj = synth_regression((1000.0, 300.0, 1.0, 100), HuberLoss(0.1), 204, None)
+            prec = build_from_descriptor(precond, obj.curvature)
+            guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+            obj.psi = psi
+            runs.append(run_adaptive_gm(obj, prec, SolverConfig(max_iters=60), guess))
+        smooth, composite = runs
+        assert np.array_equal(smooth.x, composite.x)
+        for a, b in zip(smooth.records, composite.records, strict=True):
+            assert replace(a, matvecs=0, time_ms=0) == replace(b, matvecs=0, time_ms=0)
+        assert smooth.total_matvecs() == 60 * 2
+        assert composite.total_matvecs() == 2 * composite.total_ls_trials() == composite_matvecs
+
+
+def test_fixed_step_above_the_curvature_stops_non_finite():
+    # M = 1 against the top eigenvalue 100: each step multiplies that
+    # coordinate's error by -99 until the objective overflows.
+    obj = make_quadratic(DenseOperator(np.diag([100.0, 10.0, 1.0])), np.ones(3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        RuntimeError, match="^gm: objective became non-finite"
+    ):
+        run_gm(obj, IdentityPreconditioner(), SolverConfig(max_iters=1000), 1.0)
 
 
 class TestInitialGuess:
