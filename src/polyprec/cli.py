@@ -28,6 +28,7 @@ from .experiments import (
     write_json,
 )
 from .operators import spectral_decomposition
+from .preconditioners import parse_descriptor
 
 __all__ = ["main"]
 
@@ -150,11 +151,12 @@ def build_parser() -> _Parser:
     )
     solve.add_argument("--name")
     solve.add_argument("--method", choices=METHODS)
+    _, (_, samples, seed) = parse_descriptor("sympoly:0:stochastic")
     solve.add_argument(
         "--precond",
         help="identity | sympoly:T | sympoly:T:stochastic[:S[:SEED]] | chebyshev:T | "
-        "cutting:T | inverse; stochastic traces use S=256 probe vectors and SEED=0 "
-        "unless given",
+        f"cutting:T | inverse; stochastic traces use S={samples} probe vectors and "
+        f"SEED={seed} unless given",
     )
     solve.add_argument("--tau", type=int, help="krylov subspace degree (krylov method only)")
     _add_problem_flags(solve)

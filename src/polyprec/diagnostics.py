@@ -28,6 +28,7 @@ from .preconditioners import (
     cutting_excess,
     cutting_preconditioner,
     gamma_of_polynomial,
+    proposition_bounds,
     sandwich_slack,
     xi_tau,
 )
@@ -44,7 +45,6 @@ __all__ = [
     "gm_envelopes",
     "fgm_envelopes",
     "krylov_envelope",
-    "proposition_bounds",
     "run_verification_suite",
 ]
 
@@ -278,28 +278,6 @@ def krylov_envelope(
     gaps, initial_gap, ks = _gaps(run, f_star)
     bounds = 4.0 * cutting_cond * L * D0_sq / ks
     return _envelope("krylov-rate", gaps, bounds, f_star, initial_gap, advisory=True)
-
-
-def proposition_bounds(spectrum, tau: int):
-    """Guaranteed condition number of cutting and uniform-error of Chebyshev.
-
-    Returns ``(cutting_cond, chebyshev_gamma)`` for degree tau on the given
-    spectrum.
-    """
-    spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
-    n = spectrum.size
-    if not 0 <= tau <= n - 1:
-        raise ValueError(f"need 0 <= tau <= n-1, got tau={tau}")
-    cutting_cond = float(spectrum[tau] / spectrum[-1])
-    root_top = np.sqrt(spectrum[0])
-    root_bottom = np.sqrt(spectrum[-1])
-    if root_top == root_bottom:
-        chebyshev_gamma = 0.0
-    else:
-        chebyshev_gamma = float(
-            2.0 * ((root_top - root_bottom) / (root_top + root_bottom)) ** (tau + 1)
-        )
-    return cutting_cond, chebyshev_gamma
 
 
 def _random_spd(rng, n, lam_low=0.2, lam_high=8.0, spectrum=None):

@@ -309,9 +309,9 @@ def _run(
     """Run ``method`` on ``obj`` from what :func:`_build` returned; the one
     dispatch of runs, references and the verify suite's envelope runs. gm and
     fgm take M = beta L and fgm rho = alpha mu from the bounds; the adaptive
-    methods start from :func:`initial_guess_M` at the origin. Returns the run
-    and the :class:`Costs` its initial guess spent; the run's own are in its
-    records."""
+    methods start from :func:`initial_guess_M` at the run's start point.
+    Returns the run and the :class:`Costs` its initial guess spent; the run's
+    own are in its records."""
     if method == "krylov":
         return run_krylov_gm(obj, solver_config, tau), Costs()
     if method == "fgm":
@@ -320,7 +320,7 @@ def _run(
     if method == "gm":
         return run_gm(obj, prec, solver_config, bounds.beta * obj.L), Costs()
     start = obj.costs()
-    guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+    guess = initial_guess_M(obj, prec, solver_config.start_point(obj.n), 1.0)
     spent = obj.costs() - start
     runner = run_adaptive_gm if method == "adaptive-gm" else run_adaptive_fgm
     return runner(obj, prec, solver_config, guess), spent

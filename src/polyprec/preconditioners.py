@@ -36,6 +36,7 @@ __all__ = [
     "cutting_preconditioner",
     "inverse_preconditioner",
     "xi_tau",
+    "proposition_bounds",
     "parse_descriptor",
     "build_from_descriptor",
 ]
@@ -312,15 +313,30 @@ def sandwich_slack(spectrum, prec: PolynomialPreconditioner, tau: int) -> float:
     )
 
 
+def proposition_bounds(spectrum, tau: int):
+    """Guaranteed condition number of cutting and uniform error of Chebyshev.
+
+    Returns ``(cutting_cond, chebyshev_gamma)`` for degree tau on the given
+    spectrum, in any order: lam_(tau+1) / lam_n, the condition number left
+    once the top tau eigenvalues are cut, and 2 q^(tau+1) with
+    q = (sqrt(lam_1) - sqrt(lam_n)) / (sqrt(lam_1) + sqrt(lam_n)).
+    """
+    spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
+    if not 0 <= tau <= spectrum.size - 1:
+        raise ValueError(f"need 0 <= tau <= n-1, got tau={tau}")
+    root_top, root_bottom = np.sqrt(spectrum[0]), np.sqrt(spectrum[-1])
+    q = (root_top - root_bottom) / (root_top + root_bottom)
+    return float(spectrum[tau] / spectrum[-1]), float(2.0 * q ** (tau + 1))
+
+
 def cutting_excess(spectrum, prec: Preconditioner, tau: int) -> float:
     """How far a degree-tau cutting polynomial's gamma exceeds its guaranteed bound.
 
-    The bound on a descending positive spectrum is (k - 1) / (k + 1), with
-    k = lam_(tau+1) / lam_n the condition number left once the top tau
-    eigenvalues are cut; a correct build's excess is at most rounding.
+    The bound on a descending positive spectrum is (k - 1) / (k + 1), with k
+    the condition number :func:`proposition_bounds` guarantees once the top
+    tau eigenvalues are cut; a correct build's excess is at most rounding.
     """
-    spectrum = np.asarray(spectrum, dtype=float)
-    cond = float(spectrum[tau] / spectrum[-1])
+    cond, _ = proposition_bounds(spectrum, tau)
     return gamma_of_polynomial(prec, spectrum) - (cond - 1.0) / (cond + 1.0)
 
 

@@ -4,14 +4,15 @@ Each method supplies only its step to :func:`drive`, which owns the start
 point, the stopping rules and the telemetry: per-iteration records of
 objective value, gradient-map norm, cumulative matvec and oracle counts,
 line-search trials, and the accumulation weights of the accelerated scheme.
-The adaptive methods share one doubling search on the step constant, judged
-by :func:`quadratic_growth_predicate`; the krylov method is gm with the
-vector-dependent preconditioner of :mod:`polyprec.krylov`. Runs are
-deterministic; nothing here draws randomness.
+The adaptive methods share one doubling search on the step constant; each
+trial judges itself by :func:`quadratic_growth_predicate`. The krylov method
+is gm with the vector-dependent preconditioner of :mod:`polyprec.krylov`.
+Runs are deterministic; nothing here draws randomness.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +43,8 @@ MAX_DOUBLINGS = 60
 # A step whose model decrease grad_map**2 / (2 M) is within four rounding
 # units of |f| cannot lower f in floating point.
 ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
+
+logger = logging.getLogger("polyprec")
 
 
 @dataclass
@@ -143,9 +146,12 @@ def drive(
     floor or the iteration cap stops it. The gap target is checked at every
     record, the one at the cap included, so a run that meets it there ends as
     ``"gap_target"``. Each record's gradient-map norm is ``M_k`` times the
-    step norm. Each record's four cost counts (see :meth:`CompositeObjective.costs`)
-    are those spent since the start of the run, readouts included, so the
-    last record's are the run's; a non-finite objective raises.
+    step norm, read as 0 for a step whose squared norm is negative (the
+    preconditioner is indefinite along the gradient), and the first such
+    step of a run logs a warning on the ``polyprec`` logger. Each record's
+    four cost counts (see :meth:`CompositeObjective.costs`) are those spent
+    since the start of the run, readouts included, so the last record's are
+    the run's; a non-finite objective raises.
     """
     if not M_0 > 0:
         raise ValueError(f"run requires a positive step constant, got {M_0}")
@@ -163,6 +169,7 @@ def drive(
     record(0, f_value, np.inf, 0, M_0, 0.0)
     gap_rule = config.gap_target is not None and config.f_star is not None
     termination = "max_iters"
+    warned = False
     for k in range(config.max_iters + 1):
         if gap_rule and f_value - config.f_star <= config.gap_target:
             termination = "gap_target"
@@ -177,6 +184,14 @@ def drive(
             raise RuntimeError(
                 f"{method}: objective became non-finite (step constant too small "
                 "for a fixed-step run, or the problem is unbounded)"
+            )
+        if out.step_sq < 0 and not warned:
+            warned = True
+            logger.warning(
+                "%s: iteration %d accepted a non-descent step, squared step norm "
+                "%.3e < 0 (the preconditioner is indefinite along the gradient); its "
+                "gradient map, and that of any later such step, reads 0",
+                method, k + 1, out.step_sq,
             )
         grad_map = out.M_k * np.sqrt(max(out.step_sq, 0.0))
         A_k = state.A if accelerated else 0.0
@@ -211,39 +226,37 @@ def quadratic_growth_predicate(
     M: float,
     x: np.ndarray,
     y: np.ndarray,
-    obj: CompositeObjective,
     g: np.ndarray,
     step_norm_sq: float,
-    f_x: float | None = None,
+    f_x: float,
+    f_y: float,
 ) -> bool:
-    """Whether the quadratic model at x with constant M dominates f at y.
+    """Whether the quadratic model at x with constant M dominates f at y, the
+    descent lemma's test ``f_y <= f_x + g (y - x) + M step_norm_sq / 2``.
 
     ``g`` is the gradient at x and ``step_norm_sq`` the squared norm of
     ``y - x`` in the inverse-preconditioner metric, as the step that produced
-    y reports it. A caller that already holds the value at x passes it as
-    ``f_x``.
+    y reports it; ``f_x`` and ``f_y`` are the values at x and y.
     """
-    if f_x is None:
-        f_x = obj.value(x)
-    return obj.value(y) <= f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
+    return f_y <= f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
 
 
-def _doubling_search(obj: CompositeObjective, guess: float):
+def _doubling_search(guess: float):
     """The doubling search of the adaptive methods, as ``search(trial) -> Step``.
 
     Each search starts from half the constant the previous one accepted (the
-    first from ``guess``) and doubles it until the quadratic-growth predicate
-    accepts. ``trial(M)`` returns ``(state, x, y, g, step_sq, f_x)``: the
-    candidate state and the predicate's inputs, with ``f_x`` None unless the
-    value at the anchor x is already known.
+    first from ``guess``) and doubles it until a trial is accepted.
+    ``trial(M)`` returns ``(state, step_sq, accepted)``: the candidate state,
+    its squared step norm and the verdict of its
+    :func:`quadratic_growth_predicate`.
     """
 
     def search(trial) -> Step:
         nonlocal guess
         M = guess
         for trials in range(1, MAX_DOUBLINGS + 2):
-            state, x, y, g, step_sq, f_x = trial(M)
-            if quadratic_growth_predicate(M, x, y, obj, g, step_sq, f_x):
+            state, step_sq, accepted = trial(M)
+            if accepted:
                 guess = M / SHRINK_FACTOR
                 return Step(state, step_sq, M, trials)
             M *= GROWTH_FACTOR
@@ -351,7 +364,7 @@ def run_adaptive_gm(
     iteration, so rejected trials cost one objective evaluation each.
     """
     op = obj.curvature
-    search = _doubling_search(obj, M0)
+    search = _doubling_search(M0)
 
     def step(x):
         f_x = obj.value(x)
@@ -363,7 +376,7 @@ def run_adaptive_gm(
                 y, step_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
             else:
                 y, step_sq = x - pg / M, float(g @ pg) / (M * M)
-            return y, x, y, g, step_sq, f_x
+            return y, step_sq, quadratic_growth_predicate(M, x, y, g, step_sq, f_x, obj.value(y))
 
         return search(trial)
 
@@ -379,12 +392,13 @@ def run_adaptive_fgm(
     the working constant), tests the predicate at the interpolation point,
     and only an accepted trial advances the state.
     """
-    search = _doubling_search(obj, M0)
+    search = _doubling_search(M0)
 
     def step(state):
         def trial(M):
-            candidate, y, g_y, step_sq = fgm_step(obj, prec, M, 0.0, state)
-            return candidate, y, candidate.x, g_y, step_sq, None
+            new, y, g_y, step_sq = fgm_step(obj, prec, M, 0.0, state)
+            f_y, f_new = obj.value(y), obj.value(new.x)
+            return new, step_sq, quadratic_growth_predicate(M, y, new.x, g_y, step_sq, f_y, f_new)
 
         return search(trial)
 

@@ -13,7 +13,8 @@ values, gradients and data passes): what a run spends on the problem is the
 build's (``precond.setup``), the initial guess's (``precond.guess``), the
 iterations' (top-level ``total_matvecs``, ``f_evals``, ``grad_evals`` and
 ``data_passes``) and, for the run that computes a reference, the
-reference's (``reference``), and no more.
+reference's (``reference``), and no more. They also check what the runs log
+on the ``polyprec`` logger: one non-descent warning, from ``agm-stochastic3``.
 
 A PR that moves a pin changes its digest here and lists the move in
 ``CHANGES.md`` as a behaviour change. The digests were taken with numpy 2.4.6
@@ -25,6 +26,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -73,18 +75,27 @@ def _run_configs(config_paths, out):
 
     Returns the problem and, by run name, each run's summary, the
     :class:`Costs` the problem's counters moved by over the run and whether
-    the run computed its reference.
+    the run computed its reference; then, by run name, the messages each run
+    logged on the ``polyprec`` logger.
     """
     configs = [parse_config_file(path) for path in config_paths]
     problem = build_problem(configs[0])
     references = {}
     runs = {}
-    for config in configs:
-        config.out_dir = str(out)
-        start, known = problem.costs(), len(references)
-        summary = run_experiment(config, references, problem)
-        runs[config.name] = (summary, problem.costs() - start, len(references) > known)
-    return problem, runs
+    messages, logged = [], {}
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logging.getLogger("polyprec").addHandler(handler)
+    try:
+        for config in configs:
+            config.out_dir = str(out)
+            start, known, seen = problem.costs(), len(references), len(messages)
+            summary = run_experiment(config, references, problem)
+            runs[config.name] = (summary, problem.costs() - start, len(references) > known)
+            logged[config.name] = messages[seen:]
+    finally:
+        logging.getLogger("polyprec").removeHandler(handler)
+    return problem, runs, logged
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +133,13 @@ def _column(path, name) -> list:
 
 @pytest.mark.parametrize("name", sorted(GAPPED_CSV))
 def test_gapped_bench_outputs_pinned(gapped, name):
-    out, _, _ = gapped
+    out, _, _, _ = gapped
     assert _csv_digest(out / f"{name}.csv") == GAPPED_CSV[name]
     assert _json_digest(out / f"{name}.json") == GAPPED_JSON[name]
 
 
 def test_a9a_solve_summary_pinned(a9a):
-    out, _, runs = a9a
+    out, _, runs, _ = a9a
     summary, _, _ = runs["a9a"]
     trials = sum(int(t) for t in _column(out / "a9a.csv", "ls_trials"))
     assert (
@@ -168,7 +179,7 @@ def _accounted(summary, computed_reference: bool) -> Costs:
 
 def test_gapped_bench_summaries_account_for_every_matvec(gapped):
     # Every matvec, and every value, gradient and data pass as well.
-    _, _, runs = gapped
+    _, _, runs, _ = gapped
     for name, (summary, spent, computed) in runs.items():
         assert _accounted(summary, computed) == spent, name
     assert [computed for _, _, computed in runs.values()].count(True) == 1
@@ -186,7 +197,7 @@ def test_gapped_bench_summaries_account_for_every_matvec(gapped):
 
 def test_a9a_solve_summary_accounts_for_every_matvec(a9a):
     # Every matvec, and every value, gradient and data pass as well.
-    _, _, runs = a9a
+    _, _, runs, _ = a9a
     summary, spent, computed = runs["a9a"]
     assert computed
     assert _spans(summary) == {
@@ -201,7 +212,7 @@ def test_a9a_solve_summary_accounts_for_every_matvec(a9a):
 def test_fixed_step_runs_step_at_beta_L(gapped):
     # gm and fgm step at M = beta L from the bounds their summary reports;
     # the other methods have no bounds to report.
-    out, problem, runs = gapped
+    out, problem, runs, _ = gapped
     for name, (summary, _, _) in runs.items():
         precond = summary["precond"]
         if summary["config"]["method"] in ("gm", "fgm"):
@@ -210,3 +221,15 @@ def test_fixed_step_runs_step_at_beta_L(gapped):
             assert 0 < precond["alpha"] <= precond["beta"]
         else:
             assert precond["alpha"] is None and precond["beta"] is None, name
+
+
+def test_only_the_stalled_stochastic_run_warns(gapped, a9a):
+    # agm-stochastic3's stochastic sympoly:3 is indefinite along its gradients
+    # from iteration 6 on (ROADMAP item 4); every other run descends.
+    logged = {**gapped[3], **a9a[3]}
+    assert {name: len(messages) for name, messages in logged.items() if messages} == {
+        "agm-stochastic3": 1
+    }
+    assert logged["agm-stochastic3"][0].startswith(
+        "adaptive-gm: iteration 6 accepted a non-descent step"
+    )

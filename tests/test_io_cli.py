@@ -23,10 +23,12 @@ from polyprec import (
     HuberLoss,
     LogisticLoss,
     RunResult,
+    SolverConfig,
     inverse_preconditioner,
     logistic_from_dataset,
     merge_plotdata,
     parse_config_file,
+    parse_descriptor,
     parse_libsvm,
     planted_spectrum,
     reference_optimum,
@@ -493,6 +495,25 @@ class TestExperiments:
         # The reference shares the objective, but the run counts from its own start.
         assert summary["total_matvecs"] == read_run_csv(tmp_path / "once.csv")["matvecs"][-1]
         assert summary["total_matvecs"] <= 10 * 3
+
+    @pytest.mark.parametrize("method", ["adaptive-gm", "adaptive-fgm"])
+    def test_adaptive_guess_is_taken_at_the_start_point(self, monkeypatch, method):
+        import polyprec.experiments as experiments
+
+        obj = build_problem(ExperimentConfig(synthetic=(20.0, 2.0, 1.0, 12), loss="huber:0.1"))
+        prec, bounds, _ = experiments._build(obj, method, "sympoly:1")
+        x0 = np.linspace(-1.0, 1.0, obj.n)
+        guess, points = experiments.initial_guess_M, []
+
+        def spied(obj, prec, x, M0_prime):
+            points.append(x)
+            return guess(obj, prec, x, M0_prime)
+
+        monkeypatch.setattr(experiments, "initial_guess_M", spied)
+        run, _ = experiments._run(obj, method, 0, prec, bounds, SolverConfig(max_iters=3, x0=x0))
+        assert len(points) == 1 and np.array_equal(points[0], x0)
+        assert run.records[0].M_k == guess(obj, prec, x0, 1.0)
+        assert run.records[0].M_k != guess(obj, prec, np.zeros(obj.n), 1.0)
 
     def test_csv_round_trip_lossless(self, tmp_path):
         config = ExperimentConfig(
@@ -1717,6 +1738,68 @@ class TestCLI:
         assert cli_main(["solve", *argv, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "precond, message",
+        [
+            ("sympoly", "descriptor 'sympoly' is missing a degree"),
+            ("cutting", "descriptor 'cutting' is missing a degree"),
+            ("chebyshev", "descriptor 'chebyshev' is missing a degree"),
+            ("sympoly:two", "bad integer in descriptor 'sympoly:two'"),
+            ("sympoly:2:stochastic:x", "bad integer in descriptor 'sympoly:2:stochastic:x'"),
+        ],
+    )
+    def test_malformed_descriptor_is_exit_one(self, tmp_path, capsys, precond, message):
+        out = tmp_path / "out"
+        argv = ["solve", "--synthetic", "15,3,1,8", "--loss", "huber:0.1", "--precond", precond]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert f"polyprec: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_line_without_equals_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("method = gm\nmax_iters 5\n")
+        out = tmp_path / "out"
+        assert cli_main(["bench", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"polyprec: error: {path}:2: expected key=value, got 'max_iters 5'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "precond, warned",
+        [
+            # Traces from one probe (the seed-1 draw) give a sympoly:3 that is
+            # indefinite along the gradient at the start: the search doubles M
+            # until the step is too short to change f, and accepts it.
+            ("sympoly:3:stochastic:1:1", ["adaptive-gm: iteration 1 accepted a non-descent step"]),
+            ("sympoly:2", []),
+        ],
+        ids=["indefinite", "exact"],
+    )
+    def test_non_descent_step_warns_once(self, tmp_path, caplog, precond, warned):
+        argv = ["solve", *GAPPED_FLAGS, "--method", "adaptive-gm", "--precond", precond]
+        argv += ["--max-iters", "200", "--out", str(tmp_path)]
+        with caplog.at_level(logging.WARNING, logger="polyprec"):
+            assert cli_main(argv) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "polyprec"]
+        assert [m[: len(w)] for m, w in zip(messages, warned)] == warned
+        assert len(messages) == len(warned)
+
+    def test_precond_help_states_the_parser_defaults(self, monkeypatch):
+        import polyprec.preconditioners as preconditioners
+
+        def precond_help():
+            [commands] = [
+                a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+            ]
+            return next(a.help for a in commands.choices["solve"]._actions if a.dest == "precond")
+
+        _, (_, samples, seed) = parse_descriptor("sympoly:0:stochastic")
+        assert f"S={samples} probe vectors and SEED={seed}" in precond_help()
+        # The help follows the parser's table, not a copy of it.
+        fields = (1, (17, 5), True)
+        monkeypatch.setitem(preconditioners._DESCRIPTOR_FIELDS, "sympoly:stochastic", fields)
+        assert "S=17 probe vectors and SEED=5" in precond_help()
 
     def test_bench_validates_every_config_first(self, tmp_path):
         good = tmp_path / "good.cfg"

@@ -228,14 +228,14 @@ class TestPredicate:
         g = obj.gradient(x)
         M = bounds.beta * obj.L
         y = x - g / M
-        assert quadratic_growth_predicate(M, x, y, obj, g=g, step_norm_sq=float(g @ g) / M**2)
+        step_norm_sq = float(g @ g) / M**2
+        assert quadratic_growth_predicate(M, x, y, g, step_norm_sq, obj.value(x), obj.value(y))
 
     def test_trivial_equal_points(self, rng):
         obj = gapped_quadratic(rng, n=4, cond=10)
         x = rng.standard_normal(4)
-        assert quadratic_growth_predicate(
-            0.5, x, x.copy(), obj, g=obj.gradient(x), step_norm_sq=0.0
-        )
+        f_x = obj.value(x)
+        assert quadratic_growth_predicate(0.5, x, x.copy(), obj.gradient(x), 0.0, f_x, f_x)
 
     def test_one_dimensional_counterexample(self):
         B = DenseOperator(np.array([[1.0]]))
@@ -243,7 +243,7 @@ class TestPredicate:
         x = np.array([1.0])
         y = np.array([0.0])
         assert not quadratic_growth_predicate(
-            0.5, x, y, obj, g=obj.gradient(x), step_norm_sq=1.0
+            0.5, x, y, obj.gradient(x), 1.0, obj.value(x), obj.value(y)
         )
 
 
