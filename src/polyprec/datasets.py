@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .operators import SpectralDecomposition
+from .operators import SpectralDecomposition, _descending_spectrum
 from .problems import CompositeObjective, HuberLoss, LogisticLoss, make_regression
 
 __all__ = [
@@ -338,9 +338,7 @@ def planted_spectrum(synthetic, rows: int | None = None) -> np.ndarray:
     lam1, lam2, tail, n = synthetic
     if n < 2:
         raise ValueError("pattern spec needs n >= 2")
-    lam = np.sort(np.concatenate([[lam1, lam2], np.full(n - 2, tail)], dtype=float))[::-1]
-    if not np.all(np.isfinite(lam) & (lam > 0)):
-        raise ValueError("spectrum must be finite and positive")
+    lam = _descending_spectrum(np.concatenate([[lam1, lam2], np.full(n - 2, tail)]))
     if rows is not None and rows < n:
         raise ValueError(f"rows must be at least the dimension {n}, got {rows}")
     return lam

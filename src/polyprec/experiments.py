@@ -37,6 +37,7 @@ from .preconditioners import (
 )
 from .problems import CompositeObjective, Costs, HuberLoss, LogisticLoss
 from .solvers import (
+    _RUN_NAME,
     RunResult,
     SolverConfig,
     initial_guess_M,
@@ -406,7 +407,11 @@ def run_experiment(
     reference = references[key]
     f_star = reference.f_star
     solver_config = SolverConfig(max_iters=config.max_iters, gap_target=config.tol, f_star=f_star)
-    run, guess = _run(obj, config.method, config.tau, prec, bounds, solver_config)
+    named = _RUN_NAME.set(config.name)  # so the run's warnings name the config
+    try:
+        run, guess = _run(obj, config.method, config.tau, prec, bounds, solver_config)
+    finally:
+        _RUN_NAME.reset(named)
     last = run.records[-1]
 
     # Made only now, so a run that fails before its first file leaves no directory.

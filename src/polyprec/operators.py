@@ -298,3 +298,15 @@ def elementary_symmetric(values, k_max: int) -> tuple[np.ndarray, float]:
         raise ValueError("values must be positive")
     scale = float(np.max(values)) if m else 1.0
     return np.abs(np.atleast_1d(np.poly(values / scale)))[: k_max + 1], scale
+
+
+def _descending_spectrum(values, degree: int | None = None) -> np.ndarray:
+    """``values`` as floats sorted descending: the one check of a spectrum, in any
+    order, that the paper's bounds are read off. It must be nonempty, finite and
+    positive, and ``degree``, when given, in 0..n-1; else a ValueError is raised."""
+    spectrum = np.sort(np.asarray(values, dtype=float))[::-1]
+    if not (spectrum.size and np.all(np.isfinite(spectrum) & (spectrum > 0))):
+        raise ValueError("spectrum must be finite and positive")
+    if degree is not None and not 0 <= degree < spectrum.size:
+        raise ValueError(f"tau={degree} out of range for spectrum of size {spectrum.size}")
+    return spectrum

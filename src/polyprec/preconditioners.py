@@ -4,7 +4,9 @@ The trace-recursion family (``sympoly``), eigenvalue-cutting and Chebyshev
 constructions all produce polynomials in the curvature operator; applying a
 degree-tau preconditioner costs tau matvecs. Quality is measured either by the
 two-sided spectral bounds (alpha, beta) or by the scalar deviation gamma of
-``s * p(s)`` from 1 over the spectrum.
+``s * p(s)`` from 1 over the spectrum. Every function here that reads a
+spectrum takes it in any order, finite and positive, with a degree in
+0..n-1, and raises a ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .operators import (
     MatvecOperator,
     SymmetricOperator,
+    _descending_spectrum,
     elementary_symmetric,
     exact_traces,
     spectral_decomposition,
@@ -224,32 +227,24 @@ def compute_alpha_beta(prec: Preconditioner, op: SymmetricOperator) -> QualityBo
 
 
 def gamma_of_polynomial(prec: Preconditioner, points) -> float:
-    """Worst deviation of ``s * p(s)`` from one over positive points, ``p`` the
-    preconditioner's scalar form."""
-    points = np.asarray(points, dtype=float)
-    if points.size and np.min(points) <= 0:
-        raise ValueError("points must be positive")
+    """Worst deviation of ``s * p(s)`` from one over a spectrum of points, ``p``
+    the preconditioner's scalar form."""
+    points = _descending_spectrum(points)
     return float(np.max(np.abs(points * prec.eval_at(points) - 1.0)))
 
 
 def cutting_preconditioner(spectrum, tau: int) -> PolynomialPreconditioner:
     """Degree-tau polynomial with roots placed at the top tau eigenvalues.
 
-    ``spectrum`` is the full spectrum in descending order; the construction
-    zeroes the residual at its first tau eigenvalues and balances the
-    remaining interval with the optimal constant
+    ``spectrum`` is the full spectrum, in any order; sorted descending, the
+    construction zeroes the residual at its first tau eigenvalues and
+    balances the remaining interval with the optimal constant
     a = 2 / (spectrum[tau] + spectrum[-1]). The residual 1 - s p(s) is the
     product of the factors (1 - s / lam) and (1 - a s), whose ascending
     coefficients are those of ``np.poly`` on the reciprocal roots; its
     constant term 1 cancels exactly, so p is minus the others.
     """
-    spectrum = np.asarray(spectrum, dtype=float)
-    if not 0 <= tau < spectrum.size:
-        raise ValueError(f"tau={tau} out of range for spectrum of size {spectrum.size}")
-    if np.min(spectrum) <= 0:
-        raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(spectrum) > 0):
-        raise ValueError("eigenvalues must be sorted descending")
+    spectrum = _descending_spectrum(spectrum, tau)
     a = 2.0 / (spectrum[tau] + spectrum[-1])
     return PolynomialPreconditioner(-np.poly(np.append(1.0 / spectrum[:tau], a))[1:])
 
@@ -273,12 +268,7 @@ def xi_tau(spectrum, tau: int) -> float:
     the largest eigenvalue removed to the same with the smallest removed,
     computed scale-free with a shared scale.
     """
-    spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
-    n = spectrum.size
-    if not 0 <= tau <= n - 1:
-        raise ValueError(f"tau={tau} out of range for spectrum of size {n}")
-    if np.min(spectrum) <= 0:
-        raise ValueError("spectrum must be positive")
+    spectrum = _descending_spectrum(spectrum, tau)
     top_removed, top_scale = elementary_symmetric(spectrum[1:], tau)
     bottom_removed, bottom_scale = elementary_symmetric(spectrum[:-1], tau)
     # Combine the per-call scales in ratio form; the base is at most one.
@@ -297,13 +287,13 @@ def _sigma_removed(lam: np.ndarray, remove: int, tau: int) -> float:
 def sandwich_slack(spectrum, prec: PolynomialPreconditioner, tau: int) -> float:
     """Slack of the two-sided eigenvalue bounds of a degree-tau trace-recursion member.
 
-    On a descending positive spectrum every product lam_i * p(lam_i), with p
+    On the spectrum, sorted descending, every product lam_i * p(lam_i), with p
     unnormalized, must lie between lam_n and lam_1 times the tau-th
     elementary symmetric polynomial of the spectrum without lam_n and lam_1
     respectively; the slack is the worst excursion beyond either bound,
     relative to the upper one.
     """
-    lam = np.asarray(spectrum, dtype=float)
+    lam = _descending_spectrum(spectrum, tau)
     vals = lam * prec.eval_at(lam) * prec.scale
     lower = lam[-1] * _sigma_removed(lam, lam.size - 1, tau)
     upper = lam[0] * _sigma_removed(lam, 0, tau)
@@ -321,9 +311,7 @@ def proposition_bounds(spectrum, tau: int):
     once the top tau eigenvalues are cut, and 2 q^(tau+1) with
     q = (sqrt(lam_1) - sqrt(lam_n)) / (sqrt(lam_1) + sqrt(lam_n)).
     """
-    spectrum = np.sort(np.asarray(spectrum, dtype=float))[::-1]
-    if not 0 <= tau <= spectrum.size - 1:
-        raise ValueError(f"need 0 <= tau <= n-1, got tau={tau}")
+    spectrum = _descending_spectrum(spectrum, tau)
     root_top, root_bottom = np.sqrt(spectrum[0]), np.sqrt(spectrum[-1])
     q = (root_top - root_bottom) / (root_top + root_bottom)
     return float(spectrum[tau] / spectrum[-1]), float(2.0 * q ** (tau + 1))
@@ -332,7 +320,7 @@ def proposition_bounds(spectrum, tau: int):
 def cutting_excess(spectrum, prec: Preconditioner, tau: int) -> float:
     """How far a degree-tau cutting polynomial's gamma exceeds its guaranteed bound.
 
-    The bound on a descending positive spectrum is (k - 1) / (k + 1), with k
+    The bound on the spectrum, in any order, is (k - 1) / (k + 1), with k
     the condition number :func:`proposition_bounds` guarantees once the top
     tau eigenvalues are cut; a correct build's excess is at most rounding.
     """

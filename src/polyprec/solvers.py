@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,10 @@ MAX_DOUBLINGS = 60
 ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 logger = logging.getLogger("polyprec")
+
+# The name of the configured run in progress, which leads the warning
+# :func:`drive` logs; None for a runner called from the library.
+_RUN_NAME: ContextVar[str | None] = ContextVar("polyprec_run_name", default=None)
 
 
 @dataclass
@@ -148,7 +153,8 @@ def drive(
     ``"gap_target"``. Each record's gradient-map norm is ``M_k`` times the
     step norm, read as 0 for a step whose squared norm is negative (the
     preconditioner is indefinite along the gradient), and the first such
-    step of a run logs a warning on the ``polyprec`` logger. Each record's
+    step of a run logs a warning on the ``polyprec`` logger, naming the
+    method and, for a configured run, the config. Each record's
     four cost counts (see :meth:`CompositeObjective.costs`) are those spent
     since the start of the run, readouts included, so the last record's are
     the run's; a non-finite objective raises.
@@ -187,11 +193,12 @@ def drive(
             )
         if out.step_sq < 0 and not warned:
             warned = True
+            name = _RUN_NAME.get()
             logger.warning(
-                "%s: iteration %d accepted a non-descent step, squared step norm "
+                "%s%s: iteration %d accepted a non-descent step, squared step norm "
                 "%.3e < 0 (the preconditioner is indefinite along the gradient); its "
                 "gradient map, and that of any later such step, reads 0",
-                method, k + 1, out.step_sq,
+                "" if name is None else f"config {name!r}: ", method, k + 1, out.step_sq,
             )
         grad_map = out.M_k * np.sqrt(max(out.step_sq, 0.0))
         A_k = state.A if accelerated else 0.0

@@ -231,5 +231,5 @@ def test_only_the_stalled_stochastic_run_warns(gapped, a9a):
         "agm-stochastic3": 1
     }
     assert logged["agm-stochastic3"][0].startswith(
-        "adaptive-gm: iteration 6 accepted a non-descent step"
+        "config 'agm-stochastic3': adaptive-gm: iteration 6 accepted a non-descent step"
     )

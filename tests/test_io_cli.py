@@ -1771,7 +1771,10 @@ class TestCLI:
             # Traces from one probe (the seed-1 draw) give a sympoly:3 that is
             # indefinite along the gradient at the start: the search doubles M
             # until the step is too short to change f, and accepts it.
-            ("sympoly:3:stochastic:1:1", ["adaptive-gm: iteration 1 accepted a non-descent step"]),
+            (
+                "sympoly:3:stochastic:1:1",
+                ["config 'run': adaptive-gm: iteration 1 accepted a non-descent step"],
+            ),
             ("sympoly:2", []),
         ],
         ids=["indefinite", "exact"],

@@ -298,9 +298,9 @@ class TestCutting:
         with pytest.raises(ValueError, match="positive"):
             cutting_preconditioner([2.0, 0.5, -1.0], 1)
 
-    def test_rejects_ascending(self):
-        with pytest.raises(ValueError, match="descending"):
-            cutting_preconditioner([1.0, 2.0, 3.0], 1)
+    def test_ascending_matches_descending(self):
+        ascending = cutting_preconditioner([1.0, 2.0, 3.0], 1)
+        assert np.array_equal(ascending.coeffs, cutting_preconditioner([3.0, 2.0, 1.0], 1).coeffs)
 
 
 class TestChebyshev:

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +290,17 @@ class TestAdaptiveGM:
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
         run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=600), guess)
         assert max(r.ls_trials for r in run.records) <= 10
+
+    def test_non_descent_warning_from_the_library_names_the_method(self, caplog):
+        # The CLI's indefinite case (test_io_cli.py), run without a config: the
+        # warning names the method alone.
+        obj = synth_regression((1000, 300, 1, 100), HuberLoss(0.1), seed=204)
+        prec = build_from_descriptor("sympoly:3:stochastic:1:1", obj.curvature)
+        guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+        with caplog.at_level(logging.WARNING, logger="polyprec"):
+            run_adaptive_gm(obj, prec, SolverConfig(max_iters=2), guess)
+        [message] = [r.getMessage() for r in caplog.records if r.name == "polyprec"]
+        assert message.startswith("adaptive-gm: iteration 1 accepted a non-descent step")
 
 
 class TestAdaptiveFGM:
