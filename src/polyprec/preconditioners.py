@@ -137,6 +137,8 @@ class ChebyshevPreconditioner(Preconditioner):
                 "need lam_max > lam_min > 0; for a single-point spectrum use "
                 "the constant polynomial 1/lam_max directly"
             )
+        if not np.isfinite(lam_max):
+            raise ValueError("lam_max must be finite")
         if tau < 0:
             raise ValueError("degree must be nonnegative")
         self.lam_max = float(lam_max)

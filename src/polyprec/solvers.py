@@ -4,9 +4,10 @@ Each method supplies only its step to :func:`drive`, which owns the start
 point, the stopping rules and the telemetry: per-iteration records of
 objective value, gradient-map norm, cumulative matvec and oracle counts,
 line-search trials, and the accumulation weights of the accelerated scheme.
-The adaptive methods share one doubling search on the step constant; each
-trial judges itself by :func:`quadratic_growth_predicate`. The krylov method
-is gm with the vector-dependent preconditioner of :mod:`polyprec.krylov`.
+The adaptive methods share one doubling search on the step constant, which
+judges each trial by :func:`quadratic_growth_predicate` and starts each search
+after the first at the curvature the last accepted step measured. The krylov
+method is gm with the vector-dependent preconditioner of :mod:`polyprec.krylov`.
 Runs are deterministic; nothing here draws randomness.
 """
 
@@ -248,23 +249,32 @@ def quadratic_growth_predicate(
     return f_y <= f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
 
 
+def _curvature_estimate(x, y, g, step_norm_sq: float, f_x: float, f_y: float) -> float:
+    """The M at which the model of :func:`quadratic_growth_predicate` (same arguments)
+    meets f at y, the Bregman term over step_norm_sq / 2; NaN unless step_norm_sq > 0."""
+    return 2.0 * (f_y - f_x - float(g @ (y - x))) / step_norm_sq if step_norm_sq > 0 else np.nan
+
+
 def _doubling_search(guess: float):
     """The doubling search of the adaptive methods, as ``search(trial) -> Step``.
 
-    Each search starts from half the constant the previous one accepted (the
-    first from ``guess``) and doubles it until a trial is accepted.
-    ``trial(M)`` returns ``(state, step_sq, accepted)``: the candidate state,
-    its squared step norm and the verdict of its
-    :func:`quadratic_growth_predicate`.
+    ``trial(M)`` returns ``(state, step_sq, (x, y, g, f_x, f_y))``, the state
+    and what :func:`quadratic_growth_predicate` judges it by. Each search
+    doubles M until a trial is accepted. The first starts from ``guess``, each
+    later one from the :func:`_curvature_estimate` of the step last accepted at
+    M, clipped to [M/2, M]; from M/2 if that estimate is not finite.
     """
 
     def search(trial) -> Step:
         nonlocal guess
         M = guess
         for trials in range(1, MAX_DOUBLINGS + 2):
-            state, step_sq, accepted = trial(M)
-            if accepted:
+            state, step_sq, (x, y, g, f_x, f_y) = trial(M)
+            if quadratic_growth_predicate(M, x, y, g, step_sq, f_x, f_y):
+                estimate = _curvature_estimate(x, y, g, step_sq, f_x, f_y)
                 guess = M / SHRINK_FACTOR
+                if np.isfinite(estimate):
+                    guess = min(max(estimate, guess), M)
                 return Step(state, step_sq, M, trials)
             M *= GROWTH_FACTOR
         raise RuntimeError(
@@ -297,8 +307,7 @@ def initial_guess_M(
     if step_norm_sq <= 1e-300:
         return M0_prime  # stationary start
     f0 = obj.value(x0)  # before f(x1): a caching oracle still holds x0 from the gradient call
-    bregman = obj.value(x1) - f0 - float(g0 @ (x1 - x0))
-    estimate = bregman / (0.5 * step_norm_sq)
+    estimate = _curvature_estimate(x0, x1, g0, step_norm_sq, f0, obj.value(x1))
     if not np.isfinite(estimate) or estimate <= 0:
         return M0_prime * 2.0**-6  # no curvature along the step
     return estimate
@@ -366,7 +375,7 @@ def run_adaptive_gm(
     """Gradient method with doubling search on the step constant, from guess M0.
 
     Each iteration doubles the working constant until the quadratic-growth
-    predicate accepts, then halves the starting guess for the next iteration.
+    predicate accepts; the next iteration starts from the curvature it measured.
     With no composite part the preconditioned gradient is computed once per
     iteration, so rejected trials cost one objective evaluation each.
     """
@@ -383,7 +392,7 @@ def run_adaptive_gm(
                 y, step_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
             else:
                 y, step_sq = x - pg / M, float(g @ pg) / (M * M)
-            return y, step_sq, quadratic_growth_predicate(M, x, y, g, step_sq, f_x, obj.value(y))
+            return y, step_sq, (x, y, g, f_x, obj.value(y))
 
         return search(trial)
 
@@ -404,8 +413,7 @@ def run_adaptive_fgm(
     def step(state):
         def trial(M):
             new, y, g_y, step_sq = fgm_step(obj, prec, M, 0.0, state)
-            f_y, f_new = obj.value(y), obj.value(new.x)
-            return new, step_sq, quadratic_growth_predicate(M, y, new.x, g_y, step_sq, f_y, f_new)
+            return new, step_sq, (y, new.x, g_y, obj.value(y), obj.value(new.x))
 
         return search(trial)
 

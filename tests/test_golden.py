@@ -19,7 +19,10 @@ on the ``polyprec`` logger: one non-descent warning, from ``agm-stochastic3``.
 A PR that moves a pin changes its digest here and lists the move in
 ``CHANGES.md`` as a behaviour change. The digests were taken with numpy 2.4.6
 on scipy-openblas 0.3.31 at one and two BLAS threads; another numpy or BLAS
-may round differently and move them.
+may round differently and move them. One pin holds at two threads only: the
+a9a-shaped run's reference ledger, whose reference stops two iterations
+earlier at one thread (same f*), because near the optimum its line searches
+start from curvatures read off differences of f at its rounding level.
 """
 
 import csv
@@ -42,21 +45,21 @@ GAPPED_CSV = {
     "gm-sympoly2": "53df1709b6aa868f68cf40a2a9049ee2a6c9ee010ecaf4b672948e475bbef4f5",
     "fgm-sympoly3": "88c3f84c8c3ab6e3ea27860204132ce65f9690ef0685c01edbfa070f5f98cdaa",
     "fgm-chebyshev4": "3fb34d17c10400756e527015f7207b468fdf0bf65544361c4ae01f8e6d7651e6",
-    "agm-stochastic3": "86684ce024102cfa2ef92ddb8565423b1f606be717d9f8a53ba9a2bd452c6b86",
-    "agm-cutting2": "ddfe9301e55e35d4d9717ee477520fcc067ae5046fc03a843484775625c1ae54",
-    "afgm-sympoly2": "ef5df65096f812125548cdcdae221ecc18206b329d1553451e44d4cae403016c",
+    "agm-stochastic3": "dff5f6991c929249589d53bd6aa4f0a1d9c1c64db614619fe68d44fb31026c52",
+    "agm-cutting2": "99e52dcdf893c45ee06fed16bc1401dd5446a20b677b77a57a98df492f882ce5",
+    "afgm-sympoly2": "1c6a11abfac9a05037fe4c5a2cd1f556660737596abf07294e09446aa440bc28",
     "krylov3": "38c1a9d3278918aea7d772b2095bfc53ca90bdc6179af78b9ad6a6f858b0b69e",
 }
 
 GAPPED_JSON = {
-    "gm-identity": "9f5b5e74d8fa0ef0e3a8f1d7cc65cb81cb4fa1836077be6cf198eb7aeb09ff43",
-    "gm-sympoly2": "144502913e115fe243c0c38cdd29ccb544d73aa8c2f7e9360429f2dd39b041b5",
-    "fgm-sympoly3": "b92a725644c9c95e44516e65e2f18c70c50498285469c6be197b1ebd9012b50a",
-    "fgm-chebyshev4": "b8f21a1aa0be8da35b9023183cfef0f42791c0f62ec4e2e4e0e5e3e4fe5df98f",
-    "agm-stochastic3": "a3e81777068b2a3000dd5bfd9a30eb0c514681a8caa98d0608c746d9eaf90ca5",
-    "agm-cutting2": "6069195029a6913b666459a713711e17e72b8ec266b7c60e6c00e43de21b754d",
-    "afgm-sympoly2": "2927c1fab422bef29e78d295fdab892de04faecbd78df9abebf2cea31904da52",
-    "krylov3": "1fb7af20dbbf5eae15334928e028300bfd4cd34c7092e535446b7c05dc6637dc",
+    "gm-identity": "b30bdd9000cd11ea50ef0979bebbc095343b4a7841f87d766a30367c9db45fd6",
+    "gm-sympoly2": "b6f14d4c5ef4e8d5dedbbe39acf5f70ec953a356cb5ef0c4dc07fb384e34e351",
+    "fgm-sympoly3": "0489201830cdda6b4cbc1a28982edb23518ab23bdaa63708b27ae15f9c89f443",
+    "fgm-chebyshev4": "cbaba17e6a97afc755ef347219ddd9b866e87c0416501f325b09accd472b84ac",
+    "agm-stochastic3": "c85f0007dd48483aec297030ebd105f0e7f05e0ef6bbc4f0540a2ee5391f9824",
+    "agm-cutting2": "593284b81e2fb68392f9cc45e17e10671f65e154b582e61e4d9faa47dc91b4ab",
+    "afgm-sympoly2": "15b7828e9811823477c7575f9321e329e6c9b9034a3929af9370673f18b96957",
+    "krylov3": "ae326761bd7bb001c6f9367b1b81321ef210a82eb9d07f8ea10c6045385a2595",
 }
 
 
@@ -149,7 +152,7 @@ def test_a9a_solve_summary_pinned(a9a):
         trials,
         summary["termination"],
         summary["data_passes"],
-    ) == (51, 102, 51, 103, "gap_target", 154)
+    ) == (41, 82, 41, 70, "gap_target", 111)
     assert summary["f_star_reference"] == 5427.233443353216
 
 
@@ -190,9 +193,9 @@ def test_gapped_bench_summaries_account_for_every_matvec(gapped):
     assert totals == {
         "setup": Costs(192, 0, 0, 0),
         "guess": Costs(7, 6, 3, 9),
-        "iterations": Costs(3902, 2082, 1807, 4891),
+        "iterations": Costs(3786, 1934, 1749, 4534),
     }
-    assert _total(spent for _, spent, _ in runs.values()) == Costs(4101, 2554, 2043, 5598)
+    assert _total(spent for _, spent, _ in runs.values()) == Costs(3985, 2166, 1865, 4881)
 
 
 def test_a9a_solve_summary_accounts_for_every_matvec(a9a):
@@ -203,10 +206,10 @@ def test_a9a_solve_summary_accounts_for_every_matvec(a9a):
     assert _spans(summary) == {
         "setup": Costs(0, 0, 0, 0),
         "guess": Costs(2, 2, 1, 3),
-        "iterations": Costs(102, 154, 51, 154),
-        "reference": Costs(0, 40, 20, 59),
+        "iterations": Costs(82, 111, 41, 111),
+        "reference": Costs(0, 38, 19, 56),
     }
-    assert spent == Costs(104, 196, 72, 216)
+    assert spent == Costs(84, 151, 61, 170)
 
 
 def test_fixed_step_runs_step_at_beta_L(gapped):

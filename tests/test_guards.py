@@ -133,6 +133,12 @@ GUARDS = [
         "degree must be nonnegative",
     ),
     (
+        "ChebyshevPreconditioner-lam_max",
+        lambda: ChebyshevPreconditioner(np.inf, 1.0, 2),
+        ValueError,
+        "lam_max must be finite",
+    ),
+    (
         "sympoly_coefficients",
         lambda: sympoly_coefficients([1.0], 2),
         ValueError,

@@ -1159,7 +1159,7 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"polyprec: error: {path}:{lineno}: not UTF-8")
 
     def test_a9a_shaped_run_meets_its_gap_at_the_cap(self, tmp_path, capsys, monkeypatch):
-        # The benchmark's seed-1 file reaches a 1e-6 gap at iteration 51.
+        # The benchmark's seed-1 file reaches a 1e-6 gap at iteration 41.
         source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("workloads", source)
         workloads = importlib.util.module_from_spec(spec)
@@ -1169,12 +1169,12 @@ class TestCLI:
         workloads.write_a9a_like(data, 1)
         argv = [
             "solve", "--method", "adaptive-gm", "--precond", "sympoly:2", "--dataset", str(data),
-            "--max-iters", "51", "--tol", "1e-6", "--out", str(tmp_path),
+            "--max-iters", "41", "--tol", "1e-6", "--out", str(tmp_path),
         ]
         assert cli_main(argv) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["termination"] == "gap_target"
-        assert summary["iterations"] == summary["iterations_to_tolerance"] == 51
+        assert summary["iterations"] == summary["iterations_to_tolerance"] == 41
 
     def test_usage_error_is_exit_one(self):
         assert cli_main(["solve", "--method", "nope"]) == 1

@@ -356,6 +356,57 @@ class TestAdaptiveFGM:
             assert ra.matvecs == rb.matvecs
 
 
+def _search_starts(run):
+    """The constant each search of an adaptive run started from: an accepted
+    M after t trials was reached by t - 1 doublings."""
+    return [r.M_k / 2.0 ** (r.ls_trials - 1) for r in run.records[1:]]
+
+
+class TestSearchStart:
+    # Each search starts at the curvature the last accepted step measured,
+    # clipped to [M/2, M]; the doubling search's guarantees must survive it.
+    @given(
+        st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=2, max_size=8),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from(["identity", "sympoly:1"]),
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from([run_adaptive_gm, run_adaptive_fgm]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_doubling_search_bounds_hold(self, spectrum, seed, precond, scale, runner):
+        # The bounds hold in exact arithmetic. With the minimizer at the origin
+        # and f* = 0 the predicate's rounding stays relative to f, so no run
+        # reaches the rounding floor, where noise rejects trials and lifts M.
+        rng = np.random.default_rng(seed)
+        op = random_spd(rng, len(spectrum), spectrum=np.sort(spectrum)[::-1])
+        obj = make_quadratic(op, np.zeros(len(spectrum)))
+        prec = build_from_descriptor(precond, op)
+        beta_L = compute_alpha_beta(prec, op).beta * obj.L
+        M0 = beta_L * 2.0**scale
+        config = SolverConfig(max_iters=25, x0=rng.standard_normal(len(spectrum)))
+        run = runner(obj, prec, config, M0)
+        accepted = [r.M_k for r in run.records[1:]]
+        assert max(accepted) <= max(M0, 2.0 * beta_L) * (1.0 + 1e-9)
+        trials = np.cumsum([r.ls_trials for r in run.records[1:]])
+        for k, (total, M_k) in enumerate(zip(trials, accepted), start=1):
+            assert total <= 2 * k + np.log2(M_k / M0) + 1e-9
+        assert _search_starts(run)[0] == M0
+        for M_prev, start in zip(accepted, _search_starts(run)[1:]):
+            assert M_prev / 2.0 <= start <= M_prev
+
+    def test_a_non_descent_step_starts_the_next_search_at_half(self):
+        # An accepted step whose squared norm is negative measures no curvature
+        # (its estimate would be at least M), so the next search starts at M/2.
+        obj = synth_regression((1000, 300, 1, 100), HuberLoss(0.1), seed=204)
+        prec = build_from_descriptor("sympoly:3:stochastic:1:1", obj.curvature)
+        guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
+        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=10), guess)
+        starts = _search_starts(run)[1:]
+        after = [(r.M_k, start) for r, start in zip(run.records[1:], starts) if r.grad_map == 0]
+        assert after  # grad_map reads 0 for a squared step norm <= 0
+        assert all(start == M / 2.0 for M, start in after)
+
+
 RUNNERS = {
     "gm": run_gm,
     "fgm": run_fgm,
@@ -517,7 +568,7 @@ class TestCompositeRuns:
         )
         assert np.allclose(run.x, target, atol=1e-8)
 
-    @pytest.mark.parametrize("precond, composite_matvecs", [("sympoly:2", 252), ("cutting:2", 240)])
+    @pytest.mark.parametrize("precond, composite_matvecs", [("sympoly:2", 212), ("cutting:2", 208)])
     def test_adaptive_gm_zero_part_matches_the_smooth_run(self, precond, composite_matvecs):
         # A zero part whose prox is the closed-form step sends every trial
         # through the prox: the same run bit for bit, but the preconditioner
