@@ -5,8 +5,9 @@ point, the stopping rules and the telemetry: per-iteration records of
 objective value, gradient-map norm, cumulative matvec and oracle counts,
 line-search trials, and the accumulation weights of the accelerated scheme.
 The adaptive methods share one doubling search on the step constant, which
-judges each trial by :func:`quadratic_growth_predicate` and starts each search
-after the first at the curvature the last accepted step measured. The krylov
+judges each trial by :func:`quadratic_growth_predicate`, starts each search
+after the first at the curvature the last accepted step measured, and skips
+the doublings that a rejected trial's own curvature rules out. The krylov
 method is gm with the vector-dependent preconditioner of :mod:`polyprec.krylov`.
 Runs are deterministic; nothing here draws randomness.
 """
@@ -260,23 +261,32 @@ def _doubling_search(guess: float):
 
     ``trial(M)`` returns ``(state, step_sq, (x, y, g, f_x, f_y))``, the state
     and what :func:`quadratic_growth_predicate` judges it by. Each search
-    doubles M until a trial is accepted. The first starts from ``guess``, each
-    later one from the :func:`_curvature_estimate` of the step last accepted at
-    M, clipped to [M/2, M]; from M/2 if that estimate is not finite.
+    doubles M until a trial is accepted. A rejected trial whose
+    :func:`_curvature_estimate` c is finite is followed by the first doubling
+    of M that reaches c, since along a ray of constant curvature every trial
+    below c is rejected; any other is followed by one doubling. M grows by at
+    most ``MAX_DOUBLINGS`` doublings over the search's start. The first search
+    starts from ``guess``, each later one from the estimate of the step last
+    accepted at M, clipped to [M/2, M]; from M/2 if that estimate is not
+    finite, and from M after a non-descent step (negative squared norm),
+    which every smaller constant rejects.
     """
 
     def search(trial) -> Step:
         nonlocal guess
-        M = guess
-        for trials in range(1, MAX_DOUBLINGS + 2):
+        M, doublings, trials = guess, 0, 0
+        while doublings <= MAX_DOUBLINGS:
+            trials += 1
             state, step_sq, (x, y, g, f_x, f_y) = trial(M)
+            estimate = _curvature_estimate(x, y, g, step_sq, f_x, f_y)
             if quadratic_growth_predicate(M, x, y, g, step_sq, f_x, f_y):
-                estimate = _curvature_estimate(x, y, g, step_sq, f_x, f_y)
-                guess = M / SHRINK_FACTOR
+                guess = M if step_sq < 0 else M / SHRINK_FACTOR
                 if np.isfinite(estimate):
                     guess = min(max(estimate, guess), M)
                 return Step(state, step_sq, M, trials)
-            M *= GROWTH_FACTOR
+            M, doublings = M * GROWTH_FACTOR, doublings + 1
+            while np.isfinite(estimate) and M < estimate and doublings <= MAX_DOUBLINGS:
+                M, doublings = M * GROWTH_FACTOR, doublings + 1
         raise RuntimeError(
             "adaptive search exceeded the doubling cap; the objective or "
             "preconditioner violates the curvature assumption"

@@ -1,10 +1,13 @@
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, Polynomial
 
 from polyprec import DatasetMatrix, DenseOperator, PolynomialPreconditioner, planted_spectrum
+from polyprec import solvers
 from polyprec.datasets import _design_matrix
 
 
@@ -97,6 +100,57 @@ def record_iterates(obj) -> list:
 
     obj.full_value = spy
     return points
+
+
+class Trial(NamedTuple):
+    """One line-search trial: its constant, the predicate's verdict, the squared
+    step norm and the curvature the trial measured (NaN unless step_sq > 0)."""
+
+    M: float
+    accepted: bool
+    step_sq: float
+    curvature: float
+
+
+@contextmanager
+def record_trials():
+    """Spy on ``solvers.quadratic_growth_predicate``; the yielded list collects a
+    :class:`Trial` for every call, that is for every line-search trial."""
+    trials = []
+    predicate = solvers.quadratic_growth_predicate
+
+    def spy(M, x, y, g, step_sq, f_x, f_y):
+        accepted = predicate(M, x, y, g, step_sq, f_x, f_y)
+        curvature = 2.0 * (f_y - f_x - float(g @ (y - x))) / step_sq if step_sq > 0 else np.nan
+        trials.append(Trial(M, accepted, step_sq, curvature))
+        return accepted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "quadratic_growth_predicate", spy)
+        yield trials
+
+
+def doubling_search_reference(guess: float):
+    """Reference line search with plain doubling: one trial per doubling,
+    whatever curvature a rejected trial measured. Each search after the first
+    starts at the last accepted step's estimate clipped to [M/2, M], or at M/2
+    when that estimate is not finite."""
+
+    def search(trial):
+        nonlocal guess
+        M = guess
+        for trials in range(1, solvers.MAX_DOUBLINGS + 2):
+            state, step_sq, (x, y, g, f_x, f_y) = trial(M)
+            if solvers.quadratic_growth_predicate(M, x, y, g, step_sq, f_x, f_y):
+                estimate = solvers._curvature_estimate(x, y, g, step_sq, f_x, f_y)
+                guess = M / 2.0
+                if np.isfinite(estimate):
+                    guess = min(max(estimate, guess), M)
+                return solvers.Step(state, step_sq, M, trials)
+            M *= 2.0
+        raise RuntimeError("reference search exceeded the doubling cap")
+
+    return search
 
 
 @dataclass

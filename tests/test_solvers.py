@@ -24,9 +24,9 @@ from polyprec import (
     solve_coefficient_equation,
     synth_regression,
 )
-from polyprec import CompositeObjective, HuberLoss, LogisticLoss
+from polyprec import CompositeObjective, HuberLoss, LogisticLoss, solvers
 from polyprec.solvers import ROUNDING_FLOOR
-from conftest import random_spd, record_iterates
+from conftest import doubling_search_reference, random_spd, record_iterates, record_trials
 
 
 def gapped_quadratic(rng, n=10, cond=1e3):
@@ -356,55 +356,133 @@ class TestAdaptiveFGM:
             assert ra.matvecs == rb.matvecs
 
 
-def _search_starts(run):
-    """The constant each search of an adaptive run started from: an accepted
-    M after t trials was reached by t - 1 doublings."""
-    return [r.M_k / 2.0 ** (r.ls_trials - 1) for r in run.records[1:]]
+def _searches(trials):
+    """Split a run's trials into its line searches; each ends at an accepted trial."""
+    searches, current = [], []
+    for trial in trials:
+        current.append(trial)
+        if trial.accepted:
+            searches.append(current)
+            current = []
+    assert not current  # no search was left unfinished
+    return searches
+
+
+def _next_after_rejection(trial):
+    """The constant a rejected trial leads to: the first doubling of M that
+    reaches the curvature it measured, or one doubling when that is not finite."""
+    M = 2.0 * trial.M
+    while np.isfinite(trial.curvature) and M < trial.curvature:
+        M *= 2.0
+    return M
+
+
+# Random convex quadratics, minimizer at the origin, and a first guess at
+# 2**scale times the search's bound beta L.
+random_quadratics = st.tuples(
+    st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=2, max_size=8),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from(["identity", "sympoly:1"]),
+    st.integers(min_value=-6, max_value=6),
+)
+
+
+def _quadratic_run(spectrum, seed, precond, scale):
+    """``(obj, prec, config, M0, beta_L)`` for a :data:`random_quadratics` draw."""
+    rng = np.random.default_rng(seed)
+    op = random_spd(rng, len(spectrum), spectrum=np.sort(spectrum)[::-1])
+    obj = make_quadratic(op, np.zeros(len(spectrum)))
+    prec = build_from_descriptor(precond, op)
+    beta_L = compute_alpha_beta(prec, op).beta * obj.L
+    config = SolverConfig(max_iters=25, x0=rng.standard_normal(len(spectrum)))
+    return obj, prec, config, beta_L * 2.0**scale, beta_L
 
 
 class TestSearchStart:
     # Each search starts at the curvature the last accepted step measured,
-    # clipped to [M/2, M]; the doubling search's guarantees must survive it.
-    @given(
-        st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=2, max_size=8),
-        st.integers(min_value=0, max_value=2**16),
-        st.sampled_from(["identity", "sympoly:1"]),
-        st.integers(min_value=-6, max_value=6),
-        st.sampled_from([run_adaptive_gm, run_adaptive_fgm]),
-    )
+    # clipped to [M/2, M], and a rejected trial skips the doublings its own
+    # curvature rules out; the doubling search's guarantees must survive both.
+    @given(random_quadratics, st.sampled_from([run_adaptive_gm, run_adaptive_fgm]))
     @settings(max_examples=60, deadline=None)
-    def test_doubling_search_bounds_hold(self, spectrum, seed, precond, scale, runner):
+    def test_doubling_search_bounds_hold(self, quadratic, runner):
         # The bounds hold in exact arithmetic. With the minimizer at the origin
         # and f* = 0 the predicate's rounding stays relative to f, so no run
         # reaches the rounding floor, where noise rejects trials and lifts M.
-        rng = np.random.default_rng(seed)
-        op = random_spd(rng, len(spectrum), spectrum=np.sort(spectrum)[::-1])
-        obj = make_quadratic(op, np.zeros(len(spectrum)))
-        prec = build_from_descriptor(precond, op)
-        beta_L = compute_alpha_beta(prec, op).beta * obj.L
-        M0 = beta_L * 2.0**scale
-        config = SolverConfig(max_iters=25, x0=rng.standard_normal(len(spectrum)))
-        run = runner(obj, prec, config, M0)
+        obj, prec, config, M0, beta_L = _quadratic_run(*quadratic)
+        with record_trials() as trials:
+            run = runner(obj, prec, config, M0)
         accepted = [r.M_k for r in run.records[1:]]
         assert max(accepted) <= max(M0, 2.0 * beta_L) * (1.0 + 1e-9)
-        trials = np.cumsum([r.ls_trials for r in run.records[1:]])
-        for k, (total, M_k) in enumerate(zip(trials, accepted), start=1):
+        totals = np.cumsum([r.ls_trials for r in run.records[1:]])
+        for k, (total, M_k) in enumerate(zip(totals, accepted), start=1):
             assert total <= 2 * k + np.log2(M_k / M0) + 1e-9
-        assert _search_starts(run)[0] == M0
-        for M_prev, start in zip(accepted, _search_starts(run)[1:]):
-            assert M_prev / 2.0 <= start <= M_prev
+        searches = _searches(trials)
+        assert [len(search) for search in searches] == [r.ls_trials for r in run.records[1:]]
+        assert [search[-1].M for search in searches] == accepted
+        assert searches[0][0].M == M0
+        for last, search in zip(searches, searches[1:]):
+            M_prev, start = last[-1].M, search[0].M
+            if last[-1].step_sq < 0:
+                assert start == M_prev
+            else:
+                assert M_prev / 2.0 <= start <= M_prev
+        for search in searches:
+            for rejected, following in zip(search, search[1:]):
+                assert following.M == _next_after_rejection(rejected)
 
-    def test_a_non_descent_step_starts_the_next_search_at_half(self):
-        # An accepted step whose squared norm is negative measures no curvature
-        # (its estimate would be at least M), so the next search starts at M/2.
+    @given(random_quadratics)
+    @settings(max_examples=100, deadline=None)
+    def test_adaptive_gm_skips_only_trials_that_plain_doubling_rejects(self, quadratic):
+        # adaptive-gm's trials lie on one ray x - t Pg, along which a quadratic
+        # has one curvature: a trial below it is rejected, so skipping it
+        # leaves the run as plain doubling takes it, bit for bit.
+        runs = []
+        for search in (solvers._doubling_search, doubling_search_reference):
+            obj, prec, config, M0, _ = _quadratic_run(*quadratic)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "_doubling_search", search)
+                runs.append(run_adaptive_gm(obj, prec, config, M0))
+        library, reference = runs
+        for a, b in zip(library.records, reference.records, strict=True):
+            assert (a.f_value, a.M_k) == (b.f_value, b.M_k)
+        assert library.total_ls_trials() <= reference.total_ls_trials()
+
+    def test_a_non_descent_step_starts_the_next_search_at_M(self):
+        # An accepted step whose squared norm is negative went up a ray on
+        # which f(y) >= f(x) + t |g Pg| exceeds the model at every smaller M,
+        # so the next search starts at M.
         obj = synth_regression((1000, 300, 1, 100), HuberLoss(0.1), seed=204)
         prec = build_from_descriptor("sympoly:3:stochastic:1:1", obj.curvature)
         guess = initial_guess_M(obj, prec, np.zeros(obj.n), 1.0)
-        run = run_adaptive_gm(obj, prec, SolverConfig(max_iters=10), guess)
-        starts = _search_starts(run)[1:]
-        after = [(r.M_k, start) for r, start in zip(run.records[1:], starts) if r.grad_map == 0]
-        assert after  # grad_map reads 0 for a squared step norm <= 0
-        assert all(start == M / 2.0 for M, start in after)
+        with record_trials() as trials:
+            run_adaptive_gm(obj, prec, SolverConfig(max_iters=10), guess)
+        searches = _searches(trials)
+        after = [
+            (last[-1].M, search[0].M)
+            for last, search in zip(searches, searches[1:])
+            if last[-1].step_sq < 0
+        ]
+        assert after
+        assert all(start == M for M, start in after)
+
+    def test_the_cap_bounds_the_growth_of_M(self):
+        # A trial at M = 1 that measures curvature 2 f_y is followed by the
+        # first doubling that reaches it: 2**60 is within the cap, 2**61 is not.
+        zero, tried = np.zeros(1), []
+
+        def trial_measuring(f_y):
+            def trial(M):
+                tried.append(M)
+                return None, 1.0, (zero, zero, zero, 0.0, f_y)
+
+            return trial
+
+        assert solvers._doubling_search(1.0)(trial_measuring(2.0**59)).M_k == 2.0**60
+        assert tried == [1.0, 2.0**60]
+        tried.clear()
+        with pytest.raises(RuntimeError, match="^adaptive search exceeded the doubling cap"):
+            solvers._doubling_search(1.0)(trial_measuring(2.0**60))
+        assert tried == [1.0]
 
 
 RUNNERS = {
@@ -568,7 +646,7 @@ class TestCompositeRuns:
         )
         assert np.allclose(run.x, target, atol=1e-8)
 
-    @pytest.mark.parametrize("precond, composite_matvecs", [("sympoly:2", 212), ("cutting:2", 208)])
+    @pytest.mark.parametrize("precond, composite_matvecs", [("sympoly:2", 202), ("cutting:2", 198)])
     def test_adaptive_gm_zero_part_matches_the_smooth_run(self, precond, composite_matvecs):
         # A zero part whose prox is the closed-form step sends every trial
         # through the prox: the same run bit for bit, but the preconditioner
