@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import _orthonormal
-from .experiments import _build, _run
+from .experiments import plan_run
 from .operators import DenseOperator, _descending_spectrum, spectral_decomposition
 from .preconditioners import (
     ChebyshevPreconditioner,
@@ -374,16 +374,17 @@ def run_verification_suite(seed: int = 0) -> list[CheckReport]:
     x0 = rng.standard_normal(n)
     R2 = float((x0 - obj.x_star) @ B.matvec(x0 - obj.x_star))
     for tau in (0, 1, 2):
-        prec, bounds, _ = _build(obj, "gm", f"sympoly:{tau}")
+        plan = plan_run(obj, "gm", f"sympoly:{tau}")
+        bounds = plan.bounds
         for method, envelopes in (("gm", gm_envelopes), ("fgm", fgm_envelopes)):
-            run, _ = _run(obj, method, 0, prec, bounds, SolverConfig(max_iters=200, x0=x0))
+            run, _ = plan._replace(method=method).run(SolverConfig(max_iters=200, x0=x0))
             checks = envelopes(run, bounds.alpha, bounds.beta, obj.L, obj.mu, R2, obj.f_star)
             for check in checks:
                 check.params = {"tau": tau, "method": method}
                 reports.append(check)
     # The krylov step on the same benchmark; R2 is the D0^2 of its envelope.
     for tau in (0, 1, 2):
-        run, _ = _run(obj, "krylov", tau, None, None, SolverConfig(max_iters=200, x0=x0))
+        run, _ = plan_run(obj, "krylov", "identity", tau).run(SolverConfig(max_iters=200, x0=x0))
         check = krylov_envelope(run, spectrum, tau, obj.L, R2, obj.f_star)
         check.params = {"tau": tau, "method": "krylov"}
         reports.append(check)

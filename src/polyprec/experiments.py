@@ -30,6 +30,8 @@ from .datasets import (
 )
 from .krylov import run_krylov_gm
 from .preconditioners import (
+    Preconditioner,
+    QualityBounds,
     build_from_descriptor,
     check_exact_build,
     compute_alpha_beta,
@@ -246,8 +248,7 @@ def reference_optimum(config: ExperimentConfig, obj: CompositeObjective) -> Refe
     """
     start = obj.costs()
     solver_config = SolverConfig(max_iters=_reference_budget(config), tol=1e-12)
-    prec, bounds, _ = _build(obj, REFERENCE_METHOD, REFERENCE_PRECOND)
-    run, _ = _run(obj, REFERENCE_METHOD, 0, prec, bounds, solver_config)
+    run, _ = plan_run(obj, REFERENCE_METHOD, REFERENCE_PRECOND).run(solver_config)
     f_star = float(min(r.f_value for r in run.records))
     if run.termination == "max_iters":
         logger.warning(
@@ -289,42 +290,46 @@ def _reference_key(config: ExperimentConfig) -> tuple:
     return _problem_key(config) + (_reference_budget(config),)
 
 
-def _build(obj: CompositeObjective, method: str, precond: str) -> tuple:
-    """The preconditioner ``method`` runs with, its bounds (gm and fgm only, so
-    an indefinite one fails here) and the :class:`Costs` the build spent;
-    krylov chooses its own polynomial at every step and builds nothing. An
-    exact ``sympoly`` or ``cutting`` build that misses its guarantee fails
-    here too (see :func:`check_exact_build`)."""
+class RunPlan(NamedTuple):
+    """A run as :func:`plan_run` fixes it; :meth:`run` carries it out."""
+
+    obj: CompositeObjective
+    method: str
+    tau: int
+    prec: Preconditioner | None
+    bounds: QualityBounds | None
+    setup: Costs
+
+    def run(self, config: SolverConfig) -> tuple[RunResult, Costs]:
+        """The one dispatch of every run: gm and fgm step at M = beta L and fgm
+        at rho = alpha mu; the adaptive methods start from :func:`initial_guess_M`
+        at the start point. Returns the run and the :class:`Costs` of that guess."""
+        obj, method, tau, prec, bounds, _ = self
+        if method == "krylov":
+            return run_krylov_gm(obj, config, tau), Costs()
+        if method == "fgm":
+            return run_fgm(obj, prec, config, bounds.beta * obj.L, bounds.alpha * obj.mu), Costs()
+        if method == "gm":
+            return run_gm(obj, prec, config, bounds.beta * obj.L), Costs()
+        start = obj.costs()
+        guess = initial_guess_M(obj, prec, config.start_point(obj.n), 1.0)
+        spent = obj.costs() - start
+        runner = run_adaptive_gm if method == "adaptive-gm" else run_adaptive_fgm
+        return runner(obj, prec, config, guess), spent
+
+
+def plan_run(obj: CompositeObjective, method: str, precond: str, tau: int = 0) -> RunPlan:
+    """The plan of ``method`` on ``obj`` and the :class:`Costs` of its build: the
+    preconditioner, checked if exact (see :func:`check_exact_build`), and for gm
+    and fgm its bounds, so an indefinite one fails here. krylov, of degree
+    ``tau``, chooses its own polynomial at every step and builds nothing."""
     if method == "krylov":
-        return None, None, Costs()
+        return RunPlan(obj, method, tau, None, None, Costs())
     start = obj.costs()
     prec = build_from_descriptor(precond, obj.curvature)
     check_exact_build(precond, prec, obj.curvature)
     bounds = compute_alpha_beta(prec, obj.curvature) if method in ("gm", "fgm") else None
-    return prec, bounds, obj.costs() - start
-
-
-def _run(
-    obj: CompositeObjective, method: str, tau: int, prec, bounds, solver_config: SolverConfig
-) -> tuple[RunResult, int]:
-    """Run ``method`` on ``obj`` from what :func:`_build` returned; the one
-    dispatch of runs, references and the verify suite's envelope runs. gm and
-    fgm take M = beta L and fgm rho = alpha mu from the bounds; the adaptive
-    methods start from :func:`initial_guess_M` at the run's start point.
-    Returns the run and the :class:`Costs` its initial guess spent; the run's
-    own are in its records."""
-    if method == "krylov":
-        return run_krylov_gm(obj, solver_config, tau), Costs()
-    if method == "fgm":
-        run = run_fgm(obj, prec, solver_config, bounds.beta * obj.L, bounds.alpha * obj.mu)
-        return run, Costs()
-    if method == "gm":
-        return run_gm(obj, prec, solver_config, bounds.beta * obj.L), Costs()
-    start = obj.costs()
-    guess = initial_guess_M(obj, prec, solver_config.start_point(obj.n), 1.0)
-    spent = obj.costs() - start
-    runner = run_adaptive_gm if method == "adaptive-gm" else run_adaptive_fgm
-    return runner(obj, prec, solver_config, guess), spent
+    return RunPlan(obj, method, tau, prec, bounds, obj.costs() - start)
 
 
 def _write_atomic(path, fill):
@@ -398,8 +403,8 @@ def run_experiment(
     """
     config.validate()
     obj = build_problem(config) if problem is None else problem
-    # Built before the reference, so a failing build costs no reference run.
-    prec, bounds, setup = _build(obj, config.method, config.precond)
+    # Planned before the reference, so a failing build costs no reference run.
+    plan = plan_run(obj, config.method, config.precond, config.tau)
     references = {} if references is None else references
     key = _reference_key(config)
     if key not in references:
@@ -409,7 +414,7 @@ def run_experiment(
     solver_config = SolverConfig(max_iters=config.max_iters, gap_target=config.tol, f_star=f_star)
     named = _RUN_NAME.set(config.name)  # so the run's warnings name the config
     try:
-        run, guess = _run(obj, config.method, config.tau, prec, bounds, solver_config)
+        run, guess = plan.run(solver_config)
     finally:
         _RUN_NAME.reset(named)
     last = run.records[-1]
@@ -431,9 +436,9 @@ def run_experiment(
         "grad_evals": last.grad_evals,
         "data_passes": last.data_passes,
         "precond": {
-            "setup": setup._asdict(),
+            "setup": plan.setup._asdict(),
             "guess": guess._asdict(),
-            **(asdict(bounds) if bounds else dict.fromkeys(("alpha", "beta"))),
+            **(asdict(plan.bounds) if plan.bounds else dict.fromkeys(("alpha", "beta"))),
         },
         "reference": {
             "method": REFERENCE_METHOD,

@@ -232,35 +232,29 @@ def solve_coefficient_equation(M: float, rho: float, A: float) -> float:
 
 
 def quadratic_growth_predicate(
-    M: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    g: np.ndarray,
-    step_norm_sq: float,
-    f_x: float,
-    f_y: float,
+    M: float, lin: float, step_norm_sq: float, f_x: float, f_y: float
 ) -> bool:
     """Whether the quadratic model at x with constant M dominates f at y, the
-    descent lemma's test ``f_y <= f_x + g (y - x) + M step_norm_sq / 2``.
+    descent lemma's test ``f_y <= f_x + lin + M step_norm_sq / 2``.
 
-    ``g`` is the gradient at x and ``step_norm_sq`` the squared norm of
-    ``y - x`` in the inverse-preconditioner metric, as the step that produced
-    y reports it; ``f_x`` and ``f_y`` are the values at x and y.
+    ``lin`` is ``g (y - x)`` for the gradient g at x, and ``step_norm_sq`` the
+    squared norm of ``y - x`` in the inverse-preconditioner metric, as the step
+    that produced y reports it; ``f_x`` and ``f_y`` are the values at x and y.
     """
-    return f_y <= f_x + float(g @ (y - x)) + 0.5 * M * step_norm_sq
+    return f_y <= f_x + lin + 0.5 * M * step_norm_sq
 
 
-def _curvature_estimate(x, y, g, step_norm_sq: float, f_x: float, f_y: float) -> float:
-    """The M at which the model of :func:`quadratic_growth_predicate` (same arguments)
+def _curvature_estimate(lin: float, step_norm_sq: float, f_x: float, f_y: float) -> float:
+    """The M at which the model of :func:`quadratic_growth_predicate` (its arguments but M)
     meets f at y, the Bregman term over step_norm_sq / 2; NaN unless step_norm_sq > 0."""
-    return 2.0 * (f_y - f_x - float(g @ (y - x))) / step_norm_sq if step_norm_sq > 0 else np.nan
+    return 2.0 * (f_y - f_x - lin) / step_norm_sq if step_norm_sq > 0 else np.nan
 
 
 def _doubling_search(guess: float):
     """The doubling search of the adaptive methods, as ``search(trial) -> Step``.
 
-    ``trial(M)`` returns ``(state, step_sq, (x, y, g, f_x, f_y))``, the state
-    and what :func:`quadratic_growth_predicate` judges it by. Each search
+    ``trial(M)`` returns ``(state, step_sq, (lin, f_x, f_y))``, the state and
+    what :func:`quadratic_growth_predicate` judges it by. Each search
     doubles M until a trial is accepted. A rejected trial whose
     :func:`_curvature_estimate` c is finite is followed by the first doubling
     of M that reaches c, since along a ray of constant curvature every trial
@@ -277,9 +271,9 @@ def _doubling_search(guess: float):
         M, doublings, trials = guess, 0, 0
         while doublings <= MAX_DOUBLINGS:
             trials += 1
-            state, step_sq, (x, y, g, f_x, f_y) = trial(M)
-            estimate = _curvature_estimate(x, y, g, step_sq, f_x, f_y)
-            if quadratic_growth_predicate(M, x, y, g, step_sq, f_x, f_y):
+            state, step_sq, (lin, f_x, f_y) = trial(M)
+            estimate = _curvature_estimate(lin, step_sq, f_x, f_y)
+            if quadratic_growth_predicate(M, lin, step_sq, f_x, f_y):
                 guess = M if step_sq < 0 else M / SHRINK_FACTOR
                 if np.isfinite(estimate):
                     guess = min(max(estimate, guess), M)
@@ -317,7 +311,7 @@ def initial_guess_M(
     if step_norm_sq <= 1e-300:
         return M0_prime  # stationary start
     f0 = obj.value(x0)  # before f(x1): a caching oracle still holds x0 from the gradient call
-    estimate = _curvature_estimate(x0, x1, g0, step_norm_sq, f0, obj.value(x1))
+    estimate = _curvature_estimate(float(g0 @ (x1 - x0)), step_norm_sq, f0, obj.value(x1))
     if not np.isfinite(estimate) or estimate <= 0:
         return M0_prime * 2.0**-6  # no curvature along the step
     return estimate
@@ -402,7 +396,7 @@ def run_adaptive_gm(
                 y, step_sq = gradient_step_with_norm(M, prec, op, x, g, obj.psi)
             else:
                 y, step_sq = x - pg / M, float(g @ pg) / (M * M)
-            return y, step_sq, (x, y, g, f_x, obj.value(y))
+            return y, step_sq, (float(g @ (y - x)), f_x, obj.value(y))
 
         return search(trial)
 
@@ -423,7 +417,7 @@ def run_adaptive_fgm(
     def step(state):
         def trial(M):
             new, y, g_y, step_sq = fgm_step(obj, prec, M, 0.0, state)
-            return new, step_sq, (y, new.x, g_y, obj.value(y), obj.value(new.x))
+            return new, step_sq, (float(g_y @ (new.x - y)), obj.value(y), obj.value(new.x))
 
         return search(trial)
 

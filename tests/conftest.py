@@ -119,9 +119,9 @@ def record_trials():
     trials = []
     predicate = solvers.quadratic_growth_predicate
 
-    def spy(M, x, y, g, step_sq, f_x, f_y):
-        accepted = predicate(M, x, y, g, step_sq, f_x, f_y)
-        curvature = 2.0 * (f_y - f_x - float(g @ (y - x))) / step_sq if step_sq > 0 else np.nan
+    def spy(M, lin, step_sq, f_x, f_y):
+        accepted = predicate(M, lin, step_sq, f_x, f_y)
+        curvature = 2.0 * (f_y - f_x - lin) / step_sq if step_sq > 0 else np.nan
         trials.append(Trial(M, accepted, step_sq, curvature))
         return accepted
 
@@ -140,9 +140,9 @@ def doubling_search_reference(guess: float):
         nonlocal guess
         M = guess
         for trials in range(1, solvers.MAX_DOUBLINGS + 2):
-            state, step_sq, (x, y, g, f_x, f_y) = trial(M)
-            if solvers.quadratic_growth_predicate(M, x, y, g, step_sq, f_x, f_y):
-                estimate = solvers._curvature_estimate(x, y, g, step_sq, f_x, f_y)
+            state, step_sq, (lin, f_x, f_y) = trial(M)
+            if solvers.quadratic_growth_predicate(M, lin, step_sq, f_x, f_y):
+                estimate = solvers._curvature_estimate(lin, step_sq, f_x, f_y)
                 guess = M / 2.0
                 if np.isfinite(estimate):
                     guess = min(max(estimate, guess), M)

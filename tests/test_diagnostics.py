@@ -314,6 +314,30 @@ class TestSuite:
         assert calls["build_from_descriptor"] == ["sympoly:0", "sympoly:1", "sympoly:2"]
         assert len(calls["compute_alpha_beta"]) == 3
 
+    def test_envelope_runs_share_one_dispatch(self, monkeypatch):
+        # Each sympoly plan runs as gm and as fgm; each krylov plan runs once.
+        import polyprec.experiments as experiments
+
+        plans, runs = [], []
+        plan_run, run = experiments.plan_run, experiments.RunPlan.run
+
+        def planned(obj, method, precond, tau=0):
+            plans.append((method, precond, tau))
+            return plan_run(obj, method, precond, tau)
+
+        def ran(plan, config):
+            runs.append(plan)
+            return run(plan, config)
+
+        monkeypatch.setattr(polyprec.diagnostics, "plan_run", planned)
+        monkeypatch.setattr(experiments.RunPlan, "run", ran)
+        run_verification_suite(seed=0)
+        assert plans == [("gm", f"sympoly:{tau}", 0) for tau in (0, 1, 2)] + [
+            ("krylov", "identity", tau) for tau in (0, 1, 2)
+        ]
+        assert [plan.method for plan in runs] == ["gm", "fgm"] * 3 + ["krylov"] * 3
+        assert all(fgm.prec is gm.prec for gm, fgm in zip(runs[0:6:2], runs[1:6:2]))
+
     def test_report_list_pinned(self):
         # A batch dropped, added or reordered changes the verify JSON.
         batches = [

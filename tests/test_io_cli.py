@@ -501,7 +501,8 @@ class TestExperiments:
         import polyprec.experiments as experiments
 
         obj = build_problem(ExperimentConfig(synthetic=(20.0, 2.0, 1.0, 12), loss="huber:0.1"))
-        prec, bounds, _ = experiments._build(obj, method, "sympoly:1")
+        plan = experiments.plan_run(obj, method, "sympoly:1")
+        prec = plan.prec
         x0 = np.linspace(-1.0, 1.0, obj.n)
         guess, points = experiments.initial_guess_M, []
 
@@ -510,7 +511,7 @@ class TestExperiments:
             return guess(obj, prec, x, M0_prime)
 
         monkeypatch.setattr(experiments, "initial_guess_M", spied)
-        run, _ = experiments._run(obj, method, 0, prec, bounds, SolverConfig(max_iters=3, x0=x0))
+        run, _ = plan.run(SolverConfig(max_iters=3, x0=x0))
         assert len(points) == 1 and np.array_equal(points[0], x0)
         assert run.records[0].M_k == guess(obj, prec, x0, 1.0)
         assert run.records[0].M_k != guess(obj, prec, np.zeros(obj.n), 1.0)
@@ -951,14 +952,14 @@ class TestReference:
         import polyprec.experiments as experiments
 
         runs = []
-        run_step = experiments._run
+        run_step = experiments.RunPlan.run
 
-        def captured(*args):
-            result = run_step(*args)
+        def captured(plan, config):
+            result = run_step(plan, config)
             runs.append(result[0])
             return result
 
-        monkeypatch.setattr(experiments, "_run", captured)
+        monkeypatch.setattr(experiments.RunPlan, "run", captured)
         config = ExperimentConfig(
             name="counts", synthetic=(40, 4, 1, 10), rows=50, max_iters=20,
             reference_iters=reference_iters, out_dir=str(tmp_path),
@@ -1857,7 +1858,7 @@ class TestBuildGuard:
         for precond in [f"sympoly:{tau}" for tau in range(9)] + [
             f"cutting:{tau}" for tau in range(1, 5)
         ]:
-            experiments._build(obj, method, precond)
+            experiments.plan_run(obj, method, precond)
         references = []
         monkeypatch.setattr(experiments, "reference_optimum", lambda *a: references.append(a))
         out = tmp_path / "out"

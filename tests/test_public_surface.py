@@ -110,6 +110,24 @@ def unread_members(classes, src_dir, bench_dir) -> list:
     return sorted(m for m in class_members(src_dir, classes) if m.split(".")[1] not in used)
 
 
+def private_imports(src_dir, module) -> list:
+    """``file: name`` for each underscore name of ``module`` that another module
+    of ``src_dir`` imports from it or reads as ``module._name``."""
+    found = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        if path.stem == module:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in (module, f"polyprec.{module}"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    return found
+
+
 def test_every_export_has_a_library_or_benchmark_caller():
     assert unused(exported_names(), ROOT / "src" / "polyprec", ROOT / "perfbench") == []
 
@@ -149,3 +167,16 @@ def test_an_unread_member_is_caught(tmp_path):
     bench.mkdir()
     (bench / "run.py").write_text("print('label')\n")
     assert unread_members({"Box"}, src, bench) == ["Box.volume", "Box.weight"]
+
+
+def test_no_module_imports_a_private_name_of_experiments():
+    # Runs are planned and carried out through plan_run and RunPlan.run alone.
+    assert private_imports(ROOT / "src" / "polyprec", "experiments") == []
+
+
+def test_a_private_import_is_caught(tmp_path):
+    (tmp_path / "experiments.py").write_text("def _build():\n    return 0\n")
+    (tmp_path / "a.py").write_text("from .experiments import _build\n")
+    (tmp_path / "b.py").write_text("from . import experiments\n\nexperiments._build()\n")
+    (tmp_path / "c.py").write_text("from polyprec.experiments import plan_run\n")
+    assert private_imports(tmp_path, "experiments") == ["a.py: _build", "b.py: _build"]

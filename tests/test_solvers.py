@@ -230,22 +230,23 @@ class TestPredicate:
         M = bounds.beta * obj.L
         y = x - g / M
         step_norm_sq = float(g @ g) / M**2
-        assert quadratic_growth_predicate(M, x, y, g, step_norm_sq, obj.value(x), obj.value(y))
+        lin = float(g @ (y - x))
+        assert quadratic_growth_predicate(M, lin, step_norm_sq, obj.value(x), obj.value(y))
 
     def test_trivial_equal_points(self, rng):
         obj = gapped_quadratic(rng, n=4, cond=10)
         x = rng.standard_normal(4)
         f_x = obj.value(x)
-        assert quadratic_growth_predicate(0.5, x, x.copy(), obj.gradient(x), 0.0, f_x, f_x)
+        lin = float(obj.gradient(x) @ (x.copy() - x))
+        assert quadratic_growth_predicate(0.5, lin, 0.0, f_x, f_x)
 
     def test_one_dimensional_counterexample(self):
         B = DenseOperator(np.array([[1.0]]))
         obj = make_quadratic(B, np.zeros(1))
         x = np.array([1.0])
         y = np.array([0.0])
-        assert not quadratic_growth_predicate(
-            0.5, x, y, obj.gradient(x), 1.0, obj.value(x), obj.value(y)
-        )
+        lin = float(obj.gradient(x) @ (y - x))
+        assert not quadratic_growth_predicate(0.5, lin, 1.0, obj.value(x), obj.value(y))
 
 
 class TestAdaptiveGM:
@@ -468,12 +469,12 @@ class TestSearchStart:
     def test_the_cap_bounds_the_growth_of_M(self):
         # A trial at M = 1 that measures curvature 2 f_y is followed by the
         # first doubling that reaches it: 2**60 is within the cap, 2**61 is not.
-        zero, tried = np.zeros(1), []
+        tried = []
 
         def trial_measuring(f_y):
             def trial(M):
                 tried.append(M)
-                return None, 1.0, (zero, zero, zero, 0.0, f_y)
+                return None, 1.0, (0.0, 0.0, f_y)
 
             return trial
 

@@ -74,7 +74,12 @@ def test_traced_bench_crosses_the_krylov_boundaries(tmp_path):
         "krylov.build_gram",
         "krylov.solve_gram",
         "preconditioners.apply",
+        "preconditioners.build_from_descriptor",
+        "preconditioners.compute_alpha_beta",
+        "solvers.initial_guess_M",
         "solvers.run_gm",
+        "solvers.run_adaptive_fgm",
+        "experiments.reference_optimum",
     ):
         assert traced["calls"].get(name, 0) >= 1, name
     assert traced["metrics"]["krylov.eff_degree_mean"] > 0
