@@ -114,8 +114,8 @@ def verify_adjugate(B: DenseOperator) -> float:
 def verify_sandwich(B: DenseOperator, tau: int) -> float:
     """Slack of the two-sided eigenvalue bounds of the preconditioned operator.
 
-    The :func:`sandwich_slack` of the degree-tau member, the check every
-    exact ``sympoly`` build of a run passes too.
+    The :func:`sandwich_slack` of the degree-tau member; its build, like every
+    exact ``sympoly`` build, raises when the slack exceeds ``BUILD_TOLERANCE``.
     """
     prec = build_from_descriptor(f"sympoly:{tau}", B)
     return sandwich_slack(spectral_decomposition(B).eigenvalues, prec, tau)

@@ -33,7 +33,6 @@ from .preconditioners import (
     Preconditioner,
     QualityBounds,
     build_from_descriptor,
-    check_exact_build,
     compute_alpha_beta,
     parse_descriptor,
 )
@@ -320,14 +319,13 @@ class RunPlan(NamedTuple):
 
 def plan_run(obj: CompositeObjective, method: str, precond: str, tau: int = 0) -> RunPlan:
     """The plan of ``method`` on ``obj`` and the :class:`Costs` of its build: the
-    preconditioner, checked if exact (see :func:`check_exact_build`), and for gm
-    and fgm its bounds, so an indefinite one fails here. krylov, of degree
+    preconditioner, which :func:`build_from_descriptor` checks if exact, and for
+    gm and fgm its bounds, so an indefinite one fails here. krylov, of degree
     ``tau``, chooses its own polynomial at every step and builds nothing."""
     if method == "krylov":
         return RunPlan(obj, method, tau, None, None, Costs())
     start = obj.costs()
     prec = build_from_descriptor(precond, obj.curvature)
-    check_exact_build(precond, prec, obj.curvature)
     bounds = compute_alpha_beta(prec, obj.curvature) if method in ("gm", "fgm") else None
     return RunPlan(obj, method, tau, prec, bounds, obj.costs() - start)
 

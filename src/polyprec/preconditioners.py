@@ -337,23 +337,6 @@ def cutting_excess(spectrum, prec: Preconditioner, tau: int) -> float:
 BUILD_TOLERANCE = 1e-6
 
 
-def check_exact_build(text: str, prec: Preconditioner, op: SymmetricOperator):
-    """Raise a ValueError when an exact ``sympoly`` or ``cutting`` build misses its
-    guarantee on the operator's range spectrum: :func:`sandwich_slack` or
-    :func:`cutting_excess` above :data:`BUILD_TOLERANCE`. Other forms pass."""
-    kind, numbers = parse_descriptor(text)
-    if kind not in ("sympoly", "cutting"):
-        return
-    check = sandwich_slack if kind == "sympoly" else cutting_excess
-    deviation = check(spectral_decomposition(op).range_eigenvalues, prec, numbers[0])
-    if not deviation <= BUILD_TOLERANCE:
-        raise ValueError(
-            f"{text!r} misses its spectral guarantee on this operator by {deviation:.3e} "
-            f"(tolerance {BUILD_TOLERANCE:.0e}); rounding in its coefficients grows "
-            "with the degree, so use a lower one"
-        )
-
-
 # Integer fields of each descriptor form: how many are required, the
 # defaults of the optional ones after them (stochastic traces: S and SEED),
 # and whether the first is a degree capped at n - 1 (the adjugate's).
@@ -412,9 +395,10 @@ def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
     A ``sympoly`` form runs the trace recursion on exact or estimated traces.
     Its degree, and ``cutting``'s, is at most ``op.dim - 1``, and an exact
     form's at most the rank minus one, checked before any trace or root is
-    formed: above it the polynomial is singular on the operator's range. The
-    spectral constructions, exact traces included, require a dense-capable
-    operator.
+    formed: above it the polynomial is singular on the operator's range. An
+    exact build that misses its guarantee on that range (:func:`sandwich_slack`,
+    :func:`cutting_excess`) by more than :data:`BUILD_TOLERANCE` raises too.
+    Spectral constructions, exact traces included, need a dense-capable operator.
     """
     kind, numbers = parse_descriptor(text, op.dim)
     if kind == "identity":
@@ -434,5 +418,15 @@ def build_from_descriptor(text: str, op: SymmetricOperator) -> Preconditioner:
             f"rank-1={spectrum.size - 1}"
         )
     if kind == "sympoly":
-        return sympoly_coefficients(exact_traces(op, tau) if tau else [], tau)
-    return cutting_preconditioner(spectrum, tau)
+        prec = sympoly_coefficients(exact_traces(op, tau) if tau else [], tau)
+        deviation = sandwich_slack(spectrum, prec, tau)
+    else:
+        prec = cutting_preconditioner(spectrum, tau)
+        deviation = cutting_excess(spectrum, prec, tau)
+    if not deviation <= BUILD_TOLERANCE:
+        raise ValueError(
+            f"{text!r} misses its spectral guarantee on this operator by {deviation:.3e} "
+            f"(tolerance {BUILD_TOLERANCE:.0e}); rounding in its coefficients grows "
+            "with the degree, so use a lower one"
+        )
+    return prec

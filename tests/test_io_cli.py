@@ -24,6 +24,7 @@ from polyprec import (
     LogisticLoss,
     RunResult,
     SolverConfig,
+    build_from_descriptor,
     inverse_preconditioner,
     logistic_from_dataset,
     merge_plotdata,
@@ -1855,9 +1856,11 @@ class TestBuildGuard:
         import polyprec.experiments as experiments
 
         obj = build_problem(ExperimentConfig(**GAPPED))
-        for precond in [f"sympoly:{tau}" for tau in range(9)] + [
+        # Two entry points: the build itself, and the run plan that wraps it.
+        for precond in [f"sympoly:{tau}" for tau in range(10)] + [
             f"cutting:{tau}" for tau in range(1, 5)
         ]:
+            build_from_descriptor(precond, obj.curvature)
             experiments.plan_run(obj, method, precond)
         references = []
         monkeypatch.setattr(experiments, "reference_optimum", lambda *a: references.append(a))
@@ -1866,15 +1869,17 @@ class TestBuildGuard:
             "sympoly:10", "sympoly:12", "sympoly:15", "sympoly:20",
             "cutting:5", "cutting:8", "cutting:10",
         ):
+            message = (
+                rf"'{precond}' misses its spectral guarantee on this "
+                r"operator by \d\.\d{3}e[+-]\d+ \(tolerance 1e-06\)"
+            )
+            with pytest.raises(ValueError, match=rf"^{message}"):
+                build_from_descriptor(precond, obj.curvature)
             argv = ["solve", *GAPPED_FLAGS, "--method", method, "--precond", precond,
                     "--max-iters", "5", "--out", str(out)]
             assert cli_main(argv) == 1, precond
             err = capsys.readouterr().err
-            pattern = (
-                rf"polyprec: error: '{precond}' misses its spectral guarantee on this "
-                r"operator by \d\.\d{3}e[+-]\d+ \(tolerance 1e-06\)"
-            )
-            assert re.match(pattern, err), err
+            assert re.match(rf"polyprec: error: {message}", err), err
         assert references == []
         assert not out.exists()
 
@@ -1933,8 +1938,10 @@ class TestBuildGuard:
         for module in (preconditioners, diagnostics):
             monkeypatch.setattr(module, check, lambda spectrum, prec, tau: 0.5)
         if check == "sandwich_slack":
-            # The suite's envelope runs build sympoly too, so judge the member alone.
-            assert diagnostics.verify_sandwich(DenseOperator(np.diag([3.0, 2.0, 1.0])), 1) == 0.5
+            # The member's own build is checked, so it raises before any slack is returned.
+            message = r"^'sympoly:1' misses its spectral guarantee on this operator by 5\.000e-01"
+            with pytest.raises(ValueError, match=message):
+                diagnostics.verify_sandwich(DenseOperator(np.diag([3.0, 2.0, 1.0])), 1)
         else:
             reports = {r.check: r for r in diagnostics.run_verification_suite(seed=0)}
             assert not reports["cutting-bound-batch"].passed
